@@ -3,8 +3,7 @@ verification suites, and emit machine-readable output.
 
 Subcommands: nd, potential, wdvv, theta, qchar, qlog, qhg, solve, birkhoff,
 confluence, jfn, compare, verify.  Long-form flags only.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.  QONF_THREADS
-caps the parallelism of the verify suites.
+0 success, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -296,13 +295,10 @@ def cmd_qhg(args, cfg) -> int:
 def _load_system(args):
     if args.file:
         with open(args.file) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(2) from exc
-        try:
-            return system_from_json(doc)
-        except (KeyError, ValueError) as exc:
+            text = fh.read()
+        try:  # json.JSONDecodeError is a ValueError
+            return system_from_json(json.loads(text))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"error: malformed system JSON: {exc}", file=sys.stderr)
             raise SystemExit(2) from exc
     return cfl.builtin_system(args.builtin, N=args.N, z=args.z)

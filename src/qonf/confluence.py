@@ -49,6 +49,7 @@ from .qdiff import (  # q_pullback re-exported: it belongs to this module's surf
     QDifferenceSystem,
     ResonanceError,
     UnsupportedJordanError,
+    _nilpotent_exp,
     q_pullback,
 )
 from .qspecial import DomainError, log_qpoch_infinite, spiral_contains, spiral_log
@@ -241,7 +242,7 @@ class ODEFundamentalSolution:
         else:
             mu = self.eigenvalues[0]
             N = np.array(self.nilpotent, dtype=complex)
-            E = cmath.exp(complex(mu) * logQ) * _nilpotent_exp_np(logQ * N)
+            E = cmath.exp(complex(mu) * logQ) * _nilpotent_exp(logQ * N)
         return np.array(G, dtype=complex) @ E
 
     def derivative_residual(self, Q: complex, h: float = 1e-6) -> float:
@@ -250,16 +251,6 @@ class ODEFundamentalSolution:
         X = self.eval(Q)
         B = np.array(self.ode.matrix_at(Q), dtype=complex)
         return float(np.abs(Xp - B @ X).max() / max(np.abs(X).max(), 1e-300))
-
-
-def _nilpotent_exp_np(N: np.ndarray) -> np.ndarray:
-    n = N.shape[0]
-    out = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, n):
-        term = term @ N / k
-        out = out + term
-    return out
 
 
 def ode_normalize_to_constant(ode: ODESystem, D: int):

@@ -38,8 +38,8 @@ from .qspecial import DomainError, q_log, spiral_contains, spiral_log
 from .rings import (
     LimitUndefinedError,
     LogSeries,
-    LPoly,
     NilpotentElement,
+    Poly,
     RationalFunctionQ,
     nil_binomial_power,
     nil_inv,
@@ -312,7 +312,7 @@ def jk_modified(N: int, D: int, jk: JFunctionK | None = None) -> LogSeries:
     prefactor = nil_binomial_power(N, one)
     coeffs = []
     for d in range(D + 1):
-        lifted = NilpotentElement(N, [LPoly.const(c, one) for c in jk.coeffs[d]])
+        lifted = NilpotentElement(N, [Poly.const(c, one) for c in jk.coeffs[d]])
         coeffs.append(nil_mul(prefactor, lifted))
     return LogSeries(D, coeffs)
 
@@ -323,7 +323,7 @@ def _sigma_power_sum(series: LogSeries, N: int, q) -> LogSeries:
     current = series
     for k in range(N + 2):
         coeff = math.comb(N + 1, k) * (-1) ** k
-        term = current.scale(LPoly.const(coeff * R.one(), R.one()))
+        term = current.scale(Poly.const(coeff * R.one(), R.one()))
         acc = term if acc is None else acc + term
         if k <= N:
             current = current.sigma(q)
@@ -346,12 +346,12 @@ def jk_qde_residual(N: int, D: int, modified: bool = True):
     series = LogSeries(
         D,
         tuple(
-            NilpotentElement(N, [LPoly.const(c, one) for c in jk.coeffs[d]])
+            NilpotentElement(N, [Poly.const(c, one) for c in jk.coeffs[d]])
             for d in range(D + 1)
         ),
     )
-    eps = NilpotentElement.eps(N, LPoly.const(one, one))
-    one_minus_eps = NilpotentElement.from_scalar(N, LPoly.const(one, one)) - eps
+    eps = NilpotentElement.eps(N, Poly.const(one, one))
+    one_minus_eps = NilpotentElement.from_scalar(N, Poly.const(one, one)) - eps
 
     def twisted_sigma(s: LogSeries) -> LogSeries:
         shifted = s.mul_by_q_power(q)
@@ -361,7 +361,7 @@ def jk_qde_residual(N: int, D: int, modified: bool = True):
     current = series
     for k in range(N + 2):
         coeff = math.comb(N + 1, k) * (-1) ** k
-        term = current.scale(LPoly.const(coeff * one, one))
+        term = current.scale(Poly.const(coeff * one, one))
         acc = term if acc is None else acc + term
         if k <= N:
             current = twisted_sigma(current)
@@ -446,7 +446,7 @@ def jcoh_ode_residual(N: int, D: int, jcoh: JFunctionCoh | None = None) -> LogSe
                 slots[d][i][m] - (c[d - 1][i][m] if d >= 1 else Fraction(0))
                 for m in range(N + 2)
             ]
-            lps.append(LPoly(vals, one))
+            lps.append(Poly(vals, one))
         coeffs.append(NilpotentElement(N, lps))
     return LogSeries(D, coeffs)
 

@@ -1,10 +1,11 @@
-"""Generic dense polynomials and rational functions in the equation variable Q.
+"""Rational functions in the equation variable Q.
 
-Coefficients are duck-typed scalars from any of the package's rings
-(Fraction, RationalFunctionQ, complex); each container carries a ring unit so
-that zeros and ones of the right type can be produced.  Exact scalar types
-get eager gcd reduction of rational functions; floating scalars skip
-reduction (degrees stay small in every numeric code path).
+Numerators and denominators are :class:`qonf.rings.Poly` over duck-typed
+scalars from any of the package's rings (Fraction, RationalFunctionQ,
+complex); each container carries a ring unit so that zeros and ones of the
+right type can be produced.  Exact scalar types get eager gcd reduction of
+rational functions; floating scalars skip reduction (degrees stay small in
+every numeric code path).
 
 Also provides the little dense linear algebra used by the solvers: generic
 matrix products, Gauss-Jordan inversion, and linear solves over any field of
@@ -15,157 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import RationalFunctionQ, one_like, scalar_is_zero, zero_like
+from .rings import Poly, RationalFunctionQ, one_like, scalar_is_zero, zero_like
 
 
 def _is_exact(one) -> bool:
     return not isinstance(one, (float, complex))
-
-
-class Poly:
-    """Dense polynomial over a duck-typed scalar ring; ascending coefficients."""
-
-    __slots__ = ("coeffs", "one")
-
-    def __init__(self, coeffs, one):
-        coeffs = list(coeffs)
-        while coeffs and scalar_is_zero(coeffs[-1]):
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-        self.one = one
-
-    @classmethod
-    def const(cls, c, one=None) -> "Poly":
-        return cls([c], one if one is not None else one_like(c))
-
-    @classmethod
-    def variable(cls, one) -> "Poly":
-        return cls([zero_like(one), one], one)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def coeff(self, k: int):
-        return self.coeffs[k] if k < len(self.coeffs) else zero_like(self.one)
-
-    @property
-    def valuation(self) -> int | None:
-        """Order of vanishing at 0; None for the zero polynomial."""
-        for k, c in enumerate(self.coeffs):
-            if not scalar_is_zero(c):
-                return k
-        return None
-
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly([other * self.one], self.one)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)], self.one)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)], self.one)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.one)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly([c * other for c in self.coeffs], self.one)
-        if self.is_zero or other.is_zero:
-            return Poly([], self.one)
-        out = [zero_like(self.one)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if scalar_is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.one)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = Poly([self.one], self.one)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def divmod(self, other: "Poly"):
-        """Polynomial division; scalars must form a field."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq, dr = other.degree, len(rem) - 1
-        if dr < dq:
-            return Poly([], self.one), self
-        quot = [zero_like(self.one)] * (dr - dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dr - dq, -1, -1):
-            c = rem[k + dq] / lead
-            if not scalar_is_zero(c):
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(quot, self.one), Poly(rem[:dq], self.one)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a * (one_like(a.one) / a.coeffs[-1])  # monic
-
-    def derivative(self) -> "Poly":
-        return Poly([(k * self.one) * c for k, c in enumerate(self.coeffs)][1:], self.one)
-
-    def scale_argument(self, c) -> "Poly":
-        """Substitute X -> c*X."""
-        out, p = [], one_like(self.one)
-        for k, a in enumerate(self.coeffs):
-            out.append(a * p if k else a)
-            p = p * c
-        return Poly(out, self.one)
-
-    def evaluate(self, x):
-        acc = zero_like(self.one)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def map_coeffs(self, fn, one=None) -> "Poly":
-        return Poly([fn(c) for c in self.coeffs], one if one is not None else self.one)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        return "Poly([%s])" % ", ".join(repr(c) for c in self.coeffs)
 
 
 class RatFunc:
@@ -241,7 +96,7 @@ class RatFunc:
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.num.is_zero:
-            raise ZeroDivisionError
+            raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -50,7 +50,6 @@ from .qspecial import (
 )
 from .rings import (
     LogSeries,
-    LPoly,
     NilpotentElement,
     QonfError,
     RationalFunctionQ,
@@ -500,7 +499,7 @@ def frobenius_log_solutions(op: ScalarQOperator, D: int) -> list[LogSeries]:
                 u[j][d] = -acc / ind
         coeffs = []
         for d in range(D + 1):
-            lp = LPoly([u[j][d] for j in range(m + 1)], one)
+            lp = Poly([u[j][d] for j in range(m + 1)], one)
             coeffs.append(NilpotentElement(0, [lp]))
         solutions.append(LogSeries(D, coeffs))
     return solutions
@@ -821,6 +820,8 @@ def system_to_json(sys: QDifferenceSystem) -> dict:
 
 def system_from_json(doc: dict) -> QDifferenceSystem:
     n = int(doc["n"])
+    if n < 1:
+        raise ValueError(f"system size n = {n} must be at least 1")
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     A = [[zero for _ in range(n)] for _ in range(n)]
@@ -831,7 +832,10 @@ def system_from_json(doc: dict) -> QDifferenceSystem:
             num = parse_bivariate(e["num"])
             den = parse_bivariate(e["den"])
             f = num / den
-        A[int(e["i"])][int(e["j"])] = f
+        i, j = int(e["i"]), int(e["j"])
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"entry index ({i}, {j}) outside 0..{n - 1}")
+        A[i][j] = f
     qdoc = doc["q"]
     if qdoc == "q":
         return QDifferenceSystem(tuple(tuple(r) for r in A), RationalFunctionQ.q())

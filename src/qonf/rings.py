@@ -11,7 +11,8 @@ On top of these sit the truncated nilpotent ring C[eps]/(eps^(N+1))
 (:class:`TruncatedQSeries`), and series whose coefficients also carry powers of
 an inert log symbol L (:class:`LogSeries`).  L models the q-logarithm: it is
 untouched by ring operations and shifts as L -> L+1 under the dilation
-Q -> qQ.
+Q -> qQ.  Polynomials in L, like those in the equation variable Q, are the
+one dense polynomial type :class:`Poly`.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -19,6 +20,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from sympy.polys.domains import QQ
 from sympy.polys.densearith import (
@@ -223,6 +225,9 @@ class RationalFunctionQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if len(self.num) <= 1 and len(self.den) == 1:
+            # a constant equals the same Fraction, so it must hash like one
+            return hash(sum(self.num_fractions(), Fraction(0)))
         return hash((tuple(self.num), tuple(self.den)))
 
     def __bool__(self):
@@ -294,8 +299,8 @@ def limit_q_to_1(f) -> Fraction:
 def zero_like(x):
     if isinstance(x, RationalFunctionQ):
         return RationalFunctionQ.zero()
-    if isinstance(x, LPoly):
-        return LPoly([], x.base_one)
+    if isinstance(x, Poly):
+        return Poly([], x.one)
     if isinstance(x, Fraction):
         return Fraction(0)
     if isinstance(x, complex):
@@ -308,8 +313,8 @@ def zero_like(x):
 def one_like(x):
     if isinstance(x, RationalFunctionQ):
         return RationalFunctionQ.one()
-    if isinstance(x, LPoly):
-        return LPoly([x.base_one], x.base_one)
+    if isinstance(x, Poly):
+        return Poly([x.one], x.one)
     if isinstance(x, Fraction):
         return Fraction(1)
     if isinstance(x, complex):
@@ -320,7 +325,7 @@ def one_like(x):
 
 
 def scalar_is_zero(x) -> bool:
-    if isinstance(x, (RationalFunctionQ, LPoly)):
+    if isinstance(x, (RationalFunctionQ, Poly)):
         return x.is_zero
     return x == 0
 
@@ -444,32 +449,34 @@ def chern_iso(x: NilpotentElement) -> NilpotentElement:
     return NilpotentElement(x.order, x.coeffs)
 
 
-# -- polynomials in the inert log symbol --------------------------------------
+# -- dense polynomials --------------------------------------------------------
 
 
-class LPoly:
-    """Polynomial in the inert symbol L with coefficients in a scalar ring.
+class Poly:
+    """Dense polynomial over a duck-typed scalar ring; ascending coefficients.
 
-    L is never multiplied out: ring operations treat it formally, and the
-    dilation Q -> qQ acts through :meth:`shift` as L -> L + 1.
+    Serves for polynomials in the equation variable Q (see :mod:`qonf.polyq`)
+    and for polynomials in the inert log symbol L.  L is never multiplied
+    out: ring operations treat it formally, and the dilation Q -> qQ acts
+    through :meth:`shift` as L -> L + 1.
     """
 
-    __slots__ = ("coeffs", "base_one")
+    __slots__ = ("coeffs", "one")
 
-    def __init__(self, coeffs, base_one):
+    def __init__(self, coeffs, one):
         coeffs = list(coeffs)
         while coeffs and scalar_is_zero(coeffs[-1]):
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.base_one = base_one
+        self.one = one
 
     @classmethod
-    def const(cls, s, base_one=None) -> "LPoly":
-        return cls([s], base_one if base_one is not None else one_like(s))
+    def const(cls, c, one=None) -> "Poly":
+        return cls([c], one if one is not None else one_like(c))
 
     @classmethod
-    def L(cls, base_one) -> "LPoly":
-        return cls([zero_like(base_one), base_one], base_one)
+    def variable(cls, one) -> "Poly":
+        return cls([zero_like(one), one], one)
 
     @property
     def is_zero(self) -> bool:
@@ -477,53 +484,71 @@ class LPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def coeff(self, m: int):
-        if m < len(self.coeffs):
-            return self.coeffs[m]
-        return zero_like(self.base_one)
+    def coeff(self, k: int):
+        return self.coeffs[k] if k < len(self.coeffs) else zero_like(self.one)
 
-    @staticmethod
-    def _coerce(x, base_one):
-        if isinstance(x, LPoly):
-            return x
-        return LPoly([x * base_one] if not scalar_is_zero(x) else [], base_one)
+    @property
+    def valuation(self) -> int | None:
+        """Order of vanishing at 0; None for the zero polynomial."""
+        for k, c in enumerate(self.coeffs):
+            if not scalar_is_zero(c):
+                return k
+        return None
+
+    def _coerce(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            return other
+        return Poly([other * self.one], self.one)
 
     def __add__(self, other):
-        other = self._coerce(other, self.base_one)
+        other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return LPoly([self.coeff(m) + other.coeff(m) for m in range(n)], self.base_one)
+        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)], self.one)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other, self.base_one)
+        other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return LPoly([self.coeff(m) - other.coeff(m) for m in range(n)], self.base_one)
+        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)], self.one)
 
     def __neg__(self):
-        return LPoly([-c for c in self.coeffs], self.base_one)
+        return Poly([-c for c in self.coeffs], self.one)
 
     def __mul__(self, other):
-        if isinstance(other, LPoly):
-            if self.is_zero or other.is_zero:
-                return LPoly([], self.base_one)
-            out = [zero_like(self.base_one)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return LPoly(out, self.base_one)
-        return LPoly([c * other for c in self.coeffs], self.base_one)
+        if not isinstance(other, Poly):
+            return Poly([c * other for c in self.coeffs], self.one)
+        if self.is_zero or other.is_zero:
+            return Poly([], self.one)
+        out = [zero_like(self.one)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if scalar_is_zero(a):
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return Poly(out, self.one)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return LPoly([c / other for c in self.coeffs], self.base_one)
+    def __truediv__(self, c):
+        """Divide every coefficient by the scalar c."""
+        return Poly([a / c for a in self.coeffs], self.one)
+
+    def __pow__(self, k: int):
+        out = Poly([self.one], self.one)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def __eq__(self, other):
-        if not isinstance(other, LPoly):
-            other = self._coerce(other, self.base_one)
+        other = self._coerce(other)
         return len(self.coeffs) == len(other.coeffs) and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
@@ -531,75 +556,99 @@ class LPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def shift(self, k: int = 1) -> "LPoly":
-        """Substitute L -> L + k (binomial re-expansion)."""
+    def divmod(self, other: "Poly"):
+        """Polynomial division; scalars must form a field."""
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        dq, dr = other.degree, len(rem) - 1
+        if dr < dq:
+            return Poly([], self.one), self
+        quot = [zero_like(self.one)] * (dr - dq + 1)
+        lead = other.coeffs[-1]
+        for k in range(dr - dq, -1, -1):
+            c = rem[k + dq] / lead
+            if not scalar_is_zero(c):
+                quot[k] = c
+                for j, b in enumerate(other.coeffs):
+                    rem[k + j] = rem[k + j] - c * b
+        return Poly(quot, self.one), Poly(rem[:dq], self.one)
+
+    def gcd(self, other: "Poly") -> "Poly":
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero:
+            return a
+        return a * (one_like(a.one) / a.coeffs[-1])  # monic
+
+    def derivative(self) -> "Poly":
+        return Poly([(k * self.one) * c for k, c in enumerate(self.coeffs)][1:], self.one)
+
+    def scale_argument(self, c) -> "Poly":
+        """Substitute X -> c*X."""
+        out, p = [], one_like(self.one)
+        for k, a in enumerate(self.coeffs):
+            out.append(a * p if k else a)
+            p = p * c
+        return Poly(out, self.one)
+
+    def shift(self, k: int = 1) -> "Poly":
+        """Substitute X -> X + k (binomial re-expansion)."""
         if not self.coeffs:
             return self
-        from math import comb
-
         n = len(self.coeffs)
-        out = [zero_like(self.base_one) for _ in range(n)]
+        out = [zero_like(self.one) for _ in range(n)]
         for j, c in enumerate(self.coeffs):
             if scalar_is_zero(c):
                 continue
             for m in range(j, -1, -1):
                 out[m] = out[m] + (comb(j, m) * (k ** (j - m))) * c
-        return LPoly(out, self.base_one)
+        return Poly(out, self.one)
 
-    def substitute(self, value):
-        """Evaluate at L = value (value lives in the base ring)."""
-        acc = zero_like(self.base_one)
+    def evaluate(self, x):
+        acc = zero_like(self.one)
         for c in reversed(self.coeffs):
-            acc = acc * value + c
+            acc = acc * x + c
         return acc
 
+    def map_coeffs(self, fn, one=None) -> "Poly":
+        return Poly([fn(c) for c in self.coeffs], one if one is not None else self.one)
+
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m, c in enumerate(self.coeffs):
-            if scalar_is_zero(c):
-                continue
-            parts.append(f"({c!r})*L^{m}" if m else repr(c))
-        return " + ".join(parts)
+        if self.is_zero:
+            return "Poly(0)"
+        return "Poly([%s])" % ", ".join(repr(c) for c in self.coeffs)
 
 
-def binom_l(k: int, base_one) -> LPoly:
-    """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as an LPoly."""
-    one = base_one
-    acc = LPoly([one], one)
-    ell = LPoly.L(one)
-    for r in range(k):
-        acc = acc * (ell - LPoly.const(r * one, one))
-    fact = 1
-    for r in range(2, k + 1):
-        fact *= r
-    return acc / (fact * one)
+def binom_l(k: int, one) -> Poly:
+    """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as a polynomial in L."""
+    return _binom_of_poly(Poly.variable(one), k, one)
 
 
-def nil_binomial_power(order: int, base_one, exponent: LPoly | None = None) -> NilpotentElement:
+def nil_binomial_power(order: int, one, exponent: Poly | None = None) -> NilpotentElement:
     """(1 - eps)^E as sum_k (-1)^k binom(E, k) eps^k, with E a polynomial in L.
 
     The default exponent is L itself.  The eps^k coefficient is a polynomial
     of degree k*deg(E) in L, and the sum is finite since k <= order.
     """
     if exponent is None:
-        exponent = LPoly.L(base_one)
+        exponent = Poly.variable(one)
     coeffs = []
     for k in range(order + 1):
-        bk = _binom_of_poly(exponent, k, base_one)
+        bk = _binom_of_poly(exponent, k, one)
         coeffs.append(bk if k % 2 == 0 else -bk)
     return NilpotentElement(order, coeffs)
 
 
-def _binom_of_poly(e: LPoly, k: int, base_one) -> LPoly:
-    acc = LPoly([base_one], base_one)
+def _binom_of_poly(e: Poly, k: int, one) -> Poly:
+    acc = Poly([one], one)
     for r in range(k):
-        acc = acc * (e - LPoly.const(r * base_one, base_one))
+        acc = acc * (e - Poly.const(r * one, one))
     fact = 1
     for r in range(2, k + 1):
         fact *= r
-    return acc / (fact * base_one)
+    return acc / (fact * one)
 
 
 # -- truncated series in Q ----------------------------------------------------
@@ -647,8 +696,6 @@ class TruncatedQSeries:
 
 def series_mul(a, b):
     """Truncated Cauchy product of two series of the same type."""
-    if isinstance(a, LogSeries):
-        return _log_series_mul(a, b)
     D = a.truncation
     out = []
     for d in range(D + 1):
@@ -656,7 +703,7 @@ def series_mul(a, b):
         for k in range(1, d + 1):
             acc = acc + nil_mul(a.coeffs[k], b.coeffs[d - k])
         out.append(acc)
-    return TruncatedQSeries(D, out)
+    return type(a)(D, out)
 
 
 def series_scale_pullback(s, c):
@@ -666,16 +713,14 @@ def series_scale_pullback(s, c):
     for d in range(s.truncation + 1):
         out.append(s.coeffs[d].scale(power) if d else s.coeffs[0])
         power = power * c
-    if isinstance(s, LogSeries):
-        return LogSeries(s.truncation, out)
-    return TruncatedQSeries(s.truncation, out)
+    return type(s)(s.truncation, out)
 
 
 class LogSeries:
     """Series sum_{d,m} c_{d,m} Q^d L^m with nilpotent-element coefficients.
 
     Implemented as a Q-series whose nilpotent coefficients have
-    :class:`LPoly` entries.  The dilation operator acts by Q^d -> q^d Q^d and
+    :class:`Poly` entries in L.  The dilation operator acts by Q^d -> q^d Q^d and
     L -> L + 1 simultaneously, which is exactly the shift behaviour of the
     q-logarithm.
     """
@@ -702,8 +747,8 @@ class LogSeries:
         return m
 
     @classmethod
-    def from_tqs(cls, s: TruncatedQSeries, base_one) -> "LogSeries":
-        lift = lambda c: c.map_coeffs(lambda x: LPoly.const(x, base_one))
+    def from_tqs(cls, s: TruncatedQSeries, one) -> "LogSeries":
+        lift = lambda c: c.map_coeffs(lambda x: Poly.const(x, one))
         return cls(s.truncation, tuple(lift(c) for c in s.coeffs))
 
     def coefficient(self, d: int, i: int, m: int):
@@ -732,7 +777,7 @@ class LogSeries:
         power = one_like(q)
         for d in range(self.truncation + 1):
             c = self.coeffs[d].map_coeffs(lambda lp: lp.shift(1))
-            out.append(c.scale(LPoly.const(power, _lpoly_one_of(c))) if d else c)
+            out.append(c.scale(Poly.const(power, c.coeffs[0].one)) if d else c)
             power = power * q
         return LogSeries(self.truncation, out)
 
@@ -742,7 +787,7 @@ class LogSeries:
         power = one_like(q)
         for d in range(self.truncation + 1):
             c = self.coeffs[d]
-            out.append(c.scale(LPoly.const(power, _lpoly_one_of(c))) if d else c)
+            out.append(c.scale(Poly.const(power, c.coeffs[0].one)) if d else c)
             power = power * q
         return LogSeries(self.truncation, out)
 
@@ -756,21 +801,6 @@ class LogSeries:
 
     def __repr__(self):
         return f"LogSeries(D={self.truncation}, N={self.order})"
-
-
-def _lpoly_one_of(nil: NilpotentElement):
-    return nil.coeffs[0].base_one
-
-
-def _log_series_mul(a: LogSeries, b: LogSeries) -> LogSeries:
-    D = a.truncation
-    out = []
-    for d in range(D + 1):
-        acc = nil_mul(a.coeffs[0], b.coeffs[d])
-        for k in range(1, d + 1):
-            acc = acc + nil_mul(a.coeffs[k], b.coeffs[d - k])
-        out.append(acc)
-    return LogSeries(D, out)
 
 
 # -- polynomial strings and series JSON ---------------------------------------
@@ -879,7 +909,7 @@ def series_from_json(doc: dict, *, exact_q: bool | None = None) -> LogSeries:
     if exact_q is None:
         exact_q = any("q" in r["num"] or "q" in r["den"] for r in rows)
     if exact_q:
-        base_one = RationalFunctionQ.one()
+        one = RationalFunctionQ.one()
 
         def mk(r):
             return RationalFunctionQ(
@@ -888,14 +918,14 @@ def series_from_json(doc: dict, *, exact_q: bool | None = None) -> LogSeries:
             )
 
     else:
-        base_one = Fraction(1)
+        one = Fraction(1)
 
         def mk(r):
             return Fraction(parse_poly(r["num"], "q")[0] if r["num"] != "0" else 0) / Fraction(
                 parse_poly(r["den"], "q")[0]
             )
 
-    zero_lp = LPoly([], base_one)
+    zero_lp = Poly([], one)
     grid = [
         [dict() for _ in range(N + 1)] for _ in range(D + 1)
     ]  # [d][i] -> {m: scalar}
@@ -911,7 +941,7 @@ def series_from_json(doc: dict, *, exact_q: bool | None = None) -> LogSeries:
                 continue
             mmax = max(entries)
             nil_coeffs.append(
-                LPoly([entries.get(m, zero_like(base_one)) for m in range(mmax + 1)], base_one)
+                Poly([entries.get(m, zero_like(one)) for m in range(mmax + 1)], one)
             )
         coeffs.append(NilpotentElement(N, nil_coeffs))
     return LogSeries(D, coeffs)

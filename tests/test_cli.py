@@ -101,6 +101,26 @@ class TestSystems:
         path.write_text("{not json")
         assert main(["confluence", "--file", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1/(Q-Q)"}]}),
+            json.dumps({"n": 1, "q": "q", "entries": [{"i": 3, "j": 0, "entry": "1"}]}),
+            '{"n": 1, "q": "q", "entries": [{"i": 0, "j"',
+            json.dumps({"n": 0, "q": "q", "entries": []}),
+            json.dumps({"n": 1, "q": "q", "entries": 5}),
+            "[]",
+        ],
+        ids=["zero-denominator", "index-out-of-range", "truncated", "empty-system",
+             "entries-not-a-list", "not-an-object"],
+    )
+    def test_malformed_system_is_one_line_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", "--file", str(path), "--D", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_birkhoff(self, capsys):
         code, out = run(capsys, "birkhoff", "--q", "0.55", "--Q", "0.7+1.1j")
         doc = json.loads(out)

@@ -31,7 +31,7 @@ from qonf.gw import (
 )
 from qonf.qdiff import ScalarQOperator, casoratian, frobenius_log_solutions
 from qonf.polyq import parse_bivariate
-from qonf.rings import LPoly, RationalFunctionQ as R, binom_l, chern_iso
+from qonf.rings import Poly, RationalFunctionQ as R, binom_l, chern_iso
 
 REFERENCE_ND = (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392)
 
@@ -173,7 +173,7 @@ class TestModified:
         for i in range(N + 1):
             gamma = binom_l(i, one) * ((-1) ** i * one)
             for d in range(D + 1):
-                want = LPoly([], one)
+                want = Poly([], one)
                 for m in range(i + 1):
                     want = want + sols[m].coeffs[d].coeffs[0] * gamma.coeff(m)
                 assert jm.coeffs[d].coeffs[i] == want

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from qonf.rings import (
     LimitUndefinedError,
     LogSeries,
-    LPoly,
+    Poly,
     NilpotentElement,
     NonUnitError,
     OrderMismatchError,
@@ -69,6 +69,10 @@ class TestRationalFunctionQ:
 
     def test_negative_power(self):
         assert RationalFunctionQ.q_power(-2) * Q**2 == ONE
+
+    def test_constants_hash_like_equal_fractions(self):
+        assert 1 in {ONE}
+        assert F(1, 2) in {RationalFunctionQ.from_fraction(F(1, 2))}
 
     @given(
         st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=9), min_size=1, max_size=5),
@@ -173,24 +177,41 @@ class TestNilpotentProperties:
     @settings(max_examples=40, deadline=None)
     def test_binomial_power_at_integers(self, n, m):
         bp = nil_binomial_power(n, F(1))
-        at_m = bp.map_coeffs(lambda lp: lp.substitute(F(m)))
+        at_m = bp.map_coeffs(lambda lp: lp.evaluate(F(m)))
         one_minus_eps = NilpotentElement.from_scalar(n, F(1)) - NilpotentElement.eps(n, F(1))
         assert at_m == one_minus_eps**m
 
 
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+
+
+class TestPolyShift:
+    @given(st.lists(fractions, max_size=6), st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_shifts_compose(self, cs, a, b):
+        p = Poly(cs, F(1))
+        assert p.shift(a).shift(b) == p.shift(a + b)
+
+    @given(st.lists(fractions, max_size=6), st.integers(-5, 5), fractions)
+    @settings(max_examples=60, deadline=None)
+    def test_shift_is_translation(self, cs, k, x):
+        p = Poly(cs, F(1))
+        assert p.shift(k).evaluate(x) == p.evaluate(x + k)
+
+
 class TestBinomialPower:
     def test_order_zero(self):
-        assert nil_binomial_power(0, F(1)) == NilpotentElement(0, [LPoly([F(1)], F(1))])
+        assert nil_binomial_power(0, F(1)) == NilpotentElement(0, [Poly([F(1)], F(1))])
 
     def test_order_one(self):
         bp = nil_binomial_power(1, F(1))
-        assert bp.coeffs[0] == LPoly([F(1)], F(1))
-        assert bp.coeffs[1] == -LPoly.L(F(1))
+        assert bp.coeffs[0] == Poly([F(1)], F(1))
+        assert bp.coeffs[1] == -Poly.variable(F(1))
 
     def test_order_two(self):
         bp = nil_binomial_power(2, F(1))
         assert bp.coeffs[2] == binom_l(2, F(1))
-        assert bp.coeffs[2] == LPoly([F(0), F(-1, 2), F(1, 2)], F(1))
+        assert bp.coeffs[2] == Poly([F(0), F(-1, 2), F(1, 2)], F(1))
 
 
 # ---------------------------------------------------------------- series
@@ -227,33 +248,33 @@ class TestSeries:
 
     def test_log_series_sigma_shifts_L_and_scales_Q(self):
         one = F(1)
-        lp_L = LPoly.L(one)
+        lp_L = Poly.variable(one)
         c0 = NilpotentElement(0, [lp_L])
         s = LogSeries(1, [c0, c0])
         t = s.sigma(F(3))  # stand-in scalar for q
         # Q^0: L -> L+1 ; Q^1: 3*(L+1)
-        assert t.coeffs[0].coeffs[0] == LPoly([one, one], one)
-        assert t.coeffs[1].coeffs[0] == LPoly([F(3), F(3)], one)
+        assert t.coeffs[0].coeffs[0] == Poly([one, one], one)
+        assert t.coeffs[1].coeffs[0] == Poly([F(3), F(3)], one)
 
     def test_log_series_q_degree_drop(self):
         one = F(1)
-        s = LogSeries(2, [NilpotentElement(0, [LPoly([F(d)], one)]) for d in range(3)])
+        s = LogSeries(2, [NilpotentElement(0, [Poly([F(d)], one)]) for d in range(3)])
         t = s.mul_by_Q()
         assert t.coeffs[0].coeffs[0].is_zero
-        assert t.coeffs[1].coeffs[0] == LPoly([F(0)], one)
-        assert t.coeffs[2].coeffs[0] == LPoly([F(1)], one)
+        assert t.coeffs[1].coeffs[0] == Poly([F(0)], one)
+        assert t.coeffs[2].coeffs[0] == Poly([F(1)], one)
 
     def test_log_series_product(self):
         # (1 + L Q)^2 = 1 + 2 L Q + L^2 Q^2
         one = F(1)
-        lp1, lpL = LPoly([one], one), LPoly.L(one)
+        lp1, lpL = Poly([one], one), Poly.variable(one)
         s = LogSeries(2, [NilpotentElement(0, [lp1]),
                           NilpotentElement(0, [lpL]),
-                          NilpotentElement(0, [LPoly([], one)])])
+                          NilpotentElement(0, [Poly([], one)])])
         prod = series_mul(s, s)
         assert prod.coeffs[0].coeffs[0] == lp1
-        assert prod.coeffs[1].coeffs[0] == LPoly([F(0), F(2)], one)
-        assert prod.coeffs[2].coeffs[0] == LPoly([F(0), F(0), F(1)], one)
+        assert prod.coeffs[1].coeffs[0] == Poly([F(0), F(2)], one)
+        assert prod.coeffs[2].coeffs[0] == Poly([F(0), F(0), F(1)], one)
 
 
 class TestSerialization:
@@ -264,7 +285,7 @@ class TestSerialization:
             lps = []
             for i in range(N + 1):
                 entries = [Q**d / (1 + Q * (i + 1)), ONE * F(i - 1, 3)]
-                lps.append(LPoly(entries, ONE))
+                lps.append(Poly(entries, ONE))
             coeffs.append(NilpotentElement(N, lps))
         s = LogSeries(D, coeffs)
         doc = series_to_json(s)
