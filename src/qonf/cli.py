@@ -221,10 +221,11 @@ def cmd_wdvv(args, cfg) -> int:
     if args.perturb:
         try:
             d_str, value = args.perturb.split("=")
-            nd = gw.perturbed_nd(nd, int(d_str), int(value))
-        except (ValueError, IndexError):
+            d, value = int(d_str), int(value)
+        except ValueError:
             print("error: --perturb expects d=VALUE", file=sys.stderr)
             return 2
+        nd = gw.perturbed_nd(nd, d, value)  # ValueError (exit 2) for d outside 1..order
     res = gw.wdvv_residual_p2(args.order, nd)
     doc = {
         "order": args.order,
@@ -367,11 +368,7 @@ def cmd_jfn(args, cfg) -> int:
         cfg.emit({"kind": "coh", "N": N, "D": D, "basis": jc.basis, "coeffs": rows})
     else:
         lambdas = args.lambdas or tuple(i / (N + 2) for i in range(N + 1))
-        try:
-            spec = gw.EquivariantSpec(lambdas, z=args.z)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        spec = gw.EquivariantSpec(lambdas, z=args.z)  # resonant weights: DomainError, exit 2
         evs = gw.jk_equivariant(spec, args.q, D)
         rows = []
         for i, ev in enumerate(evs):

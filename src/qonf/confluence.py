@@ -22,13 +22,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
-
-from sympy.polys.domains import QQ
-from sympy.polys.densearith import dup_mul, dup_quo
-from sympy.polys.densetools import dup_eval
-from sympy.polys.euclidtools import dup_gcd
 
 from .polyq import (
     MatrixSeries,
@@ -56,6 +52,9 @@ from .qspecial import DomainError, log_qpoch_infinite, spiral_contains, spiral_l
 from .rings import (
     LimitUndefinedError,
     RationalFunctionQ,
+    ipoly_gcd,
+    ipoly_mul,
+    ipoly_quo,
     one_like,
     scalar_is_zero,
     zero_like,
@@ -67,84 +66,68 @@ DEFAULT_T_SCHEDULE = tuple(2.0**-j for j in range(4, 17))
 # ---------------------------------------------------------------- exact q -> 1 limits
 
 
-def _dup_one_multiplicity(f):
-    """Multiplicity of the root q = 1 of a dup polynomial over QQ."""
+def _one_multiplicity(p):
+    """(m, r): p = (q - 1)^m r with r(1) != 0, for a nonzero integer polynomial.
+
+    Division by q - 1 is synthetic: the quotient's coefficients are the
+    running sums of p's, and the remainder is p(1) = sum(p).
+    """
     m = 0
-    linear = [QQ(1), QQ(-1)]
-    while f and dup_eval(f, QQ(1), QQ) == 0:
-        f = dup_quo(f, linear, QQ)
+    while sum(p) == 0:
+        p = list(accumulate(p[:-1]))
         m += 1
-    return m, f
+    return m, p
+
+
+def _leading_at_one(polys):
+    """(k, values): k is the least multiplicity of the root q = 1 among the
+    nonzero polys, and values[i] is (polys[i] / (q - 1)^k) at q = 1; (None,
+    None) when every poly is zero."""
+    split = [_one_multiplicity(p) if p else None for p in polys]
+    ks = [s[0] for s in split if s]
+    if not ks:
+        return None, None
+    k = min(ks)
+    return k, [Fraction(sum(s[1])) if s and s[0] == k else Fraction(0) for s in split]
 
 
 def limit_entry_q_to_1(entry: RatFunc) -> RatFunc:
     """Exact q -> 1 limit of a rational function of Q with coefficients in Q(q).
 
-    The entry is rewritten as a ratio of bivariate polynomials, the shared
-    power of (q - 1) is cancelled, and the result is evaluated at q = 1.
-    Raises :class:`LimitUndefinedError` when the entry diverges.
+    The entry is rewritten as a ratio of bivariate polynomials with integer
+    coefficients (clearing the lcm of the q-denominators), the shared power of
+    (q - 1) is cancelled, and the result is evaluated at q = 1.  Raises
+    :class:`LimitUndefinedError` when the entry diverges.
     """
-    num_c = list(entry.num.coeffs)
-    den_c = list(entry.den.coeffs)
 
-    def as_rfq(c):
-        return c if isinstance(c, RationalFunctionQ) else RationalFunctionQ.from_fraction(Fraction(c))
+    def pair(c):
+        if not isinstance(c, RationalFunctionQ):
+            c = RationalFunctionQ.from_fraction(Fraction(c))
+        return c.integer_pair()
 
-    num_c = [as_rfq(c) for c in num_c]
-    den_c = [as_rfq(c) for c in den_c]
-    # common q-denominator
-    L = [QQ(1)]
-    for c in num_c + den_c:
-        g = dup_gcd(L, c.den, QQ)
-        L = dup_quo(dup_mul(L, c.den, QQ), g, QQ)
+    num_c = [pair(c) for c in entry.num.coeffs]
+    den_c = [pair(c) for c in entry.den.coeffs]
+    lcm_den = [1]
+    for _, d in num_c + den_c:
+        lcm_den = ipoly_mul(lcm_den, ipoly_gcd(lcm_den, d)[2])
 
     def cleared(c):
-        return dup_quo(dup_mul(c.num, L, QQ), c.den, QQ)
+        return ipoly_mul(c[0], ipoly_quo(lcm_den, c[1]))
 
-    nhat = [cleared(c) for c in num_c]
-    dhat = [cleared(c) for c in den_c]
-
-    def strip_ones(polys):
-        mult = None
-        for p in polys:
-            if not p:
-                continue
-            m, _ = _dup_one_multiplicity(p)
-            mult = m if mult is None else min(mult, m)
-        if mult is None:
-            return None, polys
-        linear = [QQ(1), QQ(-1)]
-        out = []
-        for p in polys:
-            pp = p
-            for _ in range(mult):
-                pp = dup_quo(pp, linear, QQ) if pp else pp
-            out.append(pp)
-        return mult, out
-
-    k_num, nred = strip_ones(nhat)
-    k_den, dred = strip_ones(dhat)
+    k_num, nvals = _leading_at_one([cleared(c) for c in num_c])
+    k_den, dvals = _leading_at_one([cleared(c) for c in den_c])
+    one = Fraction(1)
     if k_num is None:  # zero entry
-        return RatFunc.const(Fraction(0), Fraction(1))
+        return RatFunc.const(Fraction(0), one)
     if k_den is None:
         raise ZeroDivisionError("zero denominator")
     if k_num < k_den:
         raise LimitUndefinedError(
             f"entry diverges like (q-1)^{k_num - k_den} as q -> 1"
         )
-
-    def at1(p):
-        v = dup_eval(p, QQ(1), QQ) if p else QQ(0)
-        return Fraction(int(v.numerator), int(v.denominator))
-
-    one = Fraction(1)
-    den_poly = Poly([at1(p) for p in dred], one)
-    if den_poly.is_zero:
-        raise LimitUndefinedError("denominator vanishes identically at q = 1")
     if k_num > k_den:
         return RatFunc.const(Fraction(0), one)
-    num_poly = Poly([at1(p) for p in nred], one)
-    return RatFunc(num_poly, den_poly)
+    return RatFunc(Poly(nvals, one), Poly(dvals, one))
 
 
 # ---------------------------------------------------------------- delta form

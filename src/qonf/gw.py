@@ -200,6 +200,8 @@ def wdvv_residual_p2(order: int, nd: NdTable | None = None) -> PotentialP2:
 
 def perturbed_nd(base: NdTable, d: int, value: int) -> NdTable:
     vals = list(base.values)
+    if not 1 <= d <= len(vals):
+        raise ValueError(f"perturbed degree d = {d} is outside 1..{len(vals)}")
     vals[d - 1] = value
     return NdTable(tuple(vals))
 

@@ -818,8 +818,15 @@ def system_to_json(sys: QDifferenceSystem) -> dict:
     return {"n": sys.n, "q": q, "entries": entries}
 
 
+def _json_index(value, what: str) -> int:
+    # bool is an int subclass, and int() would truncate 1.5 or parse "1"
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def system_from_json(doc: dict) -> QDifferenceSystem:
-    n = int(doc["n"])
+    n = _json_index(doc["n"], "system size n")
     if n < 1:
         raise ValueError(f"system size n = {n} must be at least 1")
     one = RationalFunctionQ.one()
@@ -832,7 +839,7 @@ def system_from_json(doc: dict) -> QDifferenceSystem:
             num = parse_bivariate(e["num"])
             den = parse_bivariate(e["den"])
             f = num / den
-        i, j = int(e["i"]), int(e["j"])
+        i, j = _json_index(e["i"], "entry index i"), _json_index(e["j"], "entry index j")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"entry index ({i}, {j}) outside 0..{n - 1}")
         A[i][j] = f

@@ -20,20 +20,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-
-from sympy.polys.domains import QQ
-from sympy.polys.densearith import (
-    dup_add,
-    dup_mul,
-    dup_mul_ground,
-    dup_neg,
-    dup_quo_ground,
-    dup_sub,
-)
-from sympy.polys.densebasic import dup_degree, dup_strip
-from sympy.polys.densetools import dup_eval
-from sympy.polys.euclidtools import dup_inner_gcd
+from math import comb, gcd, lcm
 
 
 class QonfError(Exception):
@@ -52,75 +39,283 @@ class LimitUndefinedError(QonfError):
     """A q -> 1 limit does not exist (pole at q = 1 after full cancellation)."""
 
 
-def _to_qq(x):
-    if isinstance(x, Fraction):
-        return QQ(x.numerator, x.denominator)
-    if isinstance(x, int):
-        return QQ(x)
-    return x  # already a QQ element
+# -- integer polynomials -------------------------------------------------------
+#
+# A polynomial in q with integer coefficients is a tuple or list of Python ints
+# in descending order (the leading coefficient first, no leading zeros; the
+# zero polynomial is empty).  Inputs are never mutated.
+
+_SCHOOLBOOK_LEN = 6  # an operand this short multiplies faster term by term
+_HEU_ATTEMPTS = 4  # evaluation points tried before the Euclidean fallback
+
+
+def _strip(p):
+    k = 0
+    while k < len(p) and not p[k]:
+        k += 1
+    return p[k:] if k else p
+
+
+def _repunit(n: int, nbytes: int) -> int:
+    """sum_{i<n} 2^(8*nbytes*i)."""
+    return int.from_bytes((b"\0" * (nbytes - 1) + b"\1") * n, "big")
+
+
+def _pack(p, nbytes: int) -> int:
+    """p(2^(8*nbytes)); every |coefficient| must be below 2^(8*nbytes-1).
+
+    Each coefficient is biased by 2^(8*nbytes-1) to make its digit
+    nonnegative, and the packed bias is subtracted once at the end.
+    """
+    half = 1 << (8 * nbytes - 1)
+    digits = b"".join([(c + half).to_bytes(nbytes, "big") for c in p])
+    return int.from_bytes(digits, "big") - _repunit(len(p), nbytes) * half
+
+
+def _unpack(value: int, n: int, nbytes: int):
+    """The n balanced digits of value in base 2^(8*nbytes), each in
+    [-2^(8*nbytes-1), 2^(8*nbytes-1)), leading zeros stripped; None when n
+    digits do not suffice."""
+    half = 1 << (8 * nbytes - 1)
+    try:
+        data = (value + _repunit(n, nbytes) * half).to_bytes(n * nbytes, "big")
+    except OverflowError:
+        return None
+    return _strip([int.from_bytes(data[i:i + nbytes], "big") - half
+                   for i in range(0, n * nbytes, nbytes)])
+
+
+def _schoolbook_mul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _kronecker_mul(a, b):
+    """Product by Kronecker substitution: one big-int product, then unpack."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    nbytes = (bound.bit_length() + 8) // 8  # 2^(8*nbytes - 1) > bound
+    pa = _pack(a, nbytes)
+    pb = pa if b is a else _pack(b, nbytes)
+    return _unpack(pa * pb, len(a) + len(b) - 1, nbytes)
+
+
+def ipoly_mul(a, b) -> list:
+    """Product of two integer polynomials."""
+    if not a or not b:
+        return []
+    if len(a) == 1 or len(b) == 1:
+        c, p = (a[0], b) if len(a) == 1 else (b[0], a)
+        return list(p) if c == 1 else [c * x for x in p]
+    if min(len(a), len(b)) <= _SCHOOLBOOK_LEN:
+        return _schoolbook_mul(a, b)
+    return _kronecker_mul(a, b)
+
+
+def ipoly_quo(a, b) -> list:
+    """Exact quotient a / b in Z[q]; ArithmeticError if b does not divide a."""
+    rem = list(a)
+    lb, nb = b[0], len(b)
+    quo = []
+    for k in range(len(rem) - nb + 1):
+        c, r = divmod(rem[k], lb)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quo.append(c)
+        if c:
+            for i in range(1, nb):
+                rem[k + i] -= c * b[i]
+    if any(rem[len(rem) - nb + 1:]):
+        raise ArithmeticError("inexact polynomial division")
+    return quo
+
+
+def _content_split(p):
+    """(c, p / c) with c > 0 the gcd of the coefficients."""
+    c = gcd(*p)
+    return c, (list(p) if c == 1 else [x // c for x in p])
+
+
+def ipoly_gcd(f, g):
+    """(h, f / h, g / h) with h = gcd(f, g) in Z[q] and lc(h) > 0.
+
+    The gcd includes the integer content, so the two cofactors are coprime
+    over Z[q].  f and g are nonzero.
+    """
+    cf, pf = _content_split(f)
+    cg, pg = _content_split(g)
+    c = gcd(cf, cg)
+    if len(pf) == 1 or len(pg) == 1:
+        h, qf, qg = [1], pf, pg
+    else:
+        h, qf, qg = _heu_gcd(pf, pg) or _euclid_gcd(pf, pg)
+    if cf != c:
+        qf = [(cf // c) * x for x in qf]
+    if cg != c:
+        qg = [(cg // c) * x for x in qg]
+    if c != 1:
+        h = [c * x for x in h]
+    return h, qf, qg
+
+
+def _heu_gcd(f, g):
+    """Heuristic gcd of two primitive polynomials of degree >= 1, or None.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate
+    at xi = 2^(8k) >= 2 min(|f|, |g|) + 2, take the integer gcd, interpolate
+    it with balanced digits and keep its primitive part h.  By their theorem
+    h is the gcd as soon as it divides f and g; the division is checked
+    exactly through the cofactors f(xi) / h(xi) and g(xi) / h(xi).
+    """
+    norm_f, norm_g = max(map(abs, f)), max(map(abs, g))
+    nbytes = (max(norm_f, norm_g).bit_length() + 9) // 8
+    for _ in range(_HEU_ATTEMPTS):
+        xi = 1 << (8 * nbytes)
+        F, G = _pack(f, nbytes), _pack(g, nbytes)
+        gamma = gcd(F, G)
+        h = _unpack(gamma, min(len(f), len(g)), nbytes)
+        if h:
+            ch = gcd(*h) if h[0] > 0 else -gcd(*h)
+            h = [x // ch for x in h]
+            if len(h) == 1:
+                return [1], f, g
+            hv = gamma // ch
+            qf = _unpack(F // hv, len(f) - len(h) + 1, nbytes)
+            qg = _unpack(G // hv, len(g) - len(h) + 1, nbytes)
+            if qf and qg and _divides(h, qf, f, norm_f, xi) and _divides(h, qg, g, norm_g, xi):
+                return h, qf, qg
+        nbytes *= 2
+    return None
+
+
+def _divides(h, q, f, norm_f, xi) -> bool:
+    """h * q == f, given that h(xi) q(xi) == f(xi).
+
+    When every coefficient of h q - f is below xi in absolute value, that
+    polynomial vanishes at xi only if it is zero, and no product is needed.
+    """
+    if max(map(abs, h)) * max(map(abs, q)) * min(len(h), len(q)) + norm_f < xi:
+        return True
+    return ipoly_mul(h, q) == list(f)
+
+
+def _euclid_gcd(f, g):
+    """Gcd of two primitive polynomials by the primitive remainder sequence."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while len(b) > 1:
+        r = list(a)
+        lb = b[0]
+        while len(r) >= len(b):  # pseudo-remainder, up to a constant factor
+            lr = r[0]
+            r = [lb * x for x in r]
+            for i, y in enumerate(b):
+                r[i] -= lr * y
+            r = _strip(r)
+        if not r:
+            break
+        a, b = b, _content_split(r)[1]
+    h = ([-x for x in b] if b[0] < 0 else list(b)) if len(b) > 1 else [1]
+    return h, ipoly_quo(f, h), ipoly_quo(g, h)
+
+
+def _integer_pair(coeffs):
+    """(p, m): integer coefficients p and a positive integer m with coeffs = p / m."""
+    fracs = _strip([Fraction(c) for c in coeffs])
+    m = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (m // c.denominator) for c in fracs], m
 
 
 class RationalFunctionQ:
     """Exact rational function of q over the rationals.
 
-    Stored as a reduced fraction of dense polynomials (descending
-    coefficients, sympy ``dup`` convention) with gcd(num, den) = 1 and a monic
-    denominator.  Reduction happens eagerly after every operation, so
-    :meth:`limit_q_to_1` is a pure evaluation.
+    Stored as a canonical pair of integer polynomials (descending
+    coefficients): gcd(num, den) = 1 over Z[q], integer content included,
+    and lc(den) > 0.  The pair is unique, so equality is tuple equality, and
+    reduction happens eagerly after every operation, so :meth:`limit_q_to_1`
+    is a pure evaluation.  The :attr:`num` and :attr:`den` views present the
+    same function over the rationals with a monic denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None, *, _canonical=False):
-        if den is None:
-            den = [QQ(1)]
+        """num / den from descending int or Fraction coefficients.
+
+        With ``_canonical`` the two lists must already be the canonical
+        integer pair and are stored as given.
+        """
         if _canonical:
-            self.num, self.den = num, den
+            self._n, self._d = tuple(num), tuple(den) if den is not None else (1,)
             return
-        num = dup_strip([_to_qq(c) for c in num])
-        den = dup_strip([_to_qq(c) for c in den])
-        if not den:
+        n, mn = _integer_pair(num)
+        d, md = _integer_pair(den if den is not None else [1])
+        if not d:
             raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.num, self.den = [], [QQ(1)]
-            return
-        _, num, den = dup_inner_gcd(num, den, QQ)
-        lc = den[0]
-        if lc != QQ(1):
-            num = dup_quo_ground(num, lc, QQ)
-            den = dup_quo_ground(den, lc, QQ)
-        self.num, self.den = num, den
+        n, d = _reduce([c * md for c in n], [c * mn for c in d])
+        self._n, self._d = tuple(n), tuple(d)
+
+    @classmethod
+    def _make(cls, n, d) -> "RationalFunctionQ":
+        """Wrap a canonical integer pair without reducing it again."""
+        obj = cls.__new__(cls)
+        obj._n, obj._d = tuple(n), tuple(d)
+        return obj
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_fraction(cls, f) -> "RationalFunctionQ":
         f = Fraction(f)
-        return cls([QQ(f.numerator, f.denominator)], [QQ(1)], _canonical=bool(f))
+        if not f:
+            return cls.zero()
+        return cls._make((f.numerator,), (f.denominator,))
 
     @classmethod
     def zero(cls) -> "RationalFunctionQ":
-        return cls([], [QQ(1)], _canonical=True)
+        return cls._make((), (1,))
 
     @classmethod
     def one(cls) -> "RationalFunctionQ":
-        return cls([QQ(1)], [QQ(1)], _canonical=True)
+        return cls._make((1,), (1,))
 
     @classmethod
     def q(cls) -> "RationalFunctionQ":
-        return cls([QQ(1), QQ(0)], [QQ(1)], _canonical=True)
+        return cls._make((1, 0), (1,))
 
     @classmethod
     def q_power(cls, k: int) -> "RationalFunctionQ":
         """q**k for any integer k (negative exponents give 1/q**|k|)."""
         if k >= 0:
-            return cls([QQ(1)] + [QQ(0)] * k, [QQ(1)], _canonical=True)
-        return cls([QQ(1)], [QQ(1)] + [QQ(0)] * (-k), _canonical=True)
+            return cls._make((1,) + (0,) * k, (1,))
+        return cls._make((1,), (1,) + (0,) * (-k))
 
     @classmethod
     def one_minus_q_pow(cls, k: int) -> "RationalFunctionQ":
         """1 - q**k, k >= 1."""
-        return cls([QQ(-1)] + [QQ(0)] * (k - 1) + [QQ(1)], [QQ(1)], _canonical=True)
+        return cls._make((-1,) + (0,) * (k - 1) + (1,), (1,))
+
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def num(self) -> list[Fraction]:
+        """Numerator over the rationals, descending, for the monic :attr:`den`."""
+        lc = self._d[0]
+        return [Fraction(c, lc) for c in self._n]
+
+    @property
+    def den(self) -> list[Fraction]:
+        """Monic denominator over the rationals, descending."""
+        lc = self._d[0]
+        return [Fraction(c, lc) for c in self._d]
+
+    def integer_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The canonical coprime integer numerator and denominator."""
+        return self._n, self._d
 
     # -- ring structure ----------------------------------------------------
 
@@ -133,15 +328,26 @@ class RationalFunctionQ:
         return NotImplemented
 
     def _add_sub(self, other, sub: bool):
-        # denominators are monic and reduced: work modulo their gcd
-        if self.den == other.den:
-            comb = dup_sub if sub else dup_add
-            return RationalFunctionQ(comb(self.num, other.num, QQ), list(self.den))
-        g, da, db = dup_inner_gcd(self.den, other.den, QQ)
-        left = dup_mul(self.num, db, QQ)
-        right = dup_mul(other.num, da, QQ)
-        num = dup_sub(left, right, QQ) if sub else dup_add(left, right, QQ)
-        return RationalFunctionQ(num, dup_mul(self.den, db, QQ))
+        n1, d1 = self._n, self._d
+        n2, d2 = other._n, other._d
+        if sub:
+            n2 = [-c for c in n2]
+        if not n1:
+            return RationalFunctionQ._make(n2, d2)
+        if not n2:
+            return self
+        if d1 == d2:
+            return RationalFunctionQ._make(*_reduce(_ipoly_add(n1, n2), d1))
+        # n1/(g a) + n2/(g b) = (n1 b + n2 a)/(g a b); the sum is coprime to
+        # a and b, so only the common part g of the denominators can cancel
+        g, a, b = ipoly_gcd(d1, d2)
+        num = _ipoly_add(ipoly_mul(n1, b), ipoly_mul(n2, a))
+        if not num:
+            return RationalFunctionQ.zero()
+        if g == [1]:
+            return RationalFunctionQ._make(num, ipoly_mul(d1, b))
+        _, num, g = ipoly_gcd(num, g)
+        return RationalFunctionQ._make(num, ipoly_mul(ipoly_mul(g, a), b))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -161,24 +367,19 @@ class RationalFunctionQ:
         return (-self) + other
 
     def __neg__(self):
-        return RationalFunctionQ(dup_neg(self.num, QQ), list(self.den), _canonical=True)
+        return RationalFunctionQ._make([-c for c in self._n], self._d)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
+        if not self._n or not other._n:
             return RationalFunctionQ.zero()
-        # cross-cancel to keep intermediate degrees small
-        _, n1, d2 = dup_inner_gcd(self.num, other.den, QQ)
-        _, n2, d1 = dup_inner_gcd(other.num, self.den, QQ)
-        num = dup_mul(n1, n2, QQ)
-        den = dup_mul(d1, d2, QQ)
-        lc = den[0]
-        if lc != QQ(1):
-            num = dup_quo_ground(num, lc, QQ)
-            den = dup_quo_ground(den, lc, QQ)
-        return RationalFunctionQ(num, den, _canonical=True)
+        # cross-cancel to keep intermediate degrees small; both cofactor
+        # denominators keep a positive leading coefficient
+        _, n1, d2 = ipoly_gcd(self._n, other._d)
+        _, n2, d1 = ipoly_gcd(other._n, self._d)
+        return RationalFunctionQ._make(ipoly_mul(n1, n2), ipoly_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -186,19 +387,13 @@ class RationalFunctionQ:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other._n:
             raise ZeroDivisionError("division by zero rational function")
-        if not self.num:
+        if not self._n:
             return RationalFunctionQ.zero()
-        _, n1, n2 = dup_inner_gcd(self.num, other.num, QQ)
-        _, d2, d1 = dup_inner_gcd(other.den, self.den, QQ)
-        num = dup_mul(n1, d2, QQ)
-        den = dup_mul(d1, n2, QQ)
-        lc = den[0]
-        if lc != QQ(1):
-            num = dup_quo_ground(num, lc, QQ)
-            den = dup_quo_ground(den, lc, QQ)
-        return RationalFunctionQ(num, den, _canonical=True)
+        _, n1, n2 = ipoly_gcd(self._n, other._n)
+        _, d2, d1 = ipoly_gcd(other._d, self._d)
+        return RationalFunctionQ._make(*_sign_normal(ipoly_mul(n1, d2), ipoly_mul(d1, n2)))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -207,80 +402,102 @@ class RationalFunctionQ:
         return other / self
 
     def __pow__(self, k: int):
+        # powers of a coprime pair stay coprime: no gcd is needed
+        n, d = self._n, self._d
         if k < 0:
-            return (RationalFunctionQ.one() / self) ** (-k)
-        result = RationalFunctionQ.one()
-        base = self
+            if not n:
+                raise ZeroDivisionError("division by zero rational function")
+            n, d, k = d, n, -k
+        pn, pd = [1], [1]
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                pn, pd = ipoly_mul(pn, n), ipoly_mul(pd, d)
             k >>= 1
-        return result
+            if k:
+                n, d = ipoly_mul(n, n), ipoly_mul(d, d)
+        return RationalFunctionQ._make(*_sign_normal(pn, pd))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        if len(self.num) <= 1 and len(self.den) == 1:
+        if len(self._n) <= 1 and len(self._d) == 1:
             # a constant equals the same Fraction, so it must hash like one
-            return hash(sum(self.num_fractions(), Fraction(0)))
-        return hash((tuple(self.num), tuple(self.den)))
+            return hash(Fraction(sum(self._n), self._d[0]))
+        return hash((self._n, self._d))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
-
-    def degree_pair(self):
-        return dup_degree(self.num), dup_degree(self.den)
+        return not self._n
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a rational point (raises on a pole)."""
-        p = _to_qq(Fraction(point))
-        d = dup_eval(self.den, p, QQ)
+        x = Fraction(point)
+        d = _eval_at(self._d, x)
         if d == 0:
             raise ZeroDivisionError(f"pole at q = {point}")
-        v = dup_eval(self.num, p, QQ) / d
-        return Fraction(int(v.numerator), int(v.denominator))
+        return _eval_at(self._n, x) / d
 
     def evaluate_complex(self, z: complex) -> complex:
-        return _horner_complex(self.num, z) / _horner_complex(self.den, z)
+        # the monic view, each coefficient rounded once
+        lc = self._d[0]
+        return _horner_complex(self._n, lc, z) / _horner_complex(self._d, lc, z)
 
     def limit_q_to_1(self) -> Fraction:
         """Exact q -> 1 limit; the reduced form makes this an evaluation."""
-        d = dup_eval(self.den, QQ(1), QQ)
+        d = sum(self._d)
         if d == 0:
             raise LimitUndefinedError("pole at q = 1 after cancellation")
-        v = dup_eval(self.num, QQ(1), QQ) / d
-        return Fraction(int(v.numerator), int(v.denominator))
+        return Fraction(sum(self._n), d)
 
     # -- misc ----------------------------------------------------------------
 
-    def num_fractions(self):
-        return [Fraction(int(c.numerator), int(c.denominator)) for c in self.num]
-
-    def den_fractions(self):
-        return [Fraction(int(c.numerator), int(c.denominator)) for c in self.den]
-
     def __repr__(self):
-        n = format_poly(list(reversed(self.num_fractions())), "q")
-        if self.den == [QQ(1)]:
+        n = format_poly(self.num[::-1], "q")
+        if len(self._d) == 1:
             return n
-        return f"({n})/({format_poly(list(reversed(self.den_fractions())), 'q')})"
+        return f"({n})/({format_poly(self.den[::-1], 'q')})"
 
 
-def _horner_complex(dup, z: complex) -> complex:
+def _ipoly_add(a, b) -> list:
+    """Sum of two integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    k = len(a) - len(b)
+    return _strip(list(a[:k]) + [x + y for x, y in zip(a[k:], b)])
+
+
+def _sign_normal(n, d):
+    return ([-c for c in n], [-c for c in d]) if d[0] < 0 else (n, d)
+
+
+def _reduce(n, d):
+    """The canonical pair of n / d (d nonzero)."""
+    if not n:
+        return (), (1,)
+    _, n, d = ipoly_gcd(n, d)
+    return _sign_normal(n, d)
+
+
+def _eval_at(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _horner_complex(p, lc: int, z: complex) -> complex:
     acc = 0j
-    for c in dup:
-        acc = acc * z + complex(Fraction(int(c.numerator), int(c.denominator)))
+    for c in p:
+        acc = acc * z + c / lc
     return acc
 
 
@@ -868,10 +1085,7 @@ def parse_poly(text: str, var: str) -> list[Fraction]:
 
 def _scalar_num_den_strings(c):
     if isinstance(c, RationalFunctionQ):
-        return (
-            format_poly(list(reversed(c.num_fractions())), "q"),
-            format_poly(list(reversed(c.den_fractions())), "q"),
-        )
+        return format_poly(c.num[::-1], "q"), format_poly(c.den[::-1], "q")
     f = Fraction(c)
     return str(f.numerator), str(f.denominator)
 

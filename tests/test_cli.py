@@ -121,6 +121,23 @@ class TestSystems:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1.5, "q": "q", "entries": [{"i": 0.9, "j": 0, "entry": "1+Q"}]},
+            {"n": "1", "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1+Q"}]},
+            {"n": 1, "q": "q", "entries": [{"i": True, "j": 0, "entry": "1+Q"}]},
+            {"n": 2, "q": "q", "entries": [{"i": 0, "j": 1.0, "entry": "1+Q"}]},
+        ],
+        ids=["float-size", "string-size", "bool-index", "float-index"],
+    )
+    def test_non_integer_size_or_index_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--file", str(path), "--D", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integer" in err and err.count("\n") == 1
+
     def test_birkhoff(self, capsys):
         code, out = run(capsys, "birkhoff", "--q", "0.55", "--Q", "0.7+1.1j")
         doc = json.loads(out)
@@ -155,9 +172,12 @@ class TestJfn:
         back = series_from_json(doc)
         assert back == jk_modified(1, 2)
 
-    def test_equivariant_resonant_exits_1(self, capsys):
+    def test_equivariant_resonant_exits_2(self, capsys):
+        # resonant weights are an input error (2), not a failed verification (1)
         assert main(["jfn", "--kind", "equivariant", "--N", "1", "--D", "2",
-                     "--lambdas", "0,1"]) == 1
+                     "--lambdas", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resonant weights") and err.count("\n") == 1
 
 
 class TestClassicalCommands:
@@ -185,6 +205,12 @@ class TestClassicalCommands:
 
     def test_wdvv_bad_perturb_flag(self, capsys):
         assert main(["wdvv", "--order", "3", "--perturb", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("d", ["0", "4", "9"])
+    def test_wdvv_perturb_degree_outside_order(self, capsys, d):
+        assert main(["wdvv", "--order", "3", "--perturb", f"{d}=1"]) == 2
+        err = capsys.readouterr().err
+        assert "outside 1..3" in err and err.count("\n") == 1
 
 
 class TestCompareAndVerify:

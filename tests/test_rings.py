@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +18,16 @@ from qonf.rings import (
     OrderMismatchError,
     RationalFunctionQ,
     TruncatedQSeries,
+    _euclid_gcd,
+    _heu_gcd,
+    _kronecker_mul,
+    _schoolbook_mul,
     binom_l,
     chern_iso,
     format_poly,
+    ipoly_gcd,
+    ipoly_mul,
+    ipoly_quo,
     nil_binomial_power,
     nil_inv,
     nil_mul,
@@ -90,6 +101,183 @@ class TestRationalFunctionQ:
         approx = f.evaluate_complex(1 - 1e-6)
         scale = max(1.0, abs(float(exact)))
         assert abs(approx - float(exact)) <= 1e-4 * scale
+
+
+# ---------------------------------------------------------------- the integer kernel
+
+small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+# wide enough on both sides to reach the Kronecker product
+coeff_lists = st.lists(small_fracs, max_size=12)
+
+
+@st.composite
+def rational_functions(draw):
+    num = draw(coeff_lists)
+    den = draw(st.lists(small_fracs, min_size=1, max_size=12).filter(any))
+    return num, den
+
+
+def fraction_value(coeffs, x):
+    acc = F(0)
+    for c in coeffs:  # descending
+        acc = acc * x + c
+    return acc
+
+
+def stripped(p):
+    while p and not p[0]:
+        p = p[1:]
+    return p
+
+
+def primitive(p):
+    import math
+
+    c = math.gcd(*p)
+    return [x // c for x in p]
+
+
+def as_poly(p):
+    """An integer polynomial (descending) as a rings.Poly over Fraction."""
+    return Poly([F(c) for c in reversed(p)], F(1))
+
+
+int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=10).map(stripped).filter(bool)
+wide_polys = st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=10).map(stripped).filter(
+    lambda p: len(p) > 1
+)
+# zeros, signs and values at the edges of a packing digit exercise the carries
+edge_ints = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**63, -(2**63), 2**64 - 1, -(2**64) + 1, 2**127, -(2**127)]),
+    st.integers(-(2**200), 2**200),
+)
+edge_polys = st.lists(edge_ints, min_size=1, max_size=20).map(stripped).filter(bool)
+
+
+class TestIntegerKernel:
+    @given(rational_functions(), rational_functions(),
+           st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_agrees_with_fraction_evaluation(self, f, g, x):
+        fd, gd = fraction_value(f[1], x), fraction_value(g[1], x)
+        if fd == 0 or gd == 0:  # off the poles of both operands
+            return
+        fv, gv = fraction_value(f[0], x) / fd, fraction_value(g[0], x) / gd
+        a, b = RationalFunctionQ(*f), RationalFunctionQ(*g)
+        assert a.evaluate(x) == fv
+        assert (a + b).evaluate(x) == fv + gv
+        assert (a - b).evaluate(x) == fv - gv
+        assert (a * b).evaluate(x) == fv * gv
+        if gv:
+            assert (a / b).evaluate(x) == fv / gv
+
+    @given(rational_functions(), rational_functions(),
+           st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_are_identical(self, f, h, k):
+        a = RationalFunctionQ(*f)
+        hf = RationalFunctionQ(*h)
+        scaled = RationalFunctionQ([k * c for c in f[0]], [k * c for c in f[1]])
+        others = [scaled, (a + hf) - hf, a * hf / hf if hf else a, -(-a)]
+        for b in others:
+            assert b == a
+            assert repr(b) == repr(a)
+            assert hash(b) == hash(a)
+            assert b.num == a.num and b.den == a.den
+        assert a.den[0] == 1
+
+    @given(int_polys, int_polys, st.one_of(int_polys, wide_polys))
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_cofactors_agree_with_fraction_gcd(self, a, b, c):
+        f, g = ipoly_mul(a, c), ipoly_mul(b, c)
+        h, qf, qg = ipoly_gcd(f, g)
+        assert h[0] > 0
+        assert ipoly_mul(h, qf) == f and ipoly_mul(h, qg) == g
+        monic = as_poly(f).gcd(as_poly(g))
+        assert as_poly(h) / F(h[0]) == monic
+        # the cofactors are coprime over Z[q], integer content included
+        assert as_poly(qf).gcd(as_poly(qg)).degree == 0
+        assert ipoly_gcd(qf, qg)[0] == [1]
+
+    @given(int_polys, int_polys, st.one_of(int_polys, wide_polys))
+    @settings(max_examples=100, deadline=None)
+    def test_euclid_fallback_agrees_with_heuristic(self, a, b, c):
+        f, g = primitive(ipoly_mul(a, c)), primitive(ipoly_mul(b, c))
+        if len(f) < 2 or len(g) < 2:
+            return
+        h, qf, qg = _euclid_gcd(f, g)
+        assert ipoly_mul(h, qf) == f and ipoly_mul(h, qg) == g
+        heu = _heu_gcd(f, g)
+        if heu is not None:
+            assert heu == (h, qf, qg)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            ([4, 4, 21, 4, 32, 0], [2, 3, 16, 12, 32, 0]),
+            ([27, -39, -23, -15, -52, 6], [12, -28, 7, 0, -19, 22, -6]),
+            ([40, -12, -23, -29, -9, 6, 7, -10], [16, 16, -2, -5, 3, 2]),
+        ],
+    )
+    def test_heuristic_gcd_rejects_a_wrong_candidate(self, f, g):
+        # at the first evaluation point the integer gcd carries an extra
+        # factor, so the interpolated candidate fails the division check
+        h, qf, qg = _heu_gcd(f, g)
+        assert (h, qf, qg) == _euclid_gcd(f, g)
+        assert ipoly_mul(h, qf) == f and ipoly_mul(h, qg) == g
+
+    def test_euclid_fallback_on_coprime_and_shared_factors(self):
+        # (q^2 + 1)(q - 3) and (q^2 + 1)(2q + 5): the gcd is q^2 + 1
+        f = ipoly_mul([1, 0, 1], [1, -3])
+        g = ipoly_mul([1, 0, 1], [2, 5])
+        assert _euclid_gcd(f, g) == ([1, 0, 1], [1, -3], [2, 5])
+        assert _euclid_gcd([1, -3], [2, 5]) == ([1], [1, -3], [2, 5])
+
+    @given(edge_polys, edge_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_kronecker_product_agrees_with_schoolbook(self, a, b):
+        assert _kronecker_mul(a, b) == _schoolbook_mul(a, b)
+        assert _kronecker_mul(a, a) == _schoolbook_mul(a, a)
+
+    def test_kronecker_product_at_the_digit_edges(self):
+        # equal operands reach the coefficient bound exactly; sweeping its
+        # size puts it just below the top bit of a packing digit
+        from math import isqrt
+
+        for n in (9, 10, 16):
+            for bits in range(56, 80):
+                m = isqrt((1 << bits) // n)
+                alternating = [m if k % 2 else -m for k in range(n)]
+                for a, b in (([m] * n, [m] * n), ([m] * n, [-m] * n), (alternating, [m] * n)):
+                    assert _kronecker_mul(a, b) == _schoolbook_mul(a, b)
+
+    def test_exact_quotient(self):
+        assert ipoly_quo(ipoly_mul([3, -1, 2], [2, 0, -7]), [2, 0, -7]) == [3, -1, 2]
+        with pytest.raises(ArithmeticError):
+            ipoly_quo([1, 0, 1], [1, 1])
+        with pytest.raises(ArithmeticError):
+            ipoly_quo([2, 2], [3, 1])
+
+
+def test_runs_without_sympy():
+    code = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+import qonf
+from fractions import Fraction as F
+from qonf.confluence import limit_entry_q_to_1
+from qonf.gw import jk_closed_formula, jk_series
+from qonf.polyq import Poly, RatFunc, parse_bivariate
+assert jk_closed_formula(2, 3).coeffs == jk_series(2, 3).coeffs
+lim = limit_entry_q_to_1(parse_bivariate("(1-q)*Q/(1-q^2)"))
+assert lim == RatFunc(Poly([F(0), F(1, 2)], F(1)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- nilpotent ring
