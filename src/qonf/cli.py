@@ -18,7 +18,6 @@ from . import confluence as cfl
 from . import gw
 from .qdiff import (
     QHypergeometricSpec,
-    ResonanceError,
     casoratian,
     companion_system,
     frobenius_solution,
@@ -444,9 +443,6 @@ def main(argv=None) -> int:
         return HANDLERS[args.command](args, cfg)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ResonanceError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DomainError, PoleProximityError, QonfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,28 @@ form
     theta_q(Q) = sqrt(2 pi / lam) * sum_k exp((b - 2 pi i k)^2 / (2 lam)),
 
 with lam = -log q and b = log Q + lam/2, whose dual terms decay like
-exp(-2 pi^2 k^2 / lam).  The dual form stays accurate as q -> 1, where the
-direct sum suffers catastrophic float cancellation for complex Q.  All
-ratio-type functions work on log values so that magnitudes of order
+exp(-2 pi^2 Re(1/lam) k^2).  For q in (0, 1) the dual form is used once
+-log q < 0.7; it stays accurate as q -> 1, where the direct sum suffers
+catastrophic float cancellation for complex Q.  For complex q the sum with
+the faster decay is taken, and the dual step is repeated while it decays
+faster (a modular reduction, see _log_theta_reduced), so that q near any
+root of unity, including q -> -1, ends in a short, well-conditioned sum.
+All ratio-type functions work on log values so that magnitudes of order
 exp(1/(1-q)) never materialize.
+
+log (a;q)_inf has two regimes as well.  For q in (0, 1) it is the
+Euler-Maclaurin expansion
+
+    log (a;q)_inf = -Li_2(a)/lam + log(1 - a)/2
+                    - sum_{k>=1} B_2k/(2k)! lam^(2k-1) Li_(2-2k)(a) + R_K
+
+(McIntosh, Ramanujan J. 3 (1999); Zagier, "The dilogarithm function"
+(2007)) whenever a stated bound on R_K is at most the requested tol: a few
+microseconds per call however close q is to 1.  Li_2 is :func:`li2`, and the
+Li_(2-2k) are rational functions built from Eulerian numbers.  Otherwise
+(complex q, a on or near the cut [1, inf) compared with lam, or q far from 1)
+it is the direct sum of log(1 - q^r a).  Both give the sum of the principal
+logs of the factors.
 
 Sign convention for the q -> 1 limits: with theta as above, the limit laws
 hold with plain arguments on the right half of the cut plane,
@@ -34,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +60,42 @@ import numpy as np
 from .rings import QonfError
 
 TWO_PI = 2.0 * math.pi
-_MODULAR_THRESHOLD = 0.7  # use the Poisson-dual theta sum for -Re log q below this
+_MODULAR_THRESHOLD = 0.7  # q in (0, 1): use the Poisson-dual theta sum for -log q below this
+_EPS = sys.float_info.epsilon
+_ZERO_FACTOR_ULPS = 16.0  # bounds the rounding of r log q + log a, in eps times its size
+_PI2_6 = math.pi**2 / 6
+_EM_TERMS = 12  # Bernoulli terms available to the Euler-Maclaurin expansion (and to li2)
+
+
+def _even_bernoulli_over(n: int, shift: int) -> list:
+    """B_2k/(2k + shift)! for k = 1..n as floats, from the tangent numbers
+    T_1, T_3, ... of Brent and Harvey's integer recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [(-1) ** (k - 1) * 2 * k * t[k] / (4**k * (4**k - 1) * math.factorial(2 * k + shift))
+            for k in range(1, n + 1)]
+
+
+def _eulerian_rows(n: int) -> list:
+    """Eulerian numbers A(m, j), j < m, for m = 0..n (A_0 = 1 by convention)."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([(j + 1) * prev[j] + (m - j) * (prev[j - 1] if j else 0) for j in range(m)])
+    return rows
+
+
+_LI2_COEFF = _even_bernoulli_over(_EM_TERMS, 1)  # B_2k/(2k+1)!
+_EM_COEFF = _even_bernoulli_over(_EM_TERMS, 0)  # B_2k/(2k)!
+_ZETA3 = 1.2020569031595943
+_EM_BOUND = [2 * _ZETA3 / math.pi * math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)]
+_EM_IMAGES = math.pi**2 / 4  # 2 (1 - 2^-2K) zeta(2K) <= pi^2/4
+# A_0, A_2, ..., A_22: Li_(2-2k)(x) = x A_(2k-2)(x)/(1 - x)^(2k-1)
+_EULERIAN = [tuple(map(float, row)) for row in _eulerian_rows(2 * _EM_TERMS - 2)[::2]]
 
 
 class PoleProximityError(QonfError):
@@ -90,6 +144,52 @@ def _as_q(q) -> complex:
     return q
 
 
+# ---------------------------------------------------------------- dilogarithm
+
+
+def _log1p(z: complex) -> complex:
+    """log(1 + z) without the cancellation of forming 1 + z (Kahan's correction)."""
+    w = 1 + z
+    if w == 1:
+        return z
+    return cmath.log(w) * (z / (w - 1))
+
+
+def _li2_series(x: complex) -> complex:
+    # sum_n B_n u^(n+1)/(n+1)! with u = -log(1 - x), |u| <= pi/3 on the reduced domain
+    u = -_log1p(-x)
+    v = u * u
+    s = 0j
+    for c in reversed(_LI2_COEFF):
+        s = (s + c) * v
+    return u - v / 4 + u * s
+
+
+def li2(x: complex) -> complex:
+    """Principal dilogarithm Li_2(x) = -integral_0^x log(1 - t)/t dt, in double precision.
+
+    The cut is [1, inf); on it the value is the limit from below, which matches
+    the principal log(1 - x).  The reflections x -> 1/x and x -> 1 - x reduce
+    x to |x| <= 1, Re x <= 1/2, where the Bernoulli series in -log(1 - x)
+    converges.
+    """
+    x = complex(x)
+    if x == 1:
+        return complex(_PI2_6)
+    if abs(x) > 1:
+        lg = cmath.log(-x)
+        if x.imag == 0 and x.real > 1:
+            lg = complex(lg.real, math.pi)  # log(-x + i0): the value from below
+        return -_li2_unit_disk(1 / x) - _PI2_6 - 0.5 * lg * lg
+    return _li2_unit_disk(x)
+
+
+def _li2_unit_disk(x: complex) -> complex:
+    if x.real > 0.5:
+        return _PI2_6 - cmath.log(x) * cmath.log(1 - x) - _li2_series(1 - x)
+    return _li2_series(x)
+
+
 # ---------------------------------------------------------------- Pochhammer
 
 
@@ -116,18 +216,7 @@ def _qpoch_tail_length(a: complex, q: complex, tol: float) -> int:
     return int(math.ceil((math.log(bound) - math.log(abs(a))) / math.log(abs(q))))
 
 
-def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
-    """log of (a;q)_infinity, summed as Σ log(1 - q^r a) with a geometric tail bound.
-
-    Returns -inf when some factor vanishes to machine precision.  The branch
-    is the sum of principal logs of the factors; only differences of returned
-    values are exponentiated by callers.
-    """
-    q = _as_q(q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == 0:
-        return 0j
+def _log_qpoch_direct(a: complex, q: complex, tol: float) -> complex:
     R = _qpoch_tail_length(a, q, tol)
     total = 0j
     log_q, log_a = cmath.log(q), cmath.log(a)
@@ -140,11 +229,95 @@ def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
         xs = x[small]
         vals[small] = xs - xs * xs / 2 + xs**3 / 3
         big = 1.0 + x[~small]
-        if np.any(big == 0):
-            return complex("-inf")
+        # a factor within the rounding of its exponent r log q + log a is zero;
+        # the rounding at the largest r bounds all, so one min() screens the chunk
+        size = np.abs(big)
+        noise = _ZERO_FACTOR_ULPS * _EPS * (1.0 + r[-1] * abs(log_q) + abs(log_a))
+        if size.size and size.min() <= noise:
+            if np.any(size <= _ZERO_FACTOR_ULPS * _EPS * (1.0 + r[~small] * abs(log_q) + abs(log_a))):
+                return complex("-inf")
         vals[~small] = np.log(big)
         total += complex(vals.sum())
     return total
+
+
+def _log_qpoch_euler_maclaurin(a: complex, lam: float, tol: float):
+    """log (a;q)_inf for q = exp(-lam) in (0, 1) from its Euler-Maclaurin expansion,
+    or None when no K <= _EM_TERMS makes the remainder bound at most tol.
+
+    Summing f(u) = log(1 - a e^-u) over u = 0, lam, 2 lam, ... gives
+
+        -Li_2(a)/lam + log(1 - a)/2 - sum_{k=1}^K B_2k/(2k)! lam^(2k-1) Li_(2-2k)(a) + R_K,
+
+    |R_K| <= 2 zeta(2K+1) (2 pi)^-(2K+1) lam^2K integral_0^inf |f^(2K+1)(u)| du.
+    Here f^(2K+1)(u) = Li_-2K(a e^-u) = (2K)! sum_m (u - z_m)^-(2K+1) with
+    z_m = log a + 2 pi i m, and integral_0^inf |u - z|^-(2K+1) du <= 2 dist(z, [0, inf))^-2K.
+    With d = dist(log a, [0, inf)), the distance of a from the cut [1, inf) in
+    the logarithmic plane, and dist(z_m, [0, inf)) >= (2|m| - 1) pi for m != 0,
+
+        |R_K| <= (2 zeta(3)/pi) (2K)! [(lam/(2 pi d))^2K + (pi^2/4) (lam/(2 pi^2))^2K].
+
+    This covers every omitted Bernoulli term and the exponentially small part,
+    about exp(-2 pi d/lam) at the best K.  K is the smallest that meets tol.
+    """
+    mu = cmath.log(a)
+    d = abs(mu.imag) if mu.real >= 0 else abs(mu)
+    if d == 0:
+        return None
+    s0 = (lam / (TWO_PI * d)) ** 2
+    s1 = (lam / (TWO_PI * math.pi)) ** 2
+    p0 = p1 = 1.0
+    for K in range(1, _EM_TERMS + 1):
+        p0 *= s0
+        p1 *= s1
+        if _EM_BOUND[K - 1] * (p0 + _EM_IMAGES * p1) <= tol:
+            break
+    else:
+        return None
+    total = -li2(a) / lam + 0.5 * cmath.log(1 - a) - _EM_COEFF[0] * lam * (a / (1 - a))
+    # Li_-n(a) = a A_n(a)/(1 - a)^(n+1) with the Eulerian polynomial A_n; for even
+    # n >= 2, Li_-n(a) = -Li_-n(1/a), which keeps the powers bounded when |a| > 1
+    y, sign = (1 / a, -1.0) if abs(a) > 1 else (a, 1.0)
+    step = lam / (1 - y)
+    power = step
+    for k in range(2, K + 1):
+        power *= step * step  # (lam/(1 - y))^(2k-1)
+        poly = 0j
+        for c in _EULERIAN[k - 1]:
+            poly = poly * y + c
+        total -= _EM_COEFF[k - 1] * power * (sign * y * poly)
+    return total
+
+
+def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
+    """log of (a;q)_infinity, within absolute truncation error tol.
+
+    Two evaluations, chosen by an error bound:
+
+    - for q in (0, 1), the Euler-Maclaurin expansion in lam = -log q (see
+      :func:`_log_qpoch_euler_maclaurin`) whenever its remainder bound is at
+      most tol.  It costs a few microseconds however close q is to 1, and it
+      holds when a is far from the cut [1, inf) compared with lam;
+    - otherwise (complex q, a on or near [1, inf), q not close to 1) the sum
+      of log(1 - q^r a) with a geometric tail bound.
+
+    Returns -inf when some factor vanishes to machine precision.  The branch
+    is the sum of principal logs of the factors.  For q in (0, 1) the
+    expansion, with principal Li_2 and log on C minus [1, inf), is the same
+    branch: every factor 1 - q^r a avoids (-inf, 0] there, so the sum is
+    analytic in a on that set and agrees with the expansion near a = 0.
+    Callers exponentiate only differences of returned values.
+    """
+    q = _as_q(q)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if a == 0:
+        return 0j
+    if q.imag == 0 and q.real > 0:
+        value = _log_qpoch_euler_maclaurin(complex(a), -math.log(q.real), tol)
+        if value is not None:
+            return value
+    return _log_qpoch_direct(a, q, tol)
 
 
 def qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
@@ -158,9 +331,9 @@ def qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
 # ---------------------------------------------------------------- theta
 
 
-def _log_theta_direct(q: complex, Q: complex):
-    """Window sum of the defining series; returns (log_value, log_max_term)."""
-    lq, lQ = cmath.log(q), cmath.log(Q)
+def _log_theta_direct(lq: complex, lQ: complex):
+    """Window sum of the defining series at q = e^lq, Q = e^lQ;
+    returns (log_value, log_max_term, qlog ratio)."""
     center = 0.5 - lQ.real / lq.real
     half = max(40.0, math.sqrt(90.0 / abs(lq.real)))
     d = np.arange(math.floor(center - half), math.ceil(center + half) + 1, dtype=float)
@@ -169,12 +342,12 @@ def _log_theta_direct(q: complex, Q: complex):
     weights = np.exp(expo - pivot)
     s = complex(weights.sum())
     ds = complex((d * weights).sum())
-    return pivot + cmath.log(s), pivot, ds / s if s != 0 else complex("nan")
+    return pivot + cmath.log(s), pivot, -ds / s if s != 0 else complex("nan")
 
 
 def _log_theta_modular(q: complex, Q: complex):
-    """Poisson-dual sum; returns (log_value, log_scale, ratio for the q-log)."""
-    lam = -cmath.log(q)  # Re lam > 0
+    """Poisson-dual sum for q in (0, 1); returns (log_value, log_max_term, qlog ratio)."""
+    lam = -cmath.log(q)
     b = cmath.log(Q) + lam / 2
     ks = np.arange(-6, 7, dtype=float)
     expo = -(TWO_PI * math.pi) * ks * ks / lam - (TWO_PI * 1j) * ks * b / lam
@@ -189,11 +362,56 @@ def _log_theta_modular(q: complex, Q: complex):
     return log_value, scale, ratio
 
 
+def _log_theta_short(lq: complex, lQ: complex):
+    """The defining series when -Re lq >= pi, as _log_theta_direct: the terms
+    within e^-45 of the largest are at most 13, so a loop costs less than
+    NumPy's per-call overhead."""
+    center = 0.5 - lQ.real / lq.real
+    half = math.sqrt(90.0 / -lq.real)
+    ds = range(math.floor(center - half), math.ceil(center + half) + 1)
+    expos = [(d * (d - 1) / 2) * lq + d * lQ for d in ds]
+    pivot = max(e.real for e in expos)
+    s = dsum = 0j
+    for d, e in zip(ds, expos):
+        w = cmath.exp(e - pivot)
+        s += w
+        dsum += d * w
+    return pivot + cmath.log(s), pivot, -dsum / s
+
+
+def _log_theta_reduced(lam: complex, lQ: complex):
+    """theta at q = e^-lam, Q = e^lQ for any Re lam > 0, by modular reduction.
+
+    theta depends on lam only modulo 2 pi i, so lam is first reduced to
+    |Im lam| <= pi.  The direct sum's terms decay like exp(-Re lam d^2/2) and
+    the dual's like exp(-2 pi^2 Re(1/lam) k^2); while the dual decays faster
+    (|lam|^2 < 2 pi^2) the Poisson identity
+
+        theta_q(Q) = sqrt(2 pi/lam) e^(b^2/(2 lam)) theta_q~(Q~),
+        lam~ = 4 pi^2/lam,   log Q~ = -(2 pi i b + 2 pi^2)/lam,   b = log Q + lam/2,
+
+    replaces the problem by one whose Im(log q/(2 pi i)) is more than twice as
+    large.  The direct sum that ends the recursion has Re lam >= pi, so a few
+    terms carry it and it cancels only near the zeros of theta; this covers
+    q near every root of unity, where neither the direct nor the plain dual
+    sum can be summed in double precision.
+    """
+    lam = complex(lam.real, lam.imag - TWO_PI * round(lam.imag / TWO_PI))
+    if abs(lam) ** 2 >= 2 * math.pi**2:
+        return _log_theta_short(-lam, lQ)
+    b = lQ + lam / 2
+    prefactor = 0.5 * cmath.log(TWO_PI / lam) + b * b / (2 * lam)
+    log_value, scale, ratio = _log_theta_reduced(
+        4 * math.pi**2 / lam, -(TWO_PI * 1j * b + TWO_PI * math.pi) / lam)
+    return prefactor + log_value, prefactor.real + scale, -(b + TWO_PI * 1j * ratio) / lam
+
+
 def _theta_parts(q: complex, Q: complex):
-    if (-cmath.log(q)).real < _MODULAR_THRESHOLD:
-        return _log_theta_modular(q, Q)
-    log_value, pivot, mean_d = _log_theta_direct(q, Q)
-    return log_value, pivot, -mean_d  # qlog ratio = -<d> in the direct sum
+    if q.imag == 0 and q.real > 0:
+        if (-cmath.log(q)).real < _MODULAR_THRESHOLD:
+            return _log_theta_modular(q, Q)
+        return _log_theta_direct(cmath.log(q), cmath.log(Q))
+    return _log_theta_reduced(-cmath.log(q), cmath.log(Q))
 
 
 def log_theta(q, Q: complex) -> complex:

@@ -138,6 +138,17 @@ class TestSystems:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "integer" in err and err.count("\n") == 1
 
+    def test_resonant_system_is_usage_error(self, tmp_path, capsys):
+        # exponents 1 and 0.5 = q^1 differ by a power of q: the user's system is
+        # resonant, an input error (2), not a failed verification (1)
+        doc = {"n": 2, "q": [0.5, 0], "entries": [{"i": 0, "j": 0, "entry": "1"},
+                                                  {"i": 1, "j": 1, "entry": "0.5"}]}
+        path = tmp_path / "resonant.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--file", str(path), "--D", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resonant exponent") and err.count("\n") == 1
+
     def test_birkhoff(self, capsys):
         code, out = run(capsys, "birkhoff", "--q", "0.55", "--Q", "0.7+1.1j")
         doc = json.loads(out)
