@@ -30,23 +30,21 @@ from .polyq import (
     MatrixSeries,
     Poly,
     RatFunc,
-    SingularMatrixError,
-    lin_solve,
     mat_add,
-    mat_eye,
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_zero,
     parse_bivariate,
     ratfunc_matrix_series,
 )
 from .qdiff import (  # q_pullback re-exported: it belongs to this module's surface
+    ConstantPart,
     QDifferenceSystem,
     ResonanceError,
     UnsupportedJordanError,
     _nilpotent_exp,
     q_pullback,
+    solve_gauge,
 )
 from .qspecial import DomainError, log_qpoch_infinite, spiral_contains, spiral_log
 from .rings import (
@@ -237,31 +235,21 @@ class ODEFundamentalSolution:
 
 
 def ode_normalize_to_constant(ode: ODESystem, D: int):
-    """Gauge P with P(0) = I and Q P' + P B(0) = B(Q) P through order D."""
-    n = ode.n
-    one = ode.B[0][0].one
+    """Gauge P with P(0) = I and Q P' + P B(0) = B(Q) P through order D.
+
+    Returns (P, B(0)); X = P(Q) Q^(B(0)) solves the system.  Degree m solves
+    m P_m + P_m B0 - B0 P_m = sum_{k=1..m} B_k P_{m-k}, the q side's
+    Sylvester equation with c = m, s = 1 (:func:`qonf.qdiff.solve_sylvester`).
+    """
     Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
     B0 = Bser.terms[0]
-    P = [mat_eye(n, one)]
-    for m in range(1, D + 1):
-        rhs = mat_zero(n, one)
-        for k in range(1, m + 1):
-            rhs = mat_add(rhs, mat_mul(Bser.terms[k], P[m - k]))
-        big = [[zero_like(one) for _ in range(n * n)] for _ in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                row = i * n + j
-                big[row][row] = big[row][row] + m * one
-                for k in range(n):
-                    big[row][i * n + k] = big[row][i * n + k] + B0[k][j]
-                    big[row][k * n + j] = big[row][k * n + j] - B0[i][k]
-        vec = [rhs[i][j] for i in range(n) for j in range(n)]
-        try:
-            sol = lin_solve(big, [vec])[0]
-        except SingularMatrixError as exc:
-            raise ResonanceError(f"integer eigenvalue difference at degree {m}", degree=m) from exc
-        P.append([[sol[i * n + j] for j in range(n)] for i in range(n)])
-    return MatrixSeries(P, one), B0
+    return _ode_gauge(Bser, ConstantPart.of(B0, Bser.one), D), B0
+
+
+def _ode_gauge(Bser: MatrixSeries, part: ConstantPart, D: int) -> MatrixSeries:
+    one = Bser.one
+    return solve_gauge(Bser, part, D, lambda m: (m * one, one),
+                       "integer eigenvalue difference")
 
 
 def ode_gauge_residual(ode: ODESystem, P: MatrixSeries, B0) -> MatrixSeries:
@@ -286,26 +274,17 @@ def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> ODEFund
     non-resonant (integer-difference-free) eigenvalues, or a single
     eigenvalue with nilpotent part.
     """
-    P, B0 = ode_normalize_to_constant(ode, D)
-    one = P.one
+    Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
+    B0 = Bser.terms[0]
+    one = Bser.one
     n = ode.n
-    exact = not isinstance(one, complex)
-    if exact:
-        trace = B0[0][0]
-        for i in range(1, n):
-            trace = trace + B0[i][i]
-        mu = trace / (n * one)
-        N = mat_sub(B0, mat_scale(mat_eye(n, one), mu))
-        power = [row[:] for row in N]
-        for _ in range(n - 1):
-            power = mat_mul(power, N)
-        if all(scalar_is_zero(x) for row in power for x in row):
-            return ODEFundamentalSolution(ode, P, "nilpotent", [mu] * n, nilpotent=N, q0=q0)
-        if n == 1:
-            return ODEFundamentalSolution(
-                ode, P, "diagonalizable", [complex(B0[0][0])], basis=np.eye(1, dtype=complex), q0=q0
-            )
-        raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
+    part = ConstantPart.of(B0, one)
+    if not isinstance(one, (float, complex)):  # exact: classified before solving
+        if not part.nilpotent:
+            raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
+        P = _ode_gauge(Bser, part, D)
+        return ODEFundamentalSolution(ode, P, "nilpotent", [part.lam] * n, nilpotent=part.N, q0=q0)
+    P = _ode_gauge(Bser, part, D)
     B0c = np.array([[complex(x) for x in row] for row in B0])
     lams, V = np.linalg.eig(B0c)
     if np.all(np.abs(lams - lams.mean()) < 1e-10 * max(1.0, np.abs(lams).max())):
@@ -864,9 +843,15 @@ def builtin_system(name: str, N: int = 2, z=Fraction(1)) -> QDifferenceSystem:
     raise KeyError(f"unknown builtin system {name!r}")
 
 
+def _check_pn_degree(N: int):
+    if N < 0:
+        raise ValueError(f"projective-space dimension N = {N} must be at least 0")
+
+
 def pn_j_system(N: int, z=Fraction(1)) -> QDifferenceSystem:
     """A = I + (q-1) B for the delta-form companion of the J-function equation,
     already pulled back by Q -> (z/(1-q))^(N+1) Q (so B is q-independent)."""
+    _check_pn_degree(N)
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     unit = RatFunc.const(one, one)
@@ -889,6 +874,7 @@ def pn_j_system(N: int, z=Fraction(1)) -> QDifferenceSystem:
 
 def pn_j_raw_system(N: int) -> QDifferenceSystem:
     """The un-pulled-back delta-form system: bottom entry Q/(1-q)^(N+1)."""
+    _check_pn_degree(N)
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     unit = RatFunc.const(one, one)

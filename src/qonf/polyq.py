@@ -246,12 +246,17 @@ def mat_inv(A):
 
 
 class MatrixSeries:
-    """Truncated power series in Q with square-matrix coefficients."""
+    """Truncated power series in Q with square-matrix coefficients.
+
+    ``terms`` is kept as given, not copied, and may share matrices with other
+    series (``sigma`` keeps term 0): no code mutates a series' terms, or the
+    list it built them in, after construction.
+    """
 
     __slots__ = ("truncation", "terms", "one")
 
     def __init__(self, terms, one):
-        self.terms = [mat_map(t, lambda x: x) for t in terms]
+        self.terms = terms
         self.truncation = len(terms) - 1
         self.one = one
 
@@ -312,6 +317,8 @@ class MatrixSeries:
 
 def ratfunc_matrix_series(A, D: int) -> MatrixSeries:
     """Expand a matrix of rational functions into a truncated matrix series."""
+    if D < 0:
+        raise ValueError(f"truncation order D = {D} must be at least 0")
     one = A[0][0].one
     per_entry = [[entry.series(D) for entry in row] for row in A]
     terms = [[[per_entry[i][j][m] for j in range(len(A))] for i in range(len(A))]

@@ -186,46 +186,172 @@ def q_pullback(sys: QDifferenceSystem, c) -> QDifferenceSystem:
 # ---------------------------------------------------------------- normalization
 
 
-def normalize_to_constant(sys: QDifferenceSystem, D: int):
-    """Gauge F with F(0) = I and (sigma F) A F^{-1} = A(0) + O(Q^(D+1)).
+@dataclass(frozen=True)
+class ConstantPart:
+    """The constant matrix M0 of a system, split once as lam I + N.
 
-    Degree m of F solves the Sylvester-type equation
-    q^m F_m A0 - A0 F_m = -sum_{k<m} q^k F_k A_{m-k}; a singular solve means a
-    resonant exponent and raises :class:`ResonanceError` naming the degree.
+    ``nilpotent`` holds when the scalars are exact and N = M0 - lam I is
+    nilpotent, with lam = trace(M0)/n the single eigenvalue: every Sylvester
+    solve of the system then sums a terminating Neumann series.  Otherwise
+    (floating scalars, or several eigenvalues) lam = 0, N = M0, and the
+    solves go through Gauss-Jordan.  A 1 x 1 exact M0 is always nilpotent
+    with N = 0.
     """
-    n = sys.n
-    one = sys.A[0][0].one
+
+    lam: object
+    N: list
+    nilpotent: bool
+
+    @classmethod
+    def of(cls, M0, one) -> "ConstantPart":
+        n = len(M0)
+        if not isinstance(one, (float, complex)):
+            trace = M0[0][0]
+            for i in range(1, n):
+                trace = trace + M0[i][i]
+            lam = trace / (n * one)
+            N = mat_sub(M0, mat_scale(mat_eye(n, one), lam))
+            power = N
+            for _ in range(n - 1):
+                power = mat_mul(power, N)
+            if all(scalar_is_zero(x) for row in power for x in row):
+                return cls(lam, N, True)
+        return cls(zero_like(one), M0, False)
+
+
+def solve_sylvester(c, s, part: ConstantPart, R):
+    """The matrix X with c X + s X N - N X = R, for N = ``part.N``.
+
+    Both normalizers solve one such equation per degree m: the q side's
+    q^m X A0 - A0 X has c = lam (q^m - 1), s = q^m, and the ODE side's
+    m X + X B0 - B0 X has c = m, s = 1 (lam cancels there).  For a nilpotent
+    N the map L(X) = s X N - N X is nilpotent too, L^(2n-1) = 0, so
+    X = sum_k (-L/c)^k (R/c) terminates after at most 2n - 1 terms; L visits
+    only the nonzero entries of N, and N = 0 costs one division per entry.
+    Any other N goes through Gauss-Jordan on the vectorized n^2 x n^2
+    system.  A singular operator raises :class:`SingularMatrixError`.
+    """
+    n = len(R)
+    if not part.nilpotent:
+        zero = zero_like(R[0][0])
+        big = [[zero] * (n * n) for _ in range(n * n)]
+        for i in range(n):
+            for j in range(n):
+                row = i * n + j
+                big[row][row] = big[row][row] + c
+                for k in range(n):
+                    big[row][i * n + k] = big[row][i * n + k] + s * part.N[k][j]
+                    big[row][k * n + j] = big[row][k * n + j] - part.N[i][k]
+        sol = lin_solve(big, [[x for row in R for x in row]])[0]
+        return [sol[i * n:(i + 1) * n] for i in range(n)]
+    if scalar_is_zero(c):
+        raise SingularMatrixError("c = 0 with a nilpotent N")
+    entries = [(a, b, v) for a, row in enumerate(part.N) for b, v in enumerate(row)
+               if not scalar_is_zero(v)]
+    if not entries:
+        return [[r / c for r in row] for row in R]
+    inv = one_like(c) / c
+    # -L/c as weighted moves: X[i][a] w -> [i][b] from s X N, and
+    # w X[b][j] -> [a][j] from -N X
+    right = [(a, b, -(s * v) * inv) for a, b, v in entries]
+    left = [(a, b, v * inv) for a, b, v in entries]
+    zero = zero_like(inv)
+    term = [[r * inv for r in row] for row in R]
+    X = term
+    for _ in range(2 * n - 2):
+        nxt = [[zero] * n for _ in range(n)]
+        for a, b, w in right:
+            for i in range(n):
+                if not scalar_is_zero(term[i][a]):
+                    nxt[i][b] = nxt[i][b] + term[i][a] * w
+        for a, b, w in left:
+            for j in range(n):
+                if not scalar_is_zero(term[b][j]):
+                    nxt[a][j] = nxt[a][j] + w * term[b][j]
+        if all(scalar_is_zero(y) for row in nxt for y in row):
+            break
+        X = mat_add(X, nxt)
+        term = nxt
+    return X
+
+
+def _series_at_0(sys: QDifferenceSystem, D: int):
+    """A as a matrix series through Q^D, and A(0) checked invertible."""
     Aser = ratfunc_matrix_series([list(r) for r in sys.A], D)
     A0 = Aser.terms[0]
     try:
         mat_inv(A0)
     except SingularMatrixError as exc:
         raise DomainError("A(0) is not invertible") from exc
-    F = [mat_eye(n, one)]
-    qpow = one_like(sys.q)
+    return Aser, A0
+
+
+def _q_coeffs(part: ConstantPart, q):
+    """(c, s) of degree m on the q side: q^m X A0 - A0 X for A0 = lam I + N."""
+
+    def coeffs(m):
+        qm = q**m
+        return part.lam * (qm - one_like(qm)), qm
+
+    return coeffs
+
+
+def solve_gauge(Mser: MatrixSeries, part: ConstantPart, D: int, coeffs,
+                what: str) -> MatrixSeries:
+    """The series X with X(0) = I and, for m = 1..D,
+    c X_m + s X_m N - N X_m = sum_{k=1..m} M_k X_{m-k}, (c, s) = coeffs(m).
+
+    ``part`` splits M_0; zero terms M_k are skipped.  The q side's inverse
+    gauge and the ODE side's gauge are both this recursion.  A singular
+    degree raises :class:`ResonanceError` ("<what> at degree m").
+    """
+    one = Mser.one
+    n = Mser.dim
+    nonzero = [k for k in range(1, D + 1)
+               if not all(scalar_is_zero(x) for row in Mser.terms[k] for x in row)]
+    X = [mat_eye(n, one)]
     for m in range(1, D + 1):
-        qpow = qpow * sys.q
+        rhs = mat_zero(n, one)
+        for k in nonzero:
+            if k > m:
+                break
+            rhs = mat_add(rhs, mat_mul(Mser.terms[k], X[m - k]))
+        c, s = coeffs(m)
+        try:
+            X.append(solve_sylvester(c, s, part, rhs))
+        except SingularMatrixError as exc:
+            raise ResonanceError(f"{what} at degree {m}", degree=m) from exc
+    return MatrixSeries(X, one)
+
+
+def normalize_to_constant(sys: QDifferenceSystem, D: int):
+    """Gauge F with F(0) = I and (sigma F) A F^{-1} = A(0) + O(Q^(D+1)).
+
+    Returns (F, A(0)).  F takes solutions X of the system to solutions F X
+    of the constant system A(0).  Degree m of F solves
+    q^m F_m A0 - A0 F_m = -sum_{k<m} q^k F_k A_{m-k} by
+    :func:`solve_sylvester`; a singular solve means a resonant exponent and
+    raises :class:`ResonanceError` naming the degree.
+    :func:`frobenius_solution` solves for F^{-1} on its own, so F serves the
+    gauge-residual checks as an independent computation.
+    """
+    n = sys.n
+    one = sys.A[0][0].one
+    Aser, A0 = _series_at_0(sys, D)
+    part = ConstantPart.of(A0, one)
+    coeffs = _q_coeffs(part, sys.q)
+    F = [mat_eye(n, one)]
+    for m in range(1, D + 1):
         rhs = mat_zero(n, one)
         qk = one_like(sys.q)
         for k in range(m):
-            Fk = F[k]
-            Am_k = Aser.terms[m - k]
-            rhs = mat_sub(rhs, mat_scale(mat_mul(Fk, Am_k), qk * one))
+            rhs = mat_sub(rhs, mat_scale(mat_mul(F[k], Aser.terms[m - k]), qk * one))
             qk = qk * sys.q
-        # vectorized Sylvester solve: q^m X A0 - A0 X = rhs
-        big = [[zero_like(one) for _ in range(n * n)] for _ in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                row = i * n + j
-                for k in range(n):
-                    big[row][i * n + k] = big[row][i * n + k] + (qpow * one) * A0[k][j]
-                    big[row][k * n + j] = big[row][k * n + j] - A0[i][k]
-        vec_rhs = [rhs[i][j] for i in range(n) for j in range(n)]
+        c, s = coeffs(m)
         try:
-            sol = lin_solve(big, [vec_rhs])[0]
+            F.append(solve_sylvester(c, s, part, rhs))
         except SingularMatrixError as exc:
             raise ResonanceError(f"resonant exponent at degree {m}", degree=m) from exc
-        F.append([[sol[i * n + j] for j in range(n)] for i in range(n)])
     return MatrixSeries(F, one), A0
 
 
@@ -328,38 +454,36 @@ def _matrix_log_unipotent(A0, one):
     return out
 
 
-def _is_unipotent_exact(A0, one) -> bool:
-    n = len(A0)
-    U = mat_sub(A0, mat_eye(n, one))
-    power = U
-    for _ in range(n - 1):
-        power = mat_mul(power, U)
-    return all(scalar_is_zero(x) for row in power for x in row)
-
-
 def frobenius_solution(sys: QDifferenceSystem, D: int) -> FundamentalSolutionAt0:
     """Fundamental solution at 0 for the supported Jordan structures of A(0).
 
     Supported: (a) A(0) diagonalizable with non-resonant eigenvalues, and
     (b) A(0) with the single eigenvalue 1 (maximal unipotent).  Anything else
-    raises :class:`UnsupportedJordanError`.
+    raises :class:`UnsupportedJordanError`; an exact A(0) is classified
+    before any degree is solved.  The gauge is G = F^{-1} for the F of
+    :func:`normalize_to_constant`, but F is never inverted: (sigma F) A = A0 F
+    gives (sigma G) A0 = A G, so degree m of G solves
+    q^m G_m A0 - A0 G_m = sum_{k=1..m} A_k G_{m-k} (F's operator, with a
+    right-hand side free of q-powers), and G(0) = I makes it unique.
     """
-    F, A0 = normalize_to_constant(sys, D)
-    G = F.inverse()
-    one = F.one
+    Aser, A0 = _series_at_0(sys, D)
+    one = Aser.one
+    part = ConstantPart.of(A0, one)
+    unipotent = part.nilpotent and part.lam == one_like(one)  # never for numeric q
+    if sys.is_exact and not unipotent and sys.n > 1:
+        raise UnsupportedJordanError(
+            "exact mode handles the maximal-unipotent case (or rank 1); "
+            "use a numeric q for the diagonalizable case"
+        )
+    G = solve_gauge(Aser, part, D, _q_coeffs(part, sys.q), "resonant exponent")
     if sys.is_exact:
-        if _is_unipotent_exact(A0, one):
+        if unipotent:
             return FundamentalSolutionAt0(
                 sys, G, "unipotent", [one_like(one)] * sys.n,
                 nilpotent_log=_matrix_log_unipotent(A0, one),
             )
-        if sys.n == 1:
-            return FundamentalSolutionAt0(
-                sys, G, "diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]])
-            )
-        raise UnsupportedJordanError(
-            "exact mode handles the maximal-unipotent case (or rank 1); "
-            "use a numeric q for the diagonalizable case"
+        return FundamentalSolutionAt0(
+            sys, G, "diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]])
         )
     A0c = np.array([[complex(x) for x in row] for row in A0], dtype=complex)
     lams, V = np.linalg.eig(A0c)
@@ -602,28 +726,20 @@ def qhg_operator(spec: QHypergeometricSpec, q: complex) -> ScalarQOperator:
     if e < 0:
         raise DomainError("operator form requires r <= s + 1")
     one = 1.0 + 0j
-
-    def poly_mul(p1, p2):
-        out = [0j] * (len(p1) + len(p2) - 1)
-        for i, a in enumerate(p1):
-            for j, b in enumerate(p2):
-                out[i + j] += a * b
-        return out
-
-    t1 = [0j] * e + [(-1.0 + 0j) ** e]
+    t1 = Poly([0j] * e + [(-1.0 + 0j) ** e], one)
     for a in spec.upper:
-        t1 = poly_mul(t1, [1.0 + 0j, -a])
-    t2 = [1.0 + 0j, -1.0 + 0j]
+        t1 = t1 * Poly([one, -a], one)
+    t2 = Poly([one, -one], one)
     for b in spec.lower:
-        t2 = poly_mul(t2, [1.0 + 0j, -b / q])
-    order = max(len(t1), len(t2)) - 1
+        t2 = t2 * Poly([one, -b / q], one)
     Qvar = Poly.variable(one)
-    coeffs = []
-    for k in range(order + 1):
-        c1 = t1[k] if k < len(t1) else 0j
-        c2 = t2[k] if k < len(t2) else 0j
-        coeffs.append(RatFunc(Qvar * c1 - Poly.const(c2, one)))
-    return ScalarQOperator(tuple(coeffs), q)
+    # both products have degree e + r = 1 + s before zero parameters strip any
+    # top coefficient, so the order does not depend on the parameter values
+    return ScalarQOperator(
+        tuple(RatFunc(Qvar * t1.coeff(k) - Poly.const(t2.coeff(k), one))
+              for k in range(spec.s + 2)),
+        q,
+    )
 
 
 @dataclass

@@ -149,6 +149,22 @@ class TestSystems:
         err = capsys.readouterr().err
         assert err.startswith("error: resonant exponent") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--builtin", "pn-j", "--N", "2", "--D", "-1"),
+            ("solve", "--builtin", "irregular-limit", "--D", "-2"),
+            ("solve", "--builtin", "pn-j", "--N", "-1", "--D", "3"),
+            ("confluence", "--builtin", "pn-j", "--N", "-1"),
+        ],
+        ids=["negative-D", "negative-D-rank-1", "negative-N", "negative-N-confluence"],
+    )
+    def test_negative_size_is_one_line_usage_error(self, capsys, argv):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be at least 0" in err
+        assert err.count("\n") == 1
+
     def test_birkhoff(self, capsys):
         code, out = run(capsys, "birkhoff", "--q", "0.55", "--Q", "0.7+1.1j")
         doc = json.loads(out)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from qonf import confluence as cfl
 from qonf.confluence import (
     DEFAULT_T_SCHEDULE,
     ConfluenceReport,
@@ -30,7 +31,7 @@ from qonf.confluence import (
     root_taylor,
 )
 from qonf.polyq import Poly, RatFunc, parse_bivariate
-from qonf.qdiff import QDifferenceSystem, frobenius_solution
+from qonf.qdiff import QDifferenceSystem, UnsupportedJordanError, frobenius_solution
 from qonf.qspecial import DomainError, q_character, q_log, qpoch_infinite
 from qonf.rings import LimitUndefinedError, RationalFunctionQ as R, limit_q_to_1
 
@@ -188,6 +189,21 @@ class TestOdeFrobenius:
         assert ode_gauge_residual(ode, P, B0).is_zero()
         sol = ode_frobenius_solution(ode, 25)
         assert sol.derivative_residual(0.08) < 1e-6
+
+    def test_unsupported_exact_jordan_is_decided_before_solving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Sylvester solve ran before the Jordan check")
+
+        monkeypatch.setattr(cfl, "solve_sylvester", refuse, raising=False)
+        monkeypatch.setattr(cfl, "lin_solve", refuse, raising=False)
+        one = F(1)
+        # B(0) = diag(0, 1/2): two eigenvalues, unsupported in exact mode
+        B = (
+            (RatFunc(Poly([F(0), F(1)], one)), RatFunc(Poly([F(0), F(3)], one))),
+            (RatFunc(Poly([F(0), F(2)], one)), RatFunc(Poly([F(1, 2)], one))),
+        )
+        with pytest.raises(UnsupportedJordanError):
+            ode_frobenius_solution(ODESystem(B), 12)
 
 
 SCHEDULE = tuple(2.0**-j for j in range(4, 15))

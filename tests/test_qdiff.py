@@ -2,17 +2,24 @@ from fractions import Fraction as F
 
 import pytest
 
+from qonf import qdiff
+from qonf.confluence import builtin_system
 from qonf.polyq import (
     MatrixSeries,
     Poly,
     RatFunc,
+    SingularMatrixError,
     format_bivariate,
     lin_solve,
+    mat_add,
+    mat_eye,
     mat_inv,
     mat_mul,
+    mat_scale,
     parse_bivariate,
 )
 from qonf.qdiff import (
+    ConstantPart,
     DegenerateOperatorError,
     FundamentalSolutionAt0,
     QDifferenceSystem,
@@ -38,6 +45,7 @@ from qonf.qdiff import (
     qhg_series,
     rank1_product_solution,
     solve_scalar_series,
+    solve_sylvester,
     system_from_json,
     system_to_json,
 )
@@ -270,6 +278,134 @@ class TestFrobenius:
         A = ((rf("2"), rf("1")), (rf("0"), rf("2")))
         with pytest.raises(UnsupportedJordanError):
             frobenius_solution(QDifferenceSystem(A, Q_SYM), 3)
+
+
+# ---------------------------------------------------------------- the Sylvester solver
+
+
+def _unimodular(draw, n):
+    # unit lower times unit upper triangular integer matrices: determinant 1
+    ints = st.integers(min_value=-2, max_value=2)
+    L = [[F(1) if i == j else (F(draw(ints)) if j < i else F(0)) for j in range(n)]
+         for i in range(n)]
+    U = [[F(1) if i == j else (F(draw(ints)) if j > i else F(0)) for j in range(n)]
+         for i in range(n)]
+    return mat_mul(L, U)
+
+
+@st.composite
+def scalar_plus_nilpotent(draw, scalar):
+    """(lam, Nil, R): Nil = U T U^-1 with T strictly upper triangular and U
+    unimodular, so Nil has any nilpotency index up to n <= 4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    U = _unimodular(draw, n)
+    T = [[scalar(draw) if j > i else scalar(None) for j in range(n)] for i in range(n)]
+    Uinv = [[scalar(None) + x for x in row] for row in mat_inv(U)]
+    Uc = [[scalar(None) + x for x in row] for row in U]
+    nil = mat_mul(mat_mul(Uc, T), Uinv)
+    lam = scalar(draw)
+    if lam == 0 * lam:
+        lam = lam + 1
+    R_ = [[scalar(draw) for _ in range(n)] for _ in range(n)]
+    return lam, nil, R_
+
+
+def _q_scalar(draw):
+    # a + b q over Q(q); draw=None gives zero
+    if draw is None:
+        return R.zero()
+    a, b = draw(small_ints), draw(small_ints)
+    return R.from_fraction(F(a)) + R.from_fraction(F(b)) * Q_SYM
+
+
+def _fraction_scalar(draw):
+    if draw is None:
+        return F(0)
+    return F(draw(small_ints), draw(st.integers(min_value=1, max_value=3)))
+
+
+def _sylvester_lhs(c, s, nil, X):
+    XN, NX = mat_mul(X, nil), mat_mul(nil, X)
+    return [[c * x + s * a - b for x, a, b in zip(rx, ra, rb)]
+            for rx, ra, rb in zip(X, XN, NX)]
+
+
+class TestSylvesterSolver:
+    @given(scalar_plus_nilpotent(_q_scalar), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_neumann_matches_gauss_jordan_q_side(self, data, m):
+        lam, nil, R_ = data
+        n = len(nil)
+        part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, ONE), lam), nil), ONE)
+        assert part.nilpotent and part.lam == lam and part.N == nil
+        qm = Q_SYM**m
+        c, s = lam * (qm - 1), qm
+        X = solve_sylvester(c, s, part, R_)
+        assert X == solve_sylvester(c, s, ConstantPart(lam, nil, False), R_)
+        assert _sylvester_lhs(c, s, nil, X) == R_
+
+    @given(scalar_plus_nilpotent(_fraction_scalar), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_neumann_matches_gauss_jordan_ode_side(self, data, m):
+        mu, nil, R_ = data
+        n = len(nil)
+        part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
+        assert part.nilpotent and part.lam == mu and part.N == nil
+        c, s = F(m), F(1)
+        X = solve_sylvester(c, s, part, R_)
+        assert X == solve_sylvester(c, s, ConstantPart(F(0), nil, False), R_)
+        assert _sylvester_lhs(c, s, nil, X) == R_
+
+    def test_several_eigenvalues_are_not_split(self):
+        part = ConstantPart.of([[ONE, ONE], [R.zero(), 2 * ONE]], ONE)
+        assert not part.nilpotent and part.lam == R.zero()
+        assert not ConstantPart.of([[1 + 0j, 1 + 0j], [0j, 1 + 0j]], 1 + 0j).nilpotent
+
+    def test_zero_c_with_nilpotent_part_is_singular(self):
+        part = ConstantPart.of([[ONE, ONE], [R.zero(), ONE]], ONE)
+        with pytest.raises(SingularMatrixError):
+            solve_sylvester(R.zero(), ONE, part, [[ONE, ONE], [ONE, ONE]])
+
+    def test_unsupported_exact_jordan_is_decided_before_solving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Sylvester solve ran before the Jordan check")
+
+        monkeypatch.setattr(qdiff, "solve_sylvester", refuse, raising=False)
+        monkeypatch.setattr(qdiff, "lin_solve", refuse)
+        # A(0) = diag(1, 2): two eigenvalues, unsupported in exact mode
+        A = ((rf("1 + Q"), rf("Q")), (rf("2*Q"), rf("2")))
+        with pytest.raises(UnsupportedJordanError):
+            frobenius_solution(QDifferenceSystem(A, Q_SYM), 12)
+
+
+def _rank2_unipotent_json():
+    # A = I + (q-1) B with B(0) nilpotent; q-denominators 2q^2+q+3, 3q+2 are
+    # not cyclotomic
+    return system_from_json({"n": 2, "q": "q", "entries": [
+        {"i": 0, "j": 0, "entry": "1 + (q-1)*(2*Q)/(2*q^2 + q + 3)"},
+        {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(3*q + 2))"},
+        {"i": 1, "j": 0, "entry": "(q-1)*Q*(q + 5)/(2*q^2 + q + 3 + Q)"},
+        {"i": 1, "j": 1, "entry": "1"},
+    ]})
+
+
+class TestGaugeIsInverseOfNormalization:
+    @pytest.mark.parametrize(
+        "make, D",
+        [
+            (lambda: builtin_system("pochhammer-raw"), 10),
+            (lambda: builtin_system("pochhammer-scaled"), 10),
+            (lambda: builtin_system("irregular-limit"), 8),
+            (lambda: builtin_system("pn-j", N=2), 5),
+            (_rank2_unipotent_json, 5),
+        ],
+        ids=["pochhammer-raw", "pochhammer-scaled", "irregular-limit", "pn-j", "rank-2-json"],
+    )
+    def test_gauge_times_normalizer_is_identity(self, make, D):
+        sys = make()
+        G = frobenius_solution(sys, D).gauge
+        F_ser, _ = normalize_to_constant(sys, D)
+        assert G.mul(F_ser).sub(MatrixSeries.identity(sys.n, D, ONE)).is_zero()
 
 
 # ---------------------------------------------------------------- scalar series solutions
