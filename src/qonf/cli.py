@@ -40,6 +40,41 @@ from .rings import QonfError, series_to_json
 from .verification import SUITES, run_suites
 
 
+# Every size limit of the CLI: (size, commands it applies to, largest
+# accepted value).  The flags are checked before any work starts; the two
+# exponents cap the powers inside the entries of a --file system (see
+# qonf.polyq.parse_bivariate).  Each lies well above the sizes the tests,
+# README, scripts and benchmark use.
+SIZE_LIMITS = (
+    ("--D", ("solve", "jfn", "compare"), 100),
+    ("--D", ("qhg",), 10_000),
+    ("--N", ("solve", "confluence", "jfn", "compare"), 20),
+    ("--dmax", ("nd",), 200),
+    ("--order", ("potential", "wdvv"), 50),
+    ("q-exponent", ("solve", "confluence"), 1000),
+    ("Q-exponent", ("solve", "confluence"), 1000),
+)
+
+
+def _limit(size: str, command: str) -> int:
+    return next(cap for name, cmds, cap in SIZE_LIMITS if name == size and command in cmds)
+
+
+def _limits_epilog() -> str:
+    return "size limits:\n" + "".join(
+        f"  {name} <= {cap} for {', '.join(cmds)}\n" for name, cmds, cap in SIZE_LIMITS)
+
+
+def _check_limits(args) -> str | None:
+    """The one-line message for the first flag over its limit, or None."""
+    for name, cmds, cap in SIZE_LIMITS:
+        if name.startswith("--") and args.command in cmds:
+            value = getattr(args, name[2:])
+            if value > cap:
+                return f"{name} {value} exceeds the limit {cap} for {args.command}"
+    return None
+
+
 @dataclass
 class CommandConfig:
     """Validated per-invocation parameters, filled from the parsed flags."""
@@ -78,23 +113,28 @@ def _complex_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qonf", description=__doc__)
+    p = argparse.ArgumentParser(prog="qonf", description=__doc__, epilog=_limits_epilog(),
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+
+    def add_size(sp, command, flag, **kw):
+        cap = _limit(flag, command)
+        sp.add_argument(flag, type=int, help=f"at most {cap}", **kw)
 
     def add_output(sp, default_fmt="text", choices=("text", "json", "csv")):
         sp.add_argument("--format", default=default_fmt, choices=choices)
         sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("nd", help="rational plane-curve counts N_d")
-    sp.add_argument("--dmax", type=int, required=True)
+    add_size(sp, "nd", "--dmax", required=True)
     add_output(sp, "csv")
 
     sp = sub.add_parser("potential", help="genus-zero potential of the plane")
-    sp.add_argument("--order", type=int, required=True)
+    add_size(sp, "potential", "--order", required=True)
     add_output(sp, "json", ("json", "text"))
 
     sp = sub.add_parser("wdvv", help="reduced associativity residual")
-    sp.add_argument("--order", type=int, required=True)
+    add_size(sp, "wdvv", "--order", required=True)
     sp.add_argument("--perturb", default=None, metavar="d=VALUE")
     add_output(sp, "json", ("json", "text"))
 
@@ -119,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--upper", type=_complex_list, default=())
     sp.add_argument("--lower", type=_complex_list, default=())
     sp.add_argument("--q", type=_complex, required=True)
-    sp.add_argument("--D", type=int, default=40)
+    add_size(sp, "qhg", "--D", default=40)
     sp.add_argument("--at", type=_complex, default=None, metavar="Q")
     sp.add_argument("--bases", action="store_true",
                     help="include the theta-prefactored bases at 0 and infinity")
@@ -130,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--builtin", choices=("pochhammer-raw", "pochhammer-scaled",
                                              "irregular-limit", "pn-j"))
     group.add_argument("--file", default=None)
-    sp.add_argument("--N", type=int, default=2)
+    add_size(sp, "solve", "--N", default=2)
     sp.add_argument("--z", type=_fraction, default=Fraction(1))
-    sp.add_argument("--D", type=int, default=8)
+    add_size(sp, "solve", "--D", default=8)
     sp.add_argument("--q0", type=_complex, default=0.6)
     sp.add_argument("--at", type=_complex, default=0.15, metavar="Q")
     add_output(sp, "json", ("json", "text"))
@@ -147,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--builtin", choices=("pochhammer-raw", "pochhammer-scaled",
                                              "irregular-limit", "pn-j"))
     group.add_argument("--file", default=None)
-    sp.add_argument("--N", type=int, default=2)
+    add_size(sp, "confluence", "--N", default=2)
     sp.add_argument("--z", type=_fraction, default=Fraction(1))
     sp.add_argument("--q0", type=_complex, default=0.8)
     add_output(sp, "json", ("json",))
@@ -155,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("jfn", help="J-function coefficient tables")
     sp.add_argument("--kind", required=True,
                     choices=("kth", "kth-modified", "coh", "equivariant"))
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--D", type=int, required=True)
+    add_size(sp, "jfn", "--N", required=True)
+    add_size(sp, "jfn", "--D", required=True)
     sp.add_argument("--lambdas", type=_complex_list, default=None)
     sp.add_argument("--z", type=_complex, default=1.0)
     sp.add_argument("--q", type=_complex, default=0.5)
     add_output(sp, "json", ("json",))
 
     sp = sub.add_parser("compare", help="exact degeneration comparison")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--D", type=int, required=True)
+    add_size(sp, "compare", "--N", required=True)
+    add_size(sp, "compare", "--D", required=True)
     sp.add_argument("--table", action="store_true",
                     help="include the plane correspondence table (N = 2)")
     add_output(sp, "json", ("json",))
@@ -296,8 +336,9 @@ def _load_system(args):
     if args.file:
         with open(args.file) as fh:
             text = fh.read()
+        caps = (_limit("q-exponent", args.command), _limit("Q-exponent", args.command))
         try:  # json.JSONDecodeError is a ValueError
-            return system_from_json(json.loads(text))
+            return system_from_json(json.loads(text), caps)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"error: malformed system JSON: {exc}", file=sys.stderr)
             raise SystemExit(2) from exc
@@ -438,6 +479,10 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    over = _check_limits(args)
+    if over:
+        print(f"error: {over}", file=sys.stderr)
+        return 2
     cfg = CommandConfig(fmt=args.format, output=args.output)
     try:
         return HANDLERS[args.command](args, cfg)

@@ -15,8 +15,9 @@ scalars, plus truncated matrix power series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .rings import Poly, RationalFunctionQ, one_like, scalar_is_zero, zero_like
+from .rings import Poly, RationalFunctionQ, one_like, rfq_dot, scalar_is_zero, zero_like
 
 
 def _is_exact(one) -> bool:
@@ -172,17 +173,40 @@ def mat_scale(A, s):
 
 
 def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
+    """A B; over exact scalars each entry is one :func:`qonf.rings.rfq_dot`."""
+    cols = list(zip(*B))
+    if _is_exact(A[0][0]):
+        return [[rfq_dot(list(zip(row, col))) for col in cols] for row in A]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, m):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in A:
+        out_row = []
+        for col in cols:
+            acc = row[0] * col[0]
+            for k in range(1, len(col)):
+                acc = acc + row[k] * col[k]
+            out_row.append(acc)
+        out.append(out_row)
     return out
+
+
+def mat_is_zero(A) -> bool:
+    return all(scalar_is_zero(x) for row in A for x in row)
+
+
+def mat_dot(pairs, n: int, one):
+    """sum_k A_k B_k over the n x n matrix pairs (A_k, B_k).
+
+    Over exact scalars each entry is one :func:`qonf.rings.rfq_dot` over
+    every k and inner index.  Floating scalars keep the rounding of the
+    ``mat_add`` chain of products.  An empty sum is the zero matrix.
+    """
+    if not pairs:
+        return mat_zero(n, one)
+    if not _is_exact(one):
+        return reduce(mat_add, (mat_mul(A, B) for A, B in pairs))
+    cols = [list(zip(*B)) for _, B in pairs]
+    return [[rfq_dot([t for (A, _), cB in zip(pairs, cols) for t in zip(A[i], cB[j])])
+             for j in range(n)] for i in range(n)]
 
 
 def mat_map(A, fn):
@@ -268,24 +292,30 @@ class MatrixSeries:
     def identity(cls, n: int, D: int, one) -> "MatrixSeries":
         return cls([mat_eye(n, one)] + [mat_zero(n, one) for _ in range(D)], one)
 
+    def nonzero_degrees(self) -> list[int]:
+        return [m for m, t in enumerate(self.terms) if not mat_is_zero(t)]
+
     def mul(self, other: "MatrixSeries") -> "MatrixSeries":
+        """Truncated product; each degree is one :func:`mat_dot` over the
+        pairs of nonzero terms."""
         D = min(self.truncation, other.truncation)
-        out = []
-        for m in range(D + 1):
-            acc = mat_mul(self.terms[0], other.terms[m])
-            for k in range(1, m + 1):
-                acc = mat_add(acc, mat_mul(self.terms[k], other.terms[m - k]))
-            out.append(acc)
-        return MatrixSeries(out, self.one)
+        left = self.nonzero_degrees()
+        right = set(other.nonzero_degrees())
+        return MatrixSeries(
+            [mat_dot([(self.terms[k], other.terms[m - k]) for k in left
+                      if k <= m and m - k in right], self.dim, self.one)
+             for m in range(D + 1)],
+            self.one)
 
     def inverse(self) -> "MatrixSeries":
+        """G = T^{-1} degree by degree: G_m = sum_{k=1..m} H_k G_{m-k} with
+        H_k = -T_0^{-1} T_k formed once, so each degree is one :func:`mat_dot`."""
         g0 = mat_inv(self.terms[0])
+        neg_g0 = mat_map(g0, lambda x: -x)
+        H = {k: mat_mul(neg_g0, self.terms[k]) for k in self.nonzero_degrees() if k}
         out = [g0]
         for m in range(1, self.truncation + 1):
-            acc = mat_mul(self.terms[1], out[m - 1])
-            for k in range(2, m + 1):
-                acc = mat_add(acc, mat_mul(self.terms[k], out[m - k]))
-            out.append(mat_scale(mat_mul(g0, acc), -one_like(self.one)))
+            out.append(mat_dot([(H[k], out[m - k]) for k in H if k <= m], self.dim, self.one))
         return MatrixSeries(out, self.one)
 
     def sigma(self, q) -> "MatrixSeries":
@@ -300,7 +330,7 @@ class MatrixSeries:
         return MatrixSeries([mat_sub(a, b) for a, b in zip(self.terms, other.terms)], self.one)
 
     def is_zero(self) -> bool:
-        return all(all(scalar_is_zero(x) for row in t for x in row) for t in self.terms)
+        return all(mat_is_zero(t) for t in self.terms)
 
     def map_entries(self, fn, one=None) -> "MatrixSeries":
         return MatrixSeries([mat_map(t, fn) for t in self.terms],
@@ -343,10 +373,14 @@ class _Tokens:
         return ch
 
 
-def parse_bivariate(text: str) -> RatFunc:
+def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> RatFunc:
     """Parse an expression in q and Q into a RatFunc over RationalFunctionQ.
 
     Grammar: rationals, the symbols q and Q, parentheses, and + - * / ^.
+    With ``max_exponents = (cq, cQ)``, a power b^k whose q-exponent
+    (k times the q-degree of b) exceeds cq, or whose Q-exponent (k times the
+    Q-degree of b) exceeds cQ, raises ValueError before it is formed.  A
+    constant b counts as q-degree 1, since its integers grow with k.
     """
     one = RationalFunctionQ.one()
     toks = _Tokens(text)
@@ -376,6 +410,8 @@ def parse_bivariate(text: str) -> RatFunc:
                 toks.take()
                 sign = -1
             k = integer()
+            if max_exponents is not None:
+                _check_exponent(node, k, max_exponents)
             if sign * k >= 0:
                 node = _ratfunc_pow(node, k)
             else:
@@ -421,6 +457,17 @@ def parse_bivariate(text: str) -> RatFunc:
     if toks.pos != len(toks.text):
         raise ValueError(f"trailing input in {text!r}")
     return node
+
+
+def _check_exponent(node: RatFunc, k: int, caps) -> None:
+    coeffs = node.num.coeffs + node.den.coeffs
+    q_degree = max(len(p) for c in coeffs for p in c.integer_pair()) - 1
+    Q_degree = max(node.num.degree, node.den.degree)
+    if not q_degree and not Q_degree:
+        q_degree = 1
+    for name, degree, cap in (("q", q_degree, caps[0]), ("Q", Q_degree, caps[1])):
+        if k * degree > cap:
+            raise ValueError(f"{name}-exponent {k * degree} exceeds the limit {cap}")
 
 
 def _ratfunc_pow(node: RatFunc, k: int) -> RatFunc:

@@ -30,6 +30,7 @@ from .polyq import (
     format_bivariate,
     lin_solve,
     mat_add,
+    mat_dot,
     mat_eye,
     mat_inv,
     mat_map,
@@ -307,15 +308,10 @@ def solve_gauge(Mser: MatrixSeries, part: ConstantPart, D: int, coeffs,
     """
     one = Mser.one
     n = Mser.dim
-    nonzero = [k for k in range(1, D + 1)
-               if not all(scalar_is_zero(x) for row in Mser.terms[k] for x in row)]
+    nonzero = [k for k in Mser.nonzero_degrees() if 1 <= k <= D]
     X = [mat_eye(n, one)]
     for m in range(1, D + 1):
-        rhs = mat_zero(n, one)
-        for k in nonzero:
-            if k > m:
-                break
-            rhs = mat_add(rhs, mat_mul(Mser.terms[k], X[m - k]))
+        rhs = mat_dot([(Mser.terms[k], X[m - k]) for k in nonzero if k <= m], n, one)
         c, s = coeffs(m)
         try:
             X.append(solve_sylvester(c, s, part, rhs))
@@ -340,13 +336,15 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
     Aser, A0 = _series_at_0(sys, D)
     part = ConstantPart.of(A0, one)
     coeffs = _q_coeffs(part, sys.q)
+    nonzero = set(Aser.nonzero_degrees())
     F = [mat_eye(n, one)]
+    scaled = []  # -q^k F_k, formed once for every later degree
+    qk = -one
     for m in range(1, D + 1):
-        rhs = mat_zero(n, one)
-        qk = one_like(sys.q)
-        for k in range(m):
-            rhs = mat_sub(rhs, mat_scale(mat_mul(F[k], Aser.terms[m - k]), qk * one))
-            qk = qk * sys.q
+        scaled.append(mat_scale(F[m - 1], qk))
+        qk = qk * sys.q
+        rhs = mat_dot([(scaled[k], Aser.terms[m - k]) for k in range(m) if m - k in nonzero],
+                      n, one)
         c, s = coeffs(m)
         try:
             F.append(solve_sylvester(c, s, part, rhs))
@@ -356,12 +354,21 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
 
 
 def gauge_residual_series(sys: QDifferenceSystem, F: MatrixSeries, A0) -> MatrixSeries:
-    """(sigma F) A - A0 F as a matrix series (zero through the truncation)."""
+    """(sigma F) A - A0 F as a matrix series (zero through the truncation).
+
+    Degree m is one :func:`mat_dot`: the products (sigma F)_k A_{m-k} over
+    the nonzero A_{m-k}, then (-A0) F_m.
+    """
     D = F.truncation
     Aser = ratfunc_matrix_series([list(r) for r in sys.A], D)
-    lhs = F.sigma(sys.q).mul(Aser)
-    rhs = MatrixSeries([mat_mul(A0, t) for t in F.terms], F.one)
-    return lhs.sub(rhs)
+    nonzero = set(Aser.nonzero_degrees())
+    sF = F.sigma(sys.q)
+    neg_A0 = mat_map(A0, lambda x: -x)
+    return MatrixSeries(
+        [mat_dot([(sF.terms[k], Aser.terms[m - k]) for k in range(m + 1) if m - k in nonzero]
+                 + [(neg_A0, F.terms[m])], F.dim, F.one)
+         for m in range(D + 1)],
+        F.one)
 
 
 # ---------------------------------------------------------------- fundamental solutions
@@ -941,7 +948,9 @@ def _json_index(value, what: str) -> int:
     return value
 
 
-def system_from_json(doc: dict) -> QDifferenceSystem:
+def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None) -> QDifferenceSystem:
+    """The system of a JSON document; ``max_exponents`` caps the powers in
+    its entries as in :func:`qonf.polyq.parse_bivariate`."""
     n = _json_index(doc["n"], "system size n")
     if n < 1:
         raise ValueError(f"system size n = {n} must be at least 1")
@@ -950,10 +959,10 @@ def system_from_json(doc: dict) -> QDifferenceSystem:
     A = [[zero for _ in range(n)] for _ in range(n)]
     for e in doc["entries"]:
         if "entry" in e:
-            f = parse_bivariate(e["entry"])
+            f = parse_bivariate(e["entry"], max_exponents)
         else:
-            num = parse_bivariate(e["num"])
-            den = parse_bivariate(e["den"])
+            num = parse_bivariate(e["num"], max_exponents)
+            den = parse_bivariate(e["den"], max_exponents)
             f = num / den
         i, j = _json_index(e["i"], "entry index i"), _json_index(e["j"], "entry index j")
         if not (0 <= i < n and 0 <= j < n):

@@ -292,14 +292,20 @@ def _log_qpoch_euler_maclaurin(a: complex, lam: float, tol: float):
 def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
     """log of (a;q)_infinity, within absolute truncation error tol.
 
-    Two evaluations, chosen by an error bound:
+    ``tol`` bounds the truncation only: the remainder of the expansion, or
+    the tail of the sum.  Rounding comes on top of it, and it can exceed tol
+    when tol is near machine precision eps.  Two evaluations, chosen by the
+    truncation bound:
 
     - for q in (0, 1), the Euler-Maclaurin expansion in lam = -log q (see
       :func:`_log_qpoch_euler_maclaurin`) whenever its remainder bound is at
       most tol.  It costs a few microseconds however close q is to 1, and it
-      holds when a is far from the cut [1, inf) compared with lam;
+      holds when a is far from the cut [1, inf) compared with lam.  Its
+      rounding is about eps |Li_2(a)| / lam, from the leading term;
     - otherwise (complex q, a on or near [1, inf), q not close to 1) the sum
-      of log(1 - q^r a) with a geometric tail bound.
+      of log(1 - q^r a) with a geometric tail bound.  Term r rounds by
+      about eps r |log q|, from its exponent r log q + log a, so the error
+      grows with the number of terms (about 2e-11 over 30000 terms).
 
     Returns -inf when some factor vanishes to machine precision.  The branch
     is the sum of principal logs of the factors.  For q in (0, 1) the

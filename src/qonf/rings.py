@@ -510,6 +510,74 @@ def limit_q_to_1(f) -> Fraction:
     raise TypeError(f"no exact q->1 limit for {type(f)!r}")
 
 
+def rfq_dot(pairs):
+    """sum of a * b over the list ``pairs`` of (a, b), with one reduction.
+
+    When there are two or more pairs, the first factor is a
+    :class:`RationalFunctionQ` and every factor is one, an int or a
+    Fraction, the products are not cross-cancelled.  They are bucketed by
+    their pair of denominators, and the numerators of a bucket are added
+    with no gcd.  The buckets are then combined over a running lcm, one
+    :func:`ipoly_gcd` per distinct denominator, and the sum is reduced once
+    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5-6).  The
+    canonical pair is unique, so the result equals the left fold of ``*``
+    and ``+``.  A single product, and any other scalars (Fraction alone,
+    float, complex, Poly), take that left fold, in order.  An empty sum is
+    the zero of Q(q).
+    """
+    if not pairs:
+        return RationalFunctionQ.zero()
+    if len(pairs) == 1 or type(pairs[0][0]) is not RationalFunctionQ:
+        return _fold_dot(pairs)
+    buckets = {}
+    for a, b in pairs:
+        na, da = _exact_parts(a)
+        nb, db = _exact_parts(b)
+        if na is None or nb is None:
+            return _fold_dot(pairs)
+        if not na or not nb:
+            continue
+        key = (da, db) if da <= db else (db, da)
+        num = ipoly_mul(na, nb)
+        prev = buckets.get(key)
+        buckets[key] = num if prev is None else _ipoly_add(prev, num)
+    num, den = [], [1]
+    for (da, db), n in buckets.items():
+        if not n:
+            continue
+        d = ipoly_mul(da, db)
+        if not num:
+            num, den = n, d
+        elif d == den:
+            num = _ipoly_add(num, n)
+        else:
+            # num/(g a) + n/(g b) = (num b + n a)/(g a b), over lcm = g a b
+            _, a, b = ipoly_gcd(den, d)
+            num = _ipoly_add(ipoly_mul(num, b), ipoly_mul(n, a))
+            den = ipoly_mul(den, b)
+    return RationalFunctionQ._make(*_reduce(num, den))
+
+
+def _exact_parts(x):
+    """(numerator, denominator) integer tuples of an exact scalar, or
+    (None, None) for any other type."""
+    if type(x) is RationalFunctionQ:
+        return x._n, x._d
+    if isinstance(x, int):
+        return ((x,) if x else ()), (1,)
+    if isinstance(x, Fraction):
+        return ((x.numerator,) if x else ()), (x.denominator,)
+    return None, None
+
+
+def _fold_dot(pairs):
+    a, b = pairs[0]
+    acc = a * b
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc
+
+
 # -- generic scalar helpers --------------------------------------------------
 
 
@@ -635,14 +703,9 @@ class NilpotentElement:
 def nil_mul(a: NilpotentElement, b: NilpotentElement) -> NilpotentElement:
     """Truncated convolution implementing the quotient-ring product."""
     a._check(b)
-    n = a.order
-    out = []
-    for k in range(n + 1):
-        acc = a.coeffs[0] * b.coeffs[k]
-        for i in range(1, k + 1):
-            acc = acc + a.coeffs[i] * b.coeffs[k - i]
-        out.append(acc)
-    return NilpotentElement(n, out)
+    ac, bc = a.coeffs, b.coeffs
+    return NilpotentElement(a.order, [rfq_dot([(ac[i], bc[k - i]) for i in range(k + 1)])
+                                      for k in range(a.order + 1)])
 
 
 def nil_inv(a: NilpotentElement) -> NilpotentElement:
@@ -656,7 +719,7 @@ def nil_inv(a: NilpotentElement) -> NilpotentElement:
     term = NilpotentElement.from_scalar(a.order, one_like(a0))
     acc = term
     for _ in range(a.order):
-        term = nil_mul(term, u).scale(-one_like(a0))
+        term = -nil_mul(term, u)
         acc = acc + term
     return acc.scale(inv0)
 
@@ -812,16 +875,9 @@ class Poly:
 
     def shift(self, k: int = 1) -> "Poly":
         """Substitute X -> X + k (binomial re-expansion)."""
-        if not self.coeffs:
-            return self
-        n = len(self.coeffs)
-        out = [zero_like(self.one) for _ in range(n)]
-        for j, c in enumerate(self.coeffs):
-            if scalar_is_zero(c):
-                continue
-            for m in range(j, -1, -1):
-                out[m] = out[m] + (comb(j, m) * (k ** (j - m))) * c
-        return Poly(out, self.one)
+        cs = self.coeffs
+        return Poly([rfq_dot([(cs[j], comb(j, m) * k ** (j - m)) for j in range(m, len(cs))])
+                     for m in range(len(cs))], self.one)
 
     def evaluate(self, x):
         acc = zero_like(self.one)

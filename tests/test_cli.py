@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -164,6 +165,50 @@ class TestSystems:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be at least 0" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nd", "--dmax", "100000"),
+            ("solve", "--builtin", "pn-j", "--N", "2", "--D", "100000"),
+            ("qhg", "--upper", "0.3,1.7", "--lower", "0.9", "--q", "0.35",
+             "--D", "100000000", "--at", "0.2"),
+            ("solve", "--file", "{big}", "--D", "2"),
+        ],
+        ids=["nd-dmax", "solve-D", "qhg-D", "file-q-exponent"],
+    )
+    def test_oversized_input_exits_2_fast(self, tmp_path, capsys, argv):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1 + q^200000*Q"}]}))
+        start = time.perf_counter()
+        code = main([a.format(big=path) for a in argv])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 1.0
+        assert err.startswith("error: ") and "exceeds the limit" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, what",
+        [("(q^100)^100", "q-exponent 10000"), ("1 + Q^5000", "Q-exponent 5000"),
+         ("2^100000", "q-exponent 100000"), ("1/(1 - q)^2000", "q-exponent 2000")],
+        ids=["nested-power", "Q-power", "constant-power", "negative-power"],
+    )
+    def test_oversized_entry_power_is_rejected_before_it_is_formed(self, tmp_path, capsys,
+                                                                   entry, what):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": entry}]}))
+        assert main(["confluence", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert what in err and "exceeds the limit 1000" in err and err.count("\n") == 1
+
+    def test_size_limits_in_help(self):
+        from qonf.cli import SIZE_LIMITS, build_parser
+
+        text = build_parser().format_help()
+        for name, commands, cap in SIZE_LIMITS:
+            assert f"{name} <= {cap} for {', '.join(commands)}" in text
 
     def test_birkhoff(self, capsys):
         code, out = run(capsys, "birkhoff", "--q", "0.55", "--Q", "0.7+1.1j")

@@ -32,6 +32,7 @@ from qonf.rings import (
     nil_inv,
     nil_mul,
     parse_poly,
+    rfq_dot,
     series_from_json,
     series_mul,
     series_scale_pullback,
@@ -498,3 +499,134 @@ class TestSerialization:
         assert parse_poly(format_poly(cs, "q"), "q") == cs
         assert parse_poly("0", "q") == []
         assert format_poly([], "q") == "0"
+
+
+# ---------------------------------------------------------------- fused sums of products
+
+# shared denominators (descending integer coefficients) make equal-denominator
+# buckets common, as in the gauge series
+DOT_DENOMINATORS = [[1], [1, -1], [1, -2, 1], [1, 1, 1], [2, 3], [3, 0, 1]]
+
+
+@st.composite
+def dot_factors(draw):
+    kind = draw(st.sampled_from(["rfq", "rfq", "rfq", "rfq", "zero", "int", "fraction"]))
+    if kind == "zero":
+        return RationalFunctionQ.zero()
+    if kind == "int":
+        return draw(st.integers(-5, 5))
+    if kind == "fraction":
+        return draw(small_fracs)
+    num = draw(st.lists(small_fracs, max_size=5))
+    den = draw(st.one_of(
+        st.sampled_from(DOT_DENOMINATORS),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+    ))
+    return RationalFunctionQ(num, den)
+
+
+def fold_dot(pairs):
+    """The reference: left fold of * and +; the empty sum is the zero of Q(q)."""
+    if not pairs:
+        return RationalFunctionQ.zero()
+    acc = pairs[0][0] * pairs[0][1]
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc
+
+
+def same_scalar(got, want):
+    return type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+class TestRfqDot:
+    @given(st.lists(st.tuples(dot_factors(), dot_factors()), max_size=6), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_left_fold(self, pairs, cancel):
+        if cancel:  # every product also appears negated: the sum is exactly 0
+            pairs = pairs + [(-a, b) for a, b in pairs]
+        got = rfq_dot(pairs)
+        assert same_scalar(got, fold_dot(pairs))
+        if cancel:
+            assert got == 0
+
+    def test_empty_and_all_zero(self):
+        assert same_scalar(rfq_dot([]), RationalFunctionQ.zero())
+        zero = RationalFunctionQ.zero()
+        assert same_scalar(rfq_dot([(zero, Q), (1 / (1 - Q), zero), (zero, zero)]), zero)
+
+    def test_equal_denominators_reduce(self):
+        d = 1 / (1 - Q)
+        # q/(1-q) - 1/(1-q) = -1 once reduced
+        got = rfq_dot([(d, Q), (d, -ONE)])
+        assert same_scalar(got, -ONE)
+        assert got.integer_pair() == ((-1,), (1,))
+
+    def test_constants_and_mixed_factors(self):
+        pairs = [(ONE * F(1, 2), 3), (Q / (1 + Q), F(2, 3)), (ONE, Q**2)]
+        assert same_scalar(rfq_dot(pairs), fold_dot(pairs))
+        assert same_scalar(rfq_dot([(F(1, 2), F(2, 3)), (2, 5)]), F(31, 3))
+
+
+def exact_matrices(n):
+    entry = st.one_of(
+        st.just(RationalFunctionQ.zero()),
+        st.builds(lambda num, den: RationalFunctionQ(num, den),
+                  st.lists(small_fracs, max_size=3),
+                  st.sampled_from(DOT_DENOMINATORS)),
+    )
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def fold_mat_mul(A, B):
+    n = len(A)
+    return [[fold_dot([(A[i][k], B[k][j]) for k in range(n)]) for j in range(n)]
+            for i in range(n)]
+
+
+def fold_mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def same_matrix(got, want):
+    return all(same_scalar(g, w) for rg, rw in zip(got, want) for g, w in zip(rg, rw))
+
+
+class TestFusedMatrixSums:
+    """mat_mul, MatrixSeries.mul and MatrixSeries.inverse against the fold of
+    entrywise * and + they replaced, on random exact 3 x 3 series."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_products_and_inverse_equal_fold(self, data):
+        from qonf.polyq import MatrixSeries, mat_inv, mat_mul, mat_zero
+
+        n, D = 3, 3
+        S = [data.draw(exact_matrices(n)) for _ in range(D + 1)]
+        T = [data.draw(exact_matrices(n)) for _ in range(D + 1)]
+        T[data.draw(st.integers(1, D))] = mat_zero(n, ONE)  # a zero term is skipped
+        assert same_matrix(mat_mul(S[0], T[0]), fold_mat_mul(S[0], T[0]))
+
+        got = MatrixSeries(S, ONE).mul(MatrixSeries(T, ONE)).terms
+        for m in range(D + 1):
+            want = fold_mat_mul(S[0], T[m])
+            for k in range(1, m + 1):
+                want = fold_mat_add(want, fold_mat_mul(S[k], T[m - k]))
+            assert same_matrix(got[m], want)
+
+        # an invertible constant term: nonzero constants on the diagonal,
+        # anything above it
+        for i in range(n):
+            S[0][i][i] = ONE * data.draw(small_fracs.filter(bool))
+            for j in range(i):
+                S[0][i][j] = RationalFunctionQ.zero()
+        g0 = mat_inv(S[0])
+        inv = MatrixSeries(S, ONE).inverse().terms
+        want = [g0]
+        for m in range(1, D + 1):
+            acc = fold_mat_mul(S[1], want[m - 1])
+            for k in range(2, m + 1):
+                acc = fold_mat_add(acc, fold_mat_mul(S[k], want[m - k]))
+            want.append([[-x for x in row] for row in fold_mat_mul(g0, acc)])
+        for m in range(D + 1):
+            assert same_matrix(inv[m], want[m])
