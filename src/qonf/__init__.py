@@ -42,7 +42,6 @@ from .qdiff import (
     normalize_to_constant,
     q_pullback,
     qhg_bases,
-    qhg_series,
     rank1_product_solution,
     solve_scalar_series,
 )
@@ -58,7 +57,6 @@ from .rings import (
     LogSeries,
     NilpotentElement,
     RationalFunctionQ,
-    TruncatedQSeries,
     limit_q_to_1,
     nil_binomial_power,
     nil_inv,
@@ -77,7 +75,6 @@ __all__ = [
     "QHypergeometricSpec",
     "RationalFunctionQ",
     "ScalarQOperator",
-    "TruncatedQSeries",
     "asymptotic_qpoch_ratio",
     "asymptotic_theta_ratio",
     "builtin_system",
@@ -106,7 +103,6 @@ __all__ = [
     "q_log",
     "q_pullback",
     "qhg_bases",
-    "qhg_series",
     "qpoch_finite",
     "qpoch_infinite",
     "rank1_product_solution",

@@ -18,14 +18,11 @@ from . import confluence as cfl
 from . import gw
 from .qdiff import (
     QHypergeometricSpec,
-    casoratian,
-    companion_system,
     frobenius_solution,
     operator_residual,
     qhg_bases,
+    qhg_coefficients,
     qhg_operator,
-    qhg_series,
-    solve_scalar_series,
     system_from_json,
 )
 from .qspecial import (
@@ -312,13 +309,13 @@ def cmd_qlog(args, cfg) -> int:
 
 def cmd_qhg(args, cfg) -> int:
     spec = QHypergeometricSpec(args.upper, args.lower)
-    series = qhg_series(spec, args.q, args.D)
+    coeffs = qhg_coefficients(spec, args.q, args.D)
     doc = {
         "r": spec.r, "s": spec.s, "q": _cx(args.q), "D": args.D,
-        "coefficients": [_cx(c.coeffs[0]) for c in series.coeffs],
+        "coefficients": [_cx(c) for c in coeffs],
     }
     if args.at is not None:
-        val = sum(series.coeffs[d].coeffs[0] * args.at**d for d in range(args.D + 1))
+        val = sum(coeffs[d] * args.at**d for d in range(args.D + 1))
         doc["value_at_Q"] = _cx(val)
     if args.bases:
         base0, base_inf = qhg_bases(spec, args.q, args.D)

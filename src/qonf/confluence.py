@@ -37,13 +37,14 @@ from .polyq import (
     parse_bivariate,
     ratfunc_matrix_series,
 )
-from .qdiff import (  # q_pullback re-exported: it belongs to this module's surface
+from .qdiff import (
     ConstantPart,
     QDifferenceSystem,
     ResonanceError,
     UnsupportedJordanError,
+    _entry_at,
     _nilpotent_exp,
-    q_pullback,
+    _to_complex,
     solve_gauge,
 )
 from .qspecial import DomainError, log_qpoch_infinite, spiral_contains, spiral_log
@@ -53,7 +54,6 @@ from .rings import (
     ipoly_gcd,
     ipoly_mul,
     ipoly_quo,
-    one_like,
     scalar_is_zero,
     zero_like,
 )
@@ -146,12 +146,7 @@ class DeltaForm:
                 den = entry.den
                 if den.degree < 1:
                     continue
-                coeffs = []
-                for c in reversed(den.coeffs):
-                    if isinstance(c, RationalFunctionQ):
-                        coeffs.append(c.evaluate_complex(q0))
-                    else:
-                        coeffs.append(complex(c))
+                coeffs = [_to_complex(c, q0) for c in reversed(den.coeffs)]
                 for r in np.roots(np.array(coeffs, dtype=complex)):
                     if not any(abs(r - p) < 1e-9 * max(1.0, abs(p)) for p in poles):
                         poles.append(complex(r))
@@ -191,12 +186,7 @@ class ODESystem:
         return len(self.B)
 
     def matrix_at(self, Q: complex):
-        def conv(entry):
-            num = sum(complex(c) * Q**k for k, c in enumerate(entry.num.coeffs))
-            den = sum(complex(c) * Q**k for k, c in enumerate(entry.den.coeffs))
-            return num / den
-
-        return [[conv(e) for e in row] for row in self.B]
+        return [[_entry_at(e, Q, None) for e in row] for row in self.B]
 
 
 class ODEFundamentalSolution:
@@ -291,15 +281,25 @@ def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> ODEFund
         mu = complex(lams.mean())
         N = B0c - mu * np.eye(n)
         return ODEFundamentalSolution(ode, P, "nilpotent", [mu] * n, nilpotent=N, q0=q0)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d = lams[i] - lams[j]
-                if abs(d.imag) < 1e-10 and abs(d.real - round(d.real)) < 1e-10 and round(d.real):
-                    raise ResonanceError(f"eigenvalues differ by the integer {round(d.real)}")
+    resonant = _integer_differences(lams)
+    if resonant:
+        raise ResonanceError(f"eigenvalues differ by the integer {resonant[0][2]}")
     if np.linalg.cond(V) > 1e8:
         raise UnsupportedJordanError("B(0) is numerically defective")
     return ODEFundamentalSolution(ode, P, "diagonalizable", list(lams), basis=V, q0=q0)
+
+
+def _integer_differences(lams) -> list:
+    """(i, j, k) for each ordered pair of eigenvalues with lams[i] - lams[j]
+    within 1e-10 of the nonzero integer k."""
+    out = []
+    for i in range(len(lams)):
+        for j in range(len(lams)):
+            if i != j:
+                d = lams[i] - lams[j]
+                if abs(d.imag) < 1e-10 and abs(d.real - round(d.real)) < 1e-10 and round(d.real):
+                    out.append((i, j, round(d.real)))
+    return out
 
 
 # ---------------------------------------------------------------- the confluence check
@@ -419,14 +419,7 @@ def check_confluent(sys: QDifferenceSystem, q0: complex,
                                 ConditionReport("skipped", "limit not regular singular"),
                                 ode, witnesses)
     B0 = np.array([[complex(e.evaluate(Fraction(0))) for e in row] for row in ode.B])
-    lams = np.linalg.eigvals(B0)
-    resonant = []
-    for i in range(len(lams)):
-        for j in range(len(lams)):
-            if i != j:
-                d = lams[i] - lams[j]
-                if abs(d.imag) < 1e-10 and abs(d.real - round(d.real)) < 1e-10 and round(d.real):
-                    resonant.append((i, j, round(d.real)))
+    resonant = _integer_differences(np.linalg.eigvals(B0))
     if resonant:
         cond3 = ConditionReport("fail", f"integer eigenvalue differences {resonant}")
     else:
@@ -465,10 +458,7 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
     dists = []
     for t in (2.0**-6, 2.0**-9, 2.0**-12):
         qn = q0**t
-        Bq0 = np.array(
-            [[v.evaluate_complex(qn) if isinstance(v, RationalFunctionQ) else complex(v)
-              for v in row] for row in vals0]
-        )
+        Bq0 = np.array([[_to_complex(v, qn) for v in row] for row in vals0])
         lams, V = np.linalg.eig(Bq0)
         order = _match_order(lams, lams_lim)
         V = _normalize_eigvecs(V[:, order])
@@ -843,15 +833,11 @@ def builtin_system(name: str, N: int = 2, z=Fraction(1)) -> QDifferenceSystem:
     raise KeyError(f"unknown builtin system {name!r}")
 
 
-def _check_pn_degree(N: int):
-    if N < 0:
-        raise ValueError(f"projective-space dimension N = {N} must be at least 0")
-
-
 def pn_j_system(N: int, z=Fraction(1)) -> QDifferenceSystem:
     """A = I + (q-1) B for the delta-form companion of the J-function equation,
     already pulled back by Q -> (z/(1-q))^(N+1) Q (so B is q-independent)."""
-    _check_pn_degree(N)
+    if N < 0:
+        raise ValueError(f"projective-space dimension N = {N} must be at least 0")
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     unit = RatFunc.const(one, one)
@@ -862,28 +848,6 @@ def pn_j_system(N: int, z=Fraction(1)) -> QDifferenceSystem:
         B[i][i + 1] = unit
     zq = RationalFunctionQ.from_fraction(Fraction(z))
     B[n - 1][0] = RatFunc.variable(one) * RatFunc.const(1 / zq**n, one)
-    A = [
-        [
-            (unit if i == j else zero) + B[i][j] * RatFunc.const(q - 1, one)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return QDifferenceSystem(tuple(tuple(r) for r in A), q)
-
-
-def pn_j_raw_system(N: int) -> QDifferenceSystem:
-    """The un-pulled-back delta-form system: bottom entry Q/(1-q)^(N+1)."""
-    _check_pn_degree(N)
-    one = RationalFunctionQ.one()
-    zero = RatFunc.const(RationalFunctionQ.zero(), one)
-    unit = RatFunc.const(one, one)
-    q = RationalFunctionQ.q()
-    n = N + 1
-    B = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        B[i][i + 1] = unit
-    B[n - 1][0] = RatFunc.variable(one) * RatFunc.const(1 / (1 - q) ** n, one)
     A = [
         [
             (unit if i == j else zero) + B[i][j] * RatFunc.const(q - 1, one)

@@ -44,6 +44,7 @@ from .rings import (
     nil_binomial_power,
     nil_inv,
     nil_mul,
+    zero_like,
 )
 
 R = RationalFunctionQ
@@ -230,24 +231,25 @@ class JFunctionK:
         return self.coeffs[d][i]
 
 
+def _inverse_product_powers(N: int, D: int, factor, one) -> tuple:
+    """Rows d = 0..D of the eps-coefficients of prod_(r=1..d) (a_r + b_r eps)^-(N+1)
+    in the truncated ring, with (a_r, b_r) = factor(r) and ``one`` its unit."""
+    zero = zero_like(one)
+    rows = [tuple([one] + [zero] * N)]
+    prod = NilpotentElement.from_scalar(N, one)
+    for d in range(1, D + 1):
+        a, b = factor(d)
+        prod = nil_mul(prod, NilpotentElement(N, ([a, b] + [zero] * N)[:N + 1]))
+        rows.append((nil_inv(prod) ** (N + 1)).coeffs)
+    return tuple(rows)
+
+
 def jk_series(N: int, D: int) -> JFunctionK:
     """Oracle form: invert prod_(r=1..d) ((1-q^r) + q^r eps) in the truncated ring."""
     if N < 0 or D < 0:
         raise ValueError("need N >= 0 and D >= 0")
-    one = R.one()
-    rows = [tuple([one] + [R.zero()] * N)]
-    prod = NilpotentElement.from_scalar(N, one)
-    for d in range(1, D + 1):
-        factor = NilpotentElement(
-            N,
-            [R.one_minus_q_pow(d)]
-            + ([R.q_power(d)] if N >= 1 else [])
-            + [R.zero()] * max(0, N - 1),
-        )
-        prod = nil_mul(prod, factor)
-        inv = nil_inv(prod) ** (N + 1)
-        rows.append(inv.coeffs)
-    return JFunctionK(N, D, tuple(rows))
+    return JFunctionK(N, D, _inverse_product_powers(
+        N, D, lambda r: (R.one_minus_q_pow(r), R.q_power(r)), R.one()))
 
 
 def _compositions(total: int, weighted: int, parts: int):
@@ -307,20 +309,22 @@ def jk_closed_formula(N: int, D: int) -> JFunctionK:
     return JFunctionK(N, D, tuple(rows))
 
 
+def _lift(jk: JFunctionK) -> LogSeries:
+    """J as a log-series of L-degree 0."""
+    one = R.one()
+    return LogSeries(jk.D, [NilpotentElement(jk.N, [Poly.const(c, one) for c in row])
+                            for row in jk.coeffs])
+
+
 def jk_modified(N: int, D: int, jk: JFunctionK | None = None) -> LogSeries:
     """(1 - eps)^L * J as a log-series; the eps^i column has L-degree <= i."""
-    jk = jk or jk_series(N, D)
-    one = R.one()
-    prefactor = nil_binomial_power(N, one)
-    coeffs = []
-    for d in range(D + 1):
-        lifted = NilpotentElement(N, [Poly.const(c, one) for c in jk.coeffs[d]])
-        coeffs.append(nil_mul(prefactor, lifted))
-    return LogSeries(D, coeffs)
+    prefactor = nil_binomial_power(N, R.one())
+    lifted = _lift(jk or jk_series(N, D)).coeffs[:D + 1]
+    return LogSeries(D, [nil_mul(prefactor, c) for c in lifted])
 
 
-def _sigma_power_sum(series: LogSeries, N: int, q) -> LogSeries:
-    """(1 - sigma)^(N+1) applied to a log-series."""
+def _sigma_power_sum(series: LogSeries, N: int, step) -> LogSeries:
+    """(1 - step)^(N+1) applied to a log-series, for a linear ``step``."""
     acc = None
     current = series
     for k in range(N + 2):
@@ -328,7 +332,7 @@ def _sigma_power_sum(series: LogSeries, N: int, q) -> LogSeries:
         term = current.scale(Poly.const(coeff * R.one(), R.one()))
         acc = term if acc is None else acc + term
         if k <= N:
-            current = current.sigma(q)
+            current = step(current)
     return acc
 
 
@@ -342,32 +346,16 @@ def jk_qde_residual(N: int, D: int, modified: bool = True):
     q = R.q()
     if modified:
         s = jk_modified(N, D)
-        return _sigma_power_sum(s, N, q) - s.mul_by_Q()
-    jk = jk_series(N, D)
-    one = R.one()
-    series = LogSeries(
-        D,
-        tuple(
-            NilpotentElement(N, [Poly.const(c, one) for c in jk.coeffs[d]])
-            for d in range(D + 1)
-        ),
-    )
-    eps = NilpotentElement.eps(N, Poly.const(one, one))
-    one_minus_eps = NilpotentElement.from_scalar(N, Poly.const(one, one)) - eps
+        return _sigma_power_sum(s, N, lambda x: x.sigma(q)) - s.mul_by_Q()
+    s = _lift(jk_series(N, D))
+    unit = Poly.const(R.one())
+    one_minus_eps = NilpotentElement.from_scalar(N, unit) - NilpotentElement.eps(N, unit)
 
-    def twisted_sigma(s: LogSeries) -> LogSeries:
-        shifted = s.mul_by_q_power(q)
-        return LogSeries(D, tuple(nil_mul(one_minus_eps, c) for c in shifted.coeffs))
+    def twisted_sigma(x: LogSeries) -> LogSeries:
+        # sigma's L-shift does nothing on L-degree 0
+        return LogSeries(D, [nil_mul(one_minus_eps, c) for c in x.sigma(q).coeffs])
 
-    acc = None
-    current = series
-    for k in range(N + 2):
-        coeff = math.comb(N + 1, k) * (-1) ** k
-        term = current.scale(Poly.const(coeff * one, one))
-        acc = term if acc is None else acc + term
-        if k <= N:
-            current = twisted_sigma(current)
-    return acc - series.mul_by_Q()
+    return _sigma_power_sum(s, N, twisted_sigma) - s.mul_by_Q()
 
 
 # ---------------------------------------------------------------- the classical J
@@ -402,16 +390,7 @@ class JFunctionCoh:
 def jcoh_series(N: int, D: int) -> JFunctionCoh:
     """Expand 1/prod (H + rz)^(N+1) by nilpotency of H (via hhat = H/z)."""
     one = Fraction(1)
-    rows = [tuple([one] + [Fraction(0)] * N)]
-    prod = NilpotentElement.from_scalar(N, one)
-    for d in range(1, D + 1):
-        factor = NilpotentElement(
-            N, [Fraction(d)] + ([one] if N >= 1 else []) + [Fraction(0)] * max(0, N - 1)
-        )
-        prod = nil_mul(prod, factor)
-        inv = nil_inv(prod) ** (N + 1)
-        rows.append(inv.coeffs)
-    return JFunctionCoh(N, D, tuple(rows))
+    return JFunctionCoh(N, D, _inverse_product_powers(N, D, lambda r: (Fraction(r), one), one))
 
 
 def jcoh_ode_residual(N: int, D: int, jcoh: JFunctionCoh | None = None) -> LogSeries:

@@ -54,7 +54,6 @@ from .rings import (
     NilpotentElement,
     QonfError,
     RationalFunctionQ,
-    TruncatedQSeries,
     one_like,
     scalar_is_zero,
     zero_like,
@@ -122,14 +121,16 @@ class QDifferenceSystem:
 
 
 def _entry_at(entry: RatFunc, Q: complex, q_num) -> complex:
-    def conv(c):
-        if isinstance(c, RationalFunctionQ):
-            return c.evaluate_complex(q_num)
-        return complex(c)
-
-    num = sum(conv(c) * Q**k for k, c in enumerate(entry.num.coeffs))
-    den = sum(conv(c) * Q**k for k, c in enumerate(entry.den.coeffs))
+    num = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.num.coeffs))
+    den = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.den.coeffs))
     return num / den
+
+
+def _to_complex(x, q_num) -> complex:
+    """A scalar as a complex number, with an exact q specialized at q_num."""
+    if isinstance(x, RationalFunctionQ):
+        return x.evaluate_complex(q_num)
+    return complex(x)
 
 
 def companion_system(op: ScalarQOperator) -> QDifferenceSystem:
@@ -393,15 +394,10 @@ class FundamentalSolutionAt0:
     _numeric_cache: dict = field(default_factory=dict, repr=False)
 
     def _numeric_gauge(self, q_num: complex) -> MatrixSeries:
-        key = q_num
-        if key not in self._numeric_cache:
-            def conv(c):
-                if isinstance(c, RationalFunctionQ):
-                    return c.evaluate_complex(q_num)
-                return complex(c)
-
-            self._numeric_cache[key] = self.gauge.map_entries(conv, 1 + 0j)
-        return self._numeric_cache[key]
+        if q_num not in self._numeric_cache:
+            self._numeric_cache[q_num] = self.gauge.map_entries(
+                lambda c: _to_complex(c, q_num), 1 + 0j)
+        return self._numeric_cache[q_num]
 
     def eval(self, Q: complex, q_num: complex | None = None):
         """Complex value of the fundamental solution matrix at Q."""
@@ -429,12 +425,6 @@ class FundamentalSolutionAt0:
         Xq = self.eval(q * Q, q_num)
         A = np.array(self.sys.matrix_at(Q, q_num), dtype=complex)
         return float(np.abs(Xq - A @ X).max() / max(np.abs(X).max(), 1e-300))
-
-
-def _to_complex(x, q_num):
-    if isinstance(x, RationalFunctionQ):
-        return x.evaluate_complex(q_num)
-    return complex(x)
 
 
 def _nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -540,8 +530,9 @@ def _indicial_values(op_series, q, d: int):
     return acc
 
 
-def solve_scalar_series(op: ScalarQOperator, D: int) -> TruncatedQSeries:
-    """Unique Taylor solution with f_0 = 1 through order D.
+def solve_scalar_series(op: ScalarQOperator, D: int) -> LogSeries:
+    """Unique Taylor solution with f_0 = 1 through order D, as a
+    :class:`LogSeries` of nilpotent order 0 and L-degree 0.
 
     Raises :class:`ResonanceError` naming the degree if the indicial factor
     vanishes at some 1 <= d <= D.
@@ -561,7 +552,7 @@ def solve_scalar_series(op: ScalarQOperator, D: int) -> TruncatedQSeries:
                     continue
                 acc = acc + ak[i] * (q ** (k * (d - i)) * coeffs[d - i])
         coeffs.append(-acc / ind)
-    return TruncatedQSeries(D, [NilpotentElement(0, [c]) for c in coeffs])
+    return LogSeries(D, [NilpotentElement(0, [Poly.const(c, one)]) for c in coeffs])
 
 
 def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:
@@ -717,11 +708,6 @@ def qhg_coefficients(spec: QHypergeometricSpec, q: complex, D: int) -> list[comp
         out.append(out[-1] * ratio)
         qd *= q
     return out
-
-
-def qhg_series(spec: QHypergeometricSpec, q: complex, D: int) -> TruncatedQSeries:
-    coeffs = qhg_coefficients(spec, q, D)
-    return TruncatedQSeries(D, [NilpotentElement(0, [c]) for c in coeffs])
 
 
 def qhg_operator(spec: QHypergeometricSpec, q: complex) -> ScalarQOperator:

@@ -7,12 +7,12 @@ Three scalar rings appear throughout the package:
 * complex floats (plain ``complex``).
 
 On top of these sit the truncated nilpotent ring C[eps]/(eps^(N+1))
-(:class:`NilpotentElement`), truncated power series in the Novikov variable Q
-(:class:`TruncatedQSeries`), and series whose coefficients also carry powers of
-an inert log symbol L (:class:`LogSeries`).  L models the q-logarithm: it is
-untouched by ring operations and shifts as L -> L+1 under the dilation
-Q -> qQ.  Polynomials in L, like those in the equation variable Q, are the
-one dense polynomial type :class:`Poly`.
+(:class:`NilpotentElement`) and the one truncated power series type in the
+Novikov variable Q, :class:`LogSeries`, whose nilpotent coefficients are
+polynomials in an inert log symbol L; a plain Q-series is its L-degree-0
+case.  L models the q-logarithm: it is untouched by ring operations and
+shifts as L -> L+1 under the dilation Q -> qQ.  Polynomials in L, like those
+in the equation variable Q, are the one dense polynomial type :class:`Poly`.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -876,6 +876,8 @@ class Poly:
     def shift(self, k: int = 1) -> "Poly":
         """Substitute X -> X + k (binomial re-expansion)."""
         cs = self.coeffs
+        if len(cs) <= 1:  # a constant is unchanged
+            return self
         return Poly([rfq_dot([(cs[j], comb(j, m) * k ** (j - m)) for j in range(m, len(cs))])
                      for m in range(len(cs))], self.one)
 
@@ -927,8 +929,37 @@ def _binom_of_poly(e: Poly, k: int, one) -> Poly:
 # -- truncated series in Q ----------------------------------------------------
 
 
-class TruncatedQSeries:
-    """Power series in Q truncated at degree D, coefficients nilpotent elements."""
+def series_mul(a, b):
+    """Truncated Cauchy product of two :class:`LogSeries`."""
+    D = a.truncation
+    out = []
+    for d in range(D + 1):
+        acc = nil_mul(a.coeffs[0], b.coeffs[d])
+        for k in range(1, d + 1):
+            acc = acc + nil_mul(a.coeffs[k], b.coeffs[d - k])
+        out.append(acc)
+    return LogSeries(D, out)
+
+
+def series_scale_pullback(s, c):
+    """Substitute Q -> c*Q: the Q^d coefficient picks up the factor c^d."""
+    out = []
+    power = one_like(c)
+    for d in range(s.truncation + 1):
+        out.append(s.coeffs[d].scale(power) if d else s.coeffs[0])
+        power = power * c
+    return LogSeries(s.truncation, out)
+
+
+class LogSeries:
+    """Series sum_{d,m} c_{d,m} Q^d L^m with nilpotent-element coefficients.
+
+    Implemented as a Q-series truncated at degree D whose nilpotent
+    coefficients, all of one order N, have :class:`Poly` entries in L; a
+    plain series has L-degree 0.  The dilation operator acts by
+    Q^d -> q^d Q^d and L -> L + 1 simultaneously, which is exactly the shift
+    behaviour of the q-logarithm.
+    """
 
     __slots__ = ("truncation", "coeffs")
 
@@ -946,71 +977,6 @@ class TruncatedQSeries:
     def order(self) -> int:
         return self.coeffs[0].order
 
-    def __add__(self, other):
-        return TruncatedQSeries(
-            self.truncation, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        return TruncatedQSeries(
-            self.truncation, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedQSeries)
-            and self.truncation == other.truncation
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        return f"TruncatedQSeries(D={self.truncation}, N={self.order})"
-
-
-def series_mul(a, b):
-    """Truncated Cauchy product of two series of the same type."""
-    D = a.truncation
-    out = []
-    for d in range(D + 1):
-        acc = nil_mul(a.coeffs[0], b.coeffs[d])
-        for k in range(1, d + 1):
-            acc = acc + nil_mul(a.coeffs[k], b.coeffs[d - k])
-        out.append(acc)
-    return type(a)(D, out)
-
-
-def series_scale_pullback(s, c):
-    """Substitute Q -> c*Q: the Q^d coefficient picks up the factor c^d."""
-    out = []
-    power = one_like(c)
-    for d in range(s.truncation + 1):
-        out.append(s.coeffs[d].scale(power) if d else s.coeffs[0])
-        power = power * c
-    return type(s)(s.truncation, out)
-
-
-class LogSeries:
-    """Series sum_{d,m} c_{d,m} Q^d L^m with nilpotent-element coefficients.
-
-    Implemented as a Q-series whose nilpotent coefficients have
-    :class:`Poly` entries in L.  The dilation operator acts by Q^d -> q^d Q^d and
-    L -> L + 1 simultaneously, which is exactly the shift behaviour of the
-    q-logarithm.
-    """
-
-    __slots__ = ("truncation", "coeffs")
-
-    def __init__(self, truncation: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != truncation + 1:
-            raise ValueError("coefficient count does not match truncation")
-        self.truncation = truncation
-        self.coeffs = coeffs
-
-    @property
-    def order(self) -> int:
-        return self.coeffs[0].order
-
     @property
     def logdegree(self) -> int:
         m = 0
@@ -1018,11 +984,6 @@ class LogSeries:
             for lp in c.coeffs:
                 m = max(m, lp.degree if not lp.is_zero else 0)
         return m
-
-    @classmethod
-    def from_tqs(cls, s: TruncatedQSeries, one) -> "LogSeries":
-        lift = lambda c: c.map_coeffs(lambda x: Poly.const(x, one))
-        return cls(s.truncation, tuple(lift(c) for c in s.coeffs))
 
     def coefficient(self, d: int, i: int, m: int):
         """Scalar coefficient of Q^d eps^i L^m."""
@@ -1050,16 +1011,6 @@ class LogSeries:
         power = one_like(q)
         for d in range(self.truncation + 1):
             c = self.coeffs[d].map_coeffs(lambda lp: lp.shift(1))
-            out.append(c.scale(Poly.const(power, c.coeffs[0].one)) if d else c)
-            power = power * q
-        return LogSeries(self.truncation, out)
-
-    def mul_by_q_power(self, q) -> "LogSeries":
-        """Multiply the Q^d coefficient by q^d (dilation without the L-shift)."""
-        out = []
-        power = one_like(q)
-        for d in range(self.truncation + 1):
-            c = self.coeffs[d]
             out.append(c.scale(Poly.const(power, c.coeffs[0].one)) if d else c)
             power = power * q
         return LogSeries(self.truncation, out)
@@ -1148,8 +1099,6 @@ def _scalar_num_den_strings(c):
 
 def series_to_json(s) -> dict:
     """Spec'd JSON form: exact coefficients keyed by (d, i, m)."""
-    if isinstance(s, TruncatedQSeries):
-        s = LogSeries.from_tqs(s, _guess_base_one(s))
     rows = []
     for d in range(s.truncation + 1):
         nil = s.coeffs[d]
@@ -1162,10 +1111,6 @@ def series_to_json(s) -> dict:
                 num, den = _scalar_num_den_strings(c)
                 rows.append({"d": d, "i": i, "m": m, "num": num, "den": den})
     return {"N": s.order, "D": s.truncation, "coeffs": rows}
-
-
-def _guess_base_one(s: TruncatedQSeries):
-    return one_like(s.coeffs[0].coeffs[0])
 
 
 def series_from_json(doc: dict, *, exact_q: bool | None = None) -> LogSeries:

@@ -23,7 +23,6 @@ from .qdiff import (
     QHypergeometricSpec,
     ScalarQOperator,
     casoratian,
-    companion_system,
     frobenius_log_solutions,
     frobenius_solution,
     gauge_residual_series,

@@ -26,12 +26,11 @@ from qonf.confluence import (
     ode_frobenius_solution,
     ode_gauge_residual,
     ode_normalize_to_constant,
-    pn_j_raw_system,
     pn_j_system,
     root_taylor,
 )
 from qonf.polyq import Poly, RatFunc, parse_bivariate
-from qonf.qdiff import QDifferenceSystem, UnsupportedJordanError, frobenius_solution
+from qonf.qdiff import QDifferenceSystem, UnsupportedJordanError, frobenius_solution, q_pullback
 from qonf.qspecial import DomainError, q_character, q_log, qpoch_infinite
 from qonf.rings import LimitUndefinedError, RationalFunctionQ as R, limit_q_to_1
 
@@ -146,7 +145,7 @@ class TestVerdicts:
         assert B[3][0] == RatFunc(Poly([F(0), F(1)], F(1)))
 
     def test_pn_j_raw_fails_condition_2(self):
-        rep = check_confluent(pn_j_raw_system(2), Q0)
+        rep = check_confluent(q_pullback(pn_j_system(2), (1 - R.q()) ** 3), Q0)
         assert not rep.confluent
         assert rep.limit_exists.status == "fail"
 

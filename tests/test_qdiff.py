@@ -42,14 +42,13 @@ from qonf.qdiff import (
     qhg_bases,
     qhg_coefficients,
     qhg_operator,
-    qhg_series,
     rank1_product_solution,
     solve_scalar_series,
     solve_sylvester,
     system_from_json,
     system_to_json,
 )
-from qonf.qspecial import PoleProximityError, q_character, q_log
+from qonf.qspecial import PoleProximityError, q_character, q_log, qpoch_finite
 from qonf.rings import RationalFunctionQ as R
 
 
@@ -415,18 +414,18 @@ class TestScalarSeries:
     def test_trvial_operator(self):
         op = ScalarQOperator((rf("1"), rf("-1")), Q_SYM)
         sol = solve_scalar_series(op, 5)
-        assert sol.coeffs[0].coeffs[0] == ONE
-        assert all(sol.coeffs[d].coeffs[0].is_zero for d in range(1, 6))
+        assert sol.coefficient(0, 0, 0) == ONE
+        assert all(sol.coefficient(d, 0, 0).is_zero for d in range(1, 6))
 
     def test_p2_series(self):
         sol = solve_scalar_series(pn_operator(2), 6)
         for d in range(7):
-            assert sol.coeffs[d].coeffs[0] == 1 / qpoch(d) ** 3
+            assert sol.coefficient(d, 0, 0) == 1 / qpoch(d) ** 3
 
     def test_rank_one_series(self):
         sol = solve_scalar_series(pn_operator(0), 6)
         for d in range(7):
-            assert sol.coeffs[d].coeffs[0] == 1 / qpoch(d)
+            assert sol.coefficient(d, 0, 0) == 1 / qpoch(d)
 
     def test_vanishing_indicial_factor(self):
         # sigma f = q f has indicial factor 1 - q^(d-1), vanishing at d = 1
@@ -481,7 +480,7 @@ class TestLogSolutions:
         for m, s in enumerate(sols):
             assert s.logdegree == m
             for d in range(6):
-                assert s.coefficient(d, 0, m) == taylor.coeffs[d].coeffs[0]
+                assert s.coefficient(d, 0, m) == taylor.coefficient(d, 0, 0)
 
     def test_numeric_oracle_second_solution(self):
         # evaluate with the true q-logarithm and apply the operator pointwise
@@ -557,10 +556,20 @@ class TestQHypergeometric:
         spec = QHypergeometricSpec((0.3 + 0.1j, 1.7 - 0.4j), (0.9 + 0.6j,))
         q = 0.35
         base0, _ = qhg_bases(spec, q, 150)
-        s = qhg_series(spec, q, 150)
+        coeffs = qhg_coefficients(spec, q, 150)
         Qpt = 0.3 + 0.1j
-        direct = sum(s.coeffs[d].coeffs[0] * Qpt**d for d in range(151))
+        direct = sum(coeffs[d] * Qpt**d for d in range(151))
         assert base0[0].eval(Qpt) == pytest.approx(direct, rel=1e-12)
+        # the coefficients against the product form
+        # prod (a;q)_d / ((q;q)_d prod (b;q)_d) ((-1)^d q^(d(d-1)/2))^(1+s-r)
+        e = 1 + spec.s - spec.r
+        for d, c in enumerate(coeffs):
+            want = qpoch_finite(q, q, d) ** -1 * ((-1) ** d * q ** (d * (d - 1) / 2)) ** e
+            for a in spec.upper:
+                want *= qpoch_finite(a, q, d)
+            for b in spec.lower:
+                want /= qpoch_finite(b, q, d)
+            assert c == pytest.approx(want, rel=1e-12)
 
     def test_resonant_parameters_rejected(self):
         q = 0.35
