@@ -164,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="Frobenius solution of a builtin or JSON system")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=("pochhammer-raw", "pochhammer-scaled",
-                                             "irregular-limit", "pn-j"))
+    group.add_argument("--builtin", choices=cfl.BUILTIN_SYSTEMS)
     group.add_argument("--file", default=None)
     add_size(sp, "solve", "--N", default=2)
     sp.add_argument("--z", type=_fraction, default=Fraction(1))
@@ -181,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("confluence", help="four-condition confluence report")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=("pochhammer-raw", "pochhammer-scaled",
-                                             "irregular-limit", "pn-j"))
+    group.add_argument("--builtin", choices=cfl.BUILTIN_SYSTEMS)
     group.add_argument("--file", default=None)
     add_size(sp, "confluence", "--N", default=2)
     sp.add_argument("--z", type=_fraction, default=Fraction(1))

@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -31,26 +32,36 @@ from .polyq import (
     Poly,
     RatFunc,
     mat_add,
-    mat_mul,
+    mat_dot,
+    mat_eye,
+    mat_map,
     mat_scale,
-    mat_sub,
     parse_bivariate,
     ratfunc_matrix_series,
 )
 from .qdiff import (
     ConstantPart,
+    FundamentalSolutionAt0,
     QDifferenceSystem,
     ResonanceError,
     UnsupportedJordanError,
     _entry_at,
-    _nilpotent_exp,
     _to_complex,
+    numerically_defective,
     solve_gauge,
 )
-from .qspecial import DomainError, log_qpoch_infinite, spiral_contains, spiral_log
+from .qspecial import (
+    DomainError,
+    char_power,
+    log_qpoch_infinite,
+    log_theta,
+    spiral_contains,
+    spiral_log,
+)
 from .rings import (
     LimitUndefinedError,
     RationalFunctionQ,
+    format_poly,
     ipoly_gcd,
     ipoly_mul,
     ipoly_quo,
@@ -189,104 +200,69 @@ class ODESystem:
         return [[_entry_at(e, Q, None) for e in row] for row in self.B]
 
 
-class ODEFundamentalSolution:
-    """X(Q) = P(Q) * Q^(B(0)) with P(0) = I, for the supported Jordan cases."""
-
-    def __init__(self, ode: ODESystem, gauge: MatrixSeries, kind: str,
-                 eigenvalues, basis=None, nilpotent=None, q0: complex = 0.5):
-        self.ode = ode
-        self.gauge = gauge
-        self.kind = kind
-        self.eigenvalues = eigenvalues
-        self.basis = basis
-        self.nilpotent = nilpotent
-        self.q0 = q0
-
-    def eval(self, Q: complex):
-        G = self.gauge.map_entries(lambda c: complex(c), 1 + 0j).evaluate(complex(Q))
-        n = self.ode.n
-        logQ = spiral_log(Q, self.q0)
-        if self.kind == "diagonalizable":
-            V = self.basis
-            D = np.diag([cmath.exp(lam * logQ) for lam in self.eigenvalues])
-            E = V @ D @ np.linalg.inv(V)
-        else:
-            mu = self.eigenvalues[0]
-            N = np.array(self.nilpotent, dtype=complex)
-            E = cmath.exp(complex(mu) * logQ) * _nilpotent_exp(logQ * N)
-        return np.array(G, dtype=complex) @ E
-
-    def derivative_residual(self, Q: complex, h: float = 1e-6) -> float:
-        """|Q X'(Q) - B(Q) X(Q)| by central differences, relative."""
-        Xp = (self.eval(Q * (1 + h)) - self.eval(Q * (1 - h))) / (2 * h)
-        X = self.eval(Q)
-        B = np.array(self.ode.matrix_at(Q), dtype=complex)
-        return float(np.abs(Xp - B @ X).max() / max(np.abs(X).max(), 1e-300))
+def _ode_power(lam, q0: complex, Q: complex) -> complex:
+    return char_power(Q, lam, q0)
 
 
-def ode_normalize_to_constant(ode: ODESystem, D: int):
-    """Gauge P with P(0) = I and Q P' + P B(0) = B(Q) P through order D.
-
-    Returns (P, B(0)); X = P(Q) Q^(B(0)) solves the system.  Degree m solves
-    m P_m + P_m B0 - B0 P_m = sum_{k=1..m} B_k P_{m-k}, the q side's
-    Sylvester equation with c = m, s = 1 (:func:`qonf.qdiff.solve_sylvester`).
-    """
-    Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
-    B0 = Bser.terms[0]
-    return _ode_gauge(Bser, ConstantPart.of(B0, Bser.one), D), B0
-
-
-def _ode_gauge(Bser: MatrixSeries, part: ConstantPart, D: int) -> MatrixSeries:
-    one = Bser.one
-    return solve_gauge(Bser, part, D, lambda m: (m * one, one),
-                       "integer eigenvalue difference")
+def _ode_log(q0: complex, Q: complex) -> complex:
+    return spiral_log(Q, q0)
 
 
 def ode_gauge_residual(ode: ODESystem, P: MatrixSeries, B0) -> MatrixSeries:
-    """Q P' + P B0 - B P as a series (zero through the truncation)."""
+    """Q P' + P B0 - B P as a series (zero through the truncation).
+
+    Degree m is one :func:`mat_dot`: P_m (B0 + m I), then the products
+    (-B_k) P_{m-k} over the nonzero B_k.
+    """
     D = P.truncation
     one = P.one
+    n = P.dim
     Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
-    terms = []
-    for m in range(D + 1):
-        t = mat_scale(P.terms[m], m * one)
-        t = mat_add(t, mat_mul(P.terms[m], B0))
-        for k in range(m + 1):
-            t = mat_sub(t, mat_mul(Bser.terms[k], P.terms[m - k]))
-        terms.append(t)
-    return MatrixSeries(terms, one)
+    neg_B = {k: mat_map(Bser.terms[k], lambda x: -x) for k in Bser.nonzero_degrees()}
+    eye = mat_eye(n, one)
+    return MatrixSeries(
+        [mat_dot([(P.terms[m], mat_add(B0, mat_scale(eye, m * one)))]
+                 + [(neg_B[k], P.terms[m - k]) for k in neg_B if k <= m], n, one)
+         for m in range(D + 1)],
+        one)
 
 
-def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> ODEFundamentalSolution:
+def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> FundamentalSolutionAt0:
     """Fundamental solution P(Q) Q^(B(0)) of a regular-singular ODE at 0.
 
     Same Jordan restrictions as the q-side: B(0) diagonalizable with
     non-resonant (integer-difference-free) eigenvalues, or a single
-    eigenvalue with nilpotent part.
+    eigenvalue with nilpotent part; an exact B(0) is classified before any
+    degree is solved.  The gauge P has P(0) = I and Q P' + P B(0) = B(Q) P;
+    degree m solves m P_m + P_m B0 - B0 P_m = sum_{k=1..m} B_k P_{m-k}, the
+    q side's Sylvester equation with c = m, s = 1.  The solution evaluates
+    Q^lam and log Q on the branch cut along the spiral (-1) q0^R
+    (:func:`qonf.qspecial.spiral_log`).
     """
     Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
     B0 = Bser.terms[0]
     one = Bser.one
     n = ode.n
     part = ConstantPart.of(B0, one)
-    if not isinstance(one, (float, complex)):  # exact: classified before solving
-        if not part.nilpotent:
-            raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
-        P = _ode_gauge(Bser, part, D)
-        return ODEFundamentalSolution(ode, P, "nilpotent", [part.lam] * n, nilpotent=part.N, q0=q0)
-    P = _ode_gauge(Bser, part, D)
+    exact = not isinstance(one, (float, complex))
+    if exact and not part.nilpotent:
+        raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
+    P = solve_gauge(Bser, part, D, lambda m: (m * one, one), "integer eigenvalue difference")
+    solution = partial(FundamentalSolutionAt0, ode, P, q=q0,
+                       character=_ode_power, logarithm=_ode_log)
+    if exact:
+        return solution("nilpotent", [part.lam] * n, nilpotent_log=part.N)
     B0c = np.array([[complex(x) for x in row] for row in B0])
     lams, V = np.linalg.eig(B0c)
     if np.all(np.abs(lams - lams.mean()) < 1e-10 * max(1.0, np.abs(lams).max())):
         mu = complex(lams.mean())
-        N = B0c - mu * np.eye(n)
-        return ODEFundamentalSolution(ode, P, "nilpotent", [mu] * n, nilpotent=N, q0=q0)
+        return solution("nilpotent", [mu] * n, nilpotent_log=B0c - mu * np.eye(n))
     resonant = _integer_differences(lams)
     if resonant:
         raise ResonanceError(f"eigenvalues differ by the integer {resonant[0][2]}")
-    if np.linalg.cond(V) > 1e8:
+    if numerically_defective(V):
         raise UnsupportedJordanError("B(0) is numerically defective")
-    return ODEFundamentalSolution(ode, P, "diagonalizable", list(lams), basis=V, q0=q0)
+    return solution("diagonalizable", list(lams), basis=V)
 
 
 def _integer_differences(lams) -> list:
@@ -360,8 +336,6 @@ class ConfluenceReport:
 
 
 def _fraction_entry_str(e: RatFunc) -> str:
-    from .rings import format_poly
-
     num = format_poly([Fraction(c) for c in e.num.coeffs], "Q")
     if e.den.degree < 1 and e.den.coeffs and Fraction(e.den.coeffs[0]) == 1:
         return num
@@ -450,7 +424,7 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
         return ConditionReport("pass", "B_q(0) is independent of q")
 
     lams_lim, V_lim = np.linalg.eig(B0_limit)
-    if _numerically_defective(B0_limit, V_lim):
+    if numerically_defective(V_lim):
         return ConditionReport(
             "skipped", "limit B(0) is defective; eigenvector comparison not performed"
         )
@@ -466,10 +440,6 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
     if dists[-1] < 1e-3 and dists[-1] <= dists[0] + 1e-12:
         return ConditionReport("pass", f"eigenvector distance along path: {dists}")
     return ConditionReport("fail", f"eigenvector distance along path: {dists}")
-
-
-def _numerically_defective(M, V) -> bool:
-    return np.linalg.cond(V) > 1e8
 
 
 def _normalize_eigvecs(V: np.ndarray) -> np.ndarray:
@@ -584,8 +554,6 @@ def asymptotic_theta_ratio(Q0: complex, alpha1: complex, alpha2: complex,
 
 
 def asymptotic_theta_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14) -> float:
-    from .qspecial import log_theta
-
     q = q0**t
     Q1 = Q0 * q0 ** (alpha1 * t)
     Q2 = Q0 * q0 ** (alpha2 * t)
@@ -762,8 +730,6 @@ class MonodromyCubicExample:
         return self.solution_at_0(q, Q) / self.solution_at_inf(q, 1 / Q)
 
     def birkhoff_theta_form(self, q: complex, Q: complex) -> complex:
-        from .qspecial import log_theta
-
         alphas = self.alphas_at(q)
         total = log_theta(q, -Q) + log_theta(q, 1j * Q) + log_theta(q, Q)
         for a in alphas:
@@ -806,8 +772,12 @@ class MonodromyCubicExample:
 # ---------------------------------------------------------------- builtin systems
 
 
+BUILTIN_SYSTEMS = ("pochhammer-raw", "pochhammer-scaled", "irregular-limit", "pn-j")
+
+
 def builtin_system(name: str, N: int = 2, z=Fraction(1)) -> QDifferenceSystem:
-    """Named example systems used by the CLI and the verification suites.
+    """Named example systems used by the CLI and the verification suites;
+    ``name`` is one of :data:`BUILTIN_SYSTEMS`:
 
     - ``pochhammer-raw``:    f(qQ) = (1 - Q) f(Q)          (fails condition 2)
     - ``pochhammer-scaled``: f(qQ) = (1 - (1-q)Q) f(Q)      (confluent)
@@ -818,7 +788,6 @@ def builtin_system(name: str, N: int = 2, z=Fraction(1)) -> QDifferenceSystem:
                              Q -> (z/(1-q))^(N+1) Q (confluent; the limit is
                              the differential system of the degree-(N+1)
                              J-function ODE)
-    - ``monodromy-cubic``:   the rank-1 worked example above
     """
     if name == "pochhammer-raw":
         return QDifferenceSystem(((parse_bivariate("1 - Q"),),), RationalFunctionQ.q())

@@ -547,10 +547,8 @@ class EquivariantSpec:
             for j in range(n):
                 if i == j:
                     continue
-                mu = (self.lambdas[i] - self.lambdas[j]) / self.z
-                if abs(mu.imag if isinstance(mu, complex) else 0) < 1e-12 and abs(
-                    (mu.real if isinstance(mu, complex) else mu) - round(mu.real if isinstance(mu, complex) else mu)
-                ) < 1e-9:
+                mu = complex((self.lambdas[i] - self.lambdas[j]) / self.z)
+                if abs(mu.imag) < 1e-12 and abs(mu.real - round(mu.real)) < 1e-9:
                     raise DomainError(
                         f"resonant weights: (lambda_{i} - lambda_{j})/z is an integer"
                     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -375,22 +376,35 @@ def gauge_residual_series(sys: QDifferenceSystem, F: MatrixSeries, A0) -> Matrix
 # ---------------------------------------------------------------- fundamental solutions
 
 
+def _q_character(lam, q, Q: complex) -> complex:
+    return q_character(_to_complex(lam, q), q, Q)
+
+
 @dataclass
 class FundamentalSolutionAt0:
-    """Structured solution X = G(Q) * (character part) * exp(qlog(Q) N).
+    """Structured solution X = G(Q) * (character part) * exp(log(Q) N).
 
-    ``gauge`` is the series G with G(0) = I; the constant-matrix factor is
-    either a diagonalizable part (basis V, eigenvalues lam_i, evaluated with
-    the q-characters) or a unipotent part (nilpotent N = log A(0), evaluated
-    with the q-logarithm), per the supported Jordan cases.
+    ``gauge`` is the series G with G(0) = I.  The constant factor is
+    V diag(character(lam_i)) V^{-1} for kind "diagonalizable",
+    exp(log(Q) N) for "unipotent" (A(0) = exp N), and
+    character(lam) exp(log(Q) N) for "nilpotent" (lam I + N), with
+    N = ``nilpotent_log``.  Each side of the confluence supplies its scalar
+    pair, called as ``character(lam, q, Q)`` and ``logarithm(q, Q)``: the q
+    side's e_{q,lam} and qlog, or the ODE side's Q^lam and log Q cut along
+    the spiral (-1) q^R (:func:`qonf.confluence.ode_frobenius_solution`).
+    ``q`` is the numeric q that ``eval`` uses when none is given; the gauge
+    is converted to complex once per q.
     """
 
-    sys: QDifferenceSystem
+    sys: object  # QDifferenceSystem, or a confluence.ODESystem
     gauge: MatrixSeries
-    kind: str  # "diagonalizable" | "unipotent"
+    kind: str  # "diagonalizable" | "unipotent" | "nilpotent"
     eigenvalues: list
+    q: object
     basis: object = None  # numpy array for the diagonalizable case
-    nilpotent_log: object = None  # matrix for the unipotent case
+    nilpotent_log: object = None  # matrix N for the unipotent and nilpotent cases
+    character: object = _q_character
+    logarithm: object = q_log
     _numeric_cache: dict = field(default_factory=dict, repr=False)
 
     def _numeric_gauge(self, q_num: complex) -> MatrixSeries:
@@ -401,30 +415,37 @@ class FundamentalSolutionAt0:
 
     def eval(self, Q: complex, q_num: complex | None = None):
         """Complex value of the fundamental solution matrix at Q."""
-        q = q_num if q_num is not None else self.sys.q
+        q = q_num if q_num is not None else self.q
         if isinstance(q, RationalFunctionQ):
             raise DomainError("numeric evaluation of an exact system needs q_num")
         G = self._numeric_gauge(q).evaluate(complex(Q))
-        n = self.sys.n
         if self.kind == "diagonalizable":
             V = self.basis
-            chars = np.diag([q_character(_to_complex(l, q), q, Q) for l in self.eigenvalues])
+            chars = np.diag([self.character(lam, q, Q) for lam in self.eigenvalues])
             E = V @ chars @ np.linalg.inv(V)
         else:
             Nm = np.array(
                 [[_to_complex(x, q) for x in row] for row in self.nilpotent_log], dtype=complex
             )
-            ell = q_log(q, Q)
-            E = _nilpotent_exp(ell * Nm)
+            E = _nilpotent_exp(self.logarithm(q, Q) * Nm)
+            if self.kind == "nilpotent":
+                E = self.character(self.eigenvalues[0], q, Q) * E
         return np.array(G, dtype=complex) @ E
 
     def shift_residual(self, Q: complex, q_num: complex | None = None) -> float:
-        """max-norm of X(qQ) - A(Q) X(Q), relative to the size of X."""
-        q = q_num if q_num is not None else self.sys.q
+        """max-norm of X(qQ) - A(Q) X(Q), relative to the size of X (q side)."""
+        q = q_num if q_num is not None else self.q
         X = self.eval(Q, q_num)
         Xq = self.eval(q * Q, q_num)
         A = np.array(self.sys.matrix_at(Q, q_num), dtype=complex)
         return float(np.abs(Xq - A @ X).max() / max(np.abs(X).max(), 1e-300))
+
+    def derivative_residual(self, Q: complex, h: float = 1e-6) -> float:
+        """|Q X'(Q) - B(Q) X(Q)| by central differences, relative (ODE side)."""
+        Xp = (self.eval(Q * (1 + h)) - self.eval(Q * (1 - h))) / (2 * h)
+        X = self.eval(Q)
+        B = np.array(self.sys.matrix_at(Q), dtype=complex)
+        return float(np.abs(Xp - B @ X).max() / max(np.abs(X).max(), 1e-300))
 
 
 def _nilpotent_exp(N: np.ndarray) -> np.ndarray:
@@ -473,27 +494,28 @@ def frobenius_solution(sys: QDifferenceSystem, D: int) -> FundamentalSolutionAt0
             "use a numeric q for the diagonalizable case"
         )
     G = solve_gauge(Aser, part, D, _q_coeffs(part, sys.q), "resonant exponent")
+    solution = partial(FundamentalSolutionAt0, sys, G, q=sys.q)
     if sys.is_exact:
         if unipotent:
-            return FundamentalSolutionAt0(
-                sys, G, "unipotent", [one_like(one)] * sys.n,
-                nilpotent_log=_matrix_log_unipotent(A0, one),
-            )
-        return FundamentalSolutionAt0(
-            sys, G, "diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]])
-        )
+            return solution("unipotent", [one_like(one)] * sys.n,
+                            nilpotent_log=_matrix_log_unipotent(A0, one))
+        return solution("diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]]))
     A0c = np.array([[complex(x) for x in row] for row in A0], dtype=complex)
     lams, V = np.linalg.eig(A0c)
     scale = max(np.abs(lams).max(), 1.0)
     if np.all(np.abs(lams - 1.0) < 1e-10 * scale):
-        return FundamentalSolutionAt0(
-            sys, G, "unipotent", [1.0 + 0j] * sys.n,
-            nilpotent_log=_matrix_log_unipotent(A0, one),
-        )
+        return solution("unipotent", [1.0 + 0j] * sys.n,
+                        nilpotent_log=_matrix_log_unipotent(A0, one))
     _check_nonresonant_eigs(lams, sys.q)
-    if np.linalg.cond(V) > 1e8:
+    if numerically_defective(V):
         raise UnsupportedJordanError("A(0) is numerically defective")
-    return FundamentalSolutionAt0(sys, G, "diagonalizable", list(lams), basis=V)
+    return solution("diagonalizable", list(lams), basis=V)
+
+
+def numerically_defective(V) -> bool:
+    """Whether an eigenvector matrix V is too ill-conditioned to diagonalize
+    with: cond(V) > 1e8."""
+    return np.linalg.cond(V) > 1e8
 
 
 def _check_nonresonant_eigs(lams, q: complex, tol: float = 1e-10):

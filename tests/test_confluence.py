@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qonf import confluence as cfl
+from qonf import qdiff
 from qonf.confluence import (
     DEFAULT_T_SCHEDULE,
     ConfluenceReport,
@@ -25,11 +25,10 @@ from qonf.confluence import (
     observed_order,
     ode_frobenius_solution,
     ode_gauge_residual,
-    ode_normalize_to_constant,
     pn_j_system,
     root_taylor,
 )
-from qonf.polyq import Poly, RatFunc, parse_bivariate
+from qonf.polyq import MatrixSeries, Poly, RatFunc, parse_bivariate
 from qonf.qdiff import QDifferenceSystem, UnsupportedJordanError, frobenius_solution, q_pullback
 from qonf.qspecial import DomainError, q_character, q_log, qpoch_infinite
 from qonf.rings import LimitUndefinedError, RationalFunctionQ as R, limit_q_to_1
@@ -184,8 +183,8 @@ class TestOdeFrobenius:
         )
         # eigenvalues of B(0) are 0 and 0 -> nilpotent single-eigenvalue case
         ode = ODESystem(B)
-        P, B0 = ode_normalize_to_constant(ode, 8)
-        assert ode_gauge_residual(ode, P, B0).is_zero()
+        B0 = [[e.evaluate(F(0)) for e in row] for row in B]
+        assert ode_gauge_residual(ode, ode_frobenius_solution(ode, 8).gauge, B0).is_zero()
         sol = ode_frobenius_solution(ode, 25)
         assert sol.derivative_residual(0.08) < 1e-6
 
@@ -193,8 +192,8 @@ class TestOdeFrobenius:
         def refuse(*args):
             raise AssertionError("a Sylvester solve ran before the Jordan check")
 
-        monkeypatch.setattr(cfl, "solve_sylvester", refuse, raising=False)
-        monkeypatch.setattr(cfl, "lin_solve", refuse, raising=False)
+        monkeypatch.setattr(qdiff, "solve_sylvester", refuse)
+        monkeypatch.setattr(qdiff, "lin_solve", refuse)
         one = F(1)
         # B(0) = diag(0, 1/2): two eigenvalues, unsupported in exact mode
         B = (
@@ -203,6 +202,25 @@ class TestOdeFrobenius:
         )
         with pytest.raises(UnsupportedJordanError):
             ode_frobenius_solution(ODESystem(B), 12)
+
+    def test_gauge_converted_to_complex_once_per_q(self, monkeypatch):
+        calls = []
+        map_entries = MatrixSeries.map_entries
+
+        def spy(self, fn, one=None):
+            calls.append(self)
+            return map_entries(self, fn, one)
+
+        ode = check_confluent(pn_j_system(2, F(1)), Q0).limit_system
+        sol = ode_frobenius_solution(ode, 10)
+        monkeypatch.setattr(MatrixSeries, "map_entries", spy)
+        first = sol.eval(0.2)
+        assert np.array_equal(sol.eval(0.2), first)
+        sol.eval(0.1 + 0.1j)
+        assert sol.derivative_residual(0.08) < 1e-6
+        assert calls == [sol.gauge]
+        sol.eval(0.2, q_num=0.25)
+        assert calls == [sol.gauge, sol.gauge]
 
 
 SCHEDULE = tuple(2.0**-j for j in range(4, 15))

@@ -268,6 +268,11 @@ class TestEquivariant:
 
         with pytest.raises(DomainError):
             EquivariantSpec((0.0, 1.0), z=1.0)
+        with pytest.raises(DomainError):  # (lambda_1 - lambda_0)/z = 2
+            EquivariantSpec((0.1j, 2 + 0.7j), z=1 + 0.3j)
+        # near misses: 1e-6 off an integer, and an imaginary part of 1e-9
+        EquivariantSpec((0.0, 2 + 0.6j + 1e-6), z=1 + 0.3j)
+        EquivariantSpec((0.0, 1.0 + 1e-9j), z=1.0)
 
     @pytest.mark.parametrize("lams", [(0.0, 0.5), (0.0, 0.4, 0.9)])
     def test_confluence_match(self, lams):
