@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .confluence import observed_order, richardson_limit
+from .polyq import parse_bivariate
+from .qdiff import ScalarQOperator
 from .qspecial import DomainError, q_log, spiral_contains, spiral_log
 from .rings import (
     LimitUndefinedError,
@@ -216,6 +218,14 @@ def qpoch_exact(d: int) -> RationalFunctionQ:
     for r in range(1, d + 1):
         out = out * R.one_minus_q_pow(r)
     return out
+
+
+def pn_operator(N: int) -> ScalarQOperator:
+    """(1 - sigma)^(N+1) - Q with exact coefficients: the scalar q-difference
+    operator whose Taylor solution at 0 is sum_d Q^d / (q;q)_d^(N+1)."""
+    coeffs = [parse_bivariate(str(math.comb(N + 1, k) * (-1) ** k)) for k in range(N + 2)]
+    coeffs[0] = coeffs[0] - parse_bivariate("Q")
+    return ScalarQOperator(tuple(coeffs), R.q())
 
 
 @dataclass(frozen=True)

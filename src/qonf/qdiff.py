@@ -559,22 +559,7 @@ def solve_scalar_series(op: ScalarQOperator, D: int) -> LogSeries:
     Raises :class:`ResonanceError` naming the degree if the indicial factor
     vanishes at some 1 <= d <= D.
     """
-    ser = _operator_series(op, D)
-    one = op.one
-    q = op.q
-    coeffs = [one]
-    for d in range(1, D + 1):
-        ind = _indicial_values(ser, q, d)
-        if scalar_is_zero(ind):
-            raise ResonanceError(f"vanishing indicial factor at degree {d}", degree=d)
-        acc = zero_like(one)
-        for k, ak in enumerate(ser):
-            for i in range(1, d + 1):
-                if scalar_is_zero(ak[i]):
-                    continue
-                acc = acc + ak[i] * (q ** (k * (d - i)) * coeffs[d - i])
-        coeffs.append(-acc / ind)
-    return LogSeries(D, [NilpotentElement(0, [Poly.const(c, one)]) for c in coeffs])
+    return _log_solution(op, _operator_series(op, D), D, 0)
 
 
 def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:
@@ -601,14 +586,20 @@ def frobenius_log_solutions(op: ScalarQOperator, D: int) -> list[LogSeries]:
     u_j(0) = delta_{jm}.  Mixed indicial roots are not handled here; use
     :func:`frobenius_solution` on the companion system instead.
     """
-    n = op.order
     ser = _operator_series(op, D)
-    one = op.one
-    q = op.q
     if not is_regular_singular_at_0(op):
         raise DomainError("operator is not regular singular at 0")
-    if not _indicial_is_maximal_unipotent(ser, one, n):
+    if not _indicial_is_maximal_unipotent(ser, op.one, op.order):
         raise UnsupportedJordanError("indicial roots are not all equal to 1")
+    return [_log_solution(op, ser, D, m) for m in range(op.order)]
+
+
+def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
+    """The solution sum_{j<=m} u_j(Q) L^j of ``op`` (coefficient series
+    ``ser``) with u_j(0) = delta_{jm}, solved degree by degree and, in each
+    degree, from the top L-level down.  The top level u_m is the Taylor
+    solution; m = 0 is :func:`solve_scalar_series`."""
+    one, q = op.one, op.q
 
     def S(i, dprime, jprime, j):
         # coefficient from a_{k,i} Q^i sigma^k acting on L^{j'} Q^{d'};
@@ -624,29 +615,25 @@ def frobenius_log_solutions(op: ScalarQOperator, D: int) -> list[LogSeries]:
             acc = acc + c * weight * (q ** (k * dprime))
         return acc
 
-    solutions = []
-    for m in range(n):
-        u = [[zero_like(one) for _ in range(D + 1)] for _ in range(m + 1)]
-        u[m][0] = one
-        for d in range(1, D + 1):
-            ind = _indicial_values(ser, q, d)
-            for j in range(m, -1, -1):
-                acc = zero_like(one)
-                for jp in range(j, m + 1):
-                    for i in range(0, d + 1):
-                        if i == 0 and jp == j:
-                            continue  # the unknown term
-                        coeff = S(i, d - i, jp, j)
-                        if scalar_is_zero(coeff):
-                            continue
-                        acc = acc + coeff * u[jp][d - i]
-                u[j][d] = -acc / ind
-        coeffs = []
-        for d in range(D + 1):
-            lp = Poly([u[j][d] for j in range(m + 1)], one)
-            coeffs.append(NilpotentElement(0, [lp]))
-        solutions.append(LogSeries(D, coeffs))
-    return solutions
+    u = [[zero_like(one) for _ in range(D + 1)] for _ in range(m + 1)]
+    u[m][0] = one
+    for d in range(1, D + 1):
+        ind = _indicial_values(ser, q, d)
+        if scalar_is_zero(ind):
+            raise ResonanceError(f"vanishing indicial factor at degree {d}", degree=d)
+        for j in range(m, -1, -1):
+            acc = zero_like(one)
+            for jp in range(j, m + 1):
+                for i in range(0, d + 1):
+                    if i == 0 and jp == j:
+                        continue  # the unknown term
+                    coeff = S(i, d - i, jp, j)
+                    if scalar_is_zero(coeff):
+                        continue
+                    acc = acc + coeff * u[jp][d - i]
+            u[j][d] = -acc / ind
+    return LogSeries(D, [NilpotentElement(0, [Poly([u[j][d] for j in range(m + 1)], one)])
+                         for d in range(D + 1)])
 
 
 def apply_scalar_operator_logseries(op: ScalarQOperator, s: LogSeries) -> LogSeries:

@@ -1,15 +1,17 @@
 """Named verification checks, grouped into the suites the CLI exposes.
 
-Each check returns a :class:`CheckResult` with a residual-style detail
-string; suites are deterministic given the seed.  These suites back the CLI
-`verify` command only: the acceptance tests in ``tests/test_acceptance.py``
-check the same criteria with their own implementations and inputs (other RNG
-seeds and q grids), so the two can disagree.
+Each suite is a generator of :class:`CheckResult`\\ s with residual-style
+detail strings, deterministic given the seed; :func:`run_suites` times each
+check as its suite yields it.  This module is the one implementation of the
+checks: ``qonf verify`` runs the suites at their default inputs, and
+``tests/test_acceptance.py`` runs them at its own seeds and q grid and asserts
+on the named results.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from .polyq import parse_bivariate, ratfunc_matrix_series
 from .qdiff import (
     QDifferenceSystem,
     QHypergeometricSpec,
-    ScalarQOperator,
     casoratian,
     frobenius_log_solutions,
     frobenius_solution,
@@ -46,6 +47,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time of this check alone, set by run_suites
 
     def as_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -55,12 +57,14 @@ def _ok(name, residual, tol) -> CheckResult:
     return CheckResult(name, residual < tol, f"residual {residual:.3e} (tol {tol:g})")
 
 
+def _rel(value, want) -> float:
+    return abs(value - want) / abs(want)
+
+
 # ---------------------------------------------------------------- qspecial suite
 
 
-def suite_qspecial(seed: int = 0) -> list[CheckResult]:
-    out = []
-    qs = [0.1, 0.3, 0.5, 0.7, 0.9]
+def suite_qspecial(seed: int = 0, qs=(0.1, 0.3, 0.5, 0.7, 0.9)):
     Qs = [0.7 + 0.4j, 1.3 - 0.2j, -0.6 + 0.9j, 2.1 + 0.7j, 0.45 - 1.1j]
     worst_theta = worst_char = worst_log = 0.0
     for q in qs:
@@ -73,9 +77,9 @@ def suite_qspecial(seed: int = 0) -> list[CheckResult]:
                 / abs(lam * q_character(lam, q, Q)),
             )
             worst_log = max(worst_log, abs(q_log(q, q * Q) - q_log(q, Q) - 1))
-    out.append(_ok("theta shift law (5x5 grid)", worst_theta, 1e-10))
-    out.append(_ok("character shift law (5x5 grid)", worst_char, 1e-10))
-    out.append(_ok("q-log increment (5x5 grid)", worst_log, 1e-10))
+    yield _ok("theta shift law (5x5 grid)", worst_theta, 1e-10)
+    yield _ok("character shift law (5x5 grid)", worst_char, 1e-10)
+    yield _ok("q-log increment (5x5 grid)", worst_log, 1e-10)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -85,12 +89,12 @@ def suite_qspecial(seed: int = 0) -> list[CheckResult]:
         if abs(Q) < 0.1:
             Q += 0.5
         worst = max(worst, jacobi_triple_product_check(q, Q))
-    out.append(_ok("Jacobi triple product (10 points)", worst, 1e-10))
+    yield _ok("Jacobi triple product (10 points)", worst, 1e-10)
 
     worst = max(
         theta_residual_scale(q, -(q**k)) for q in (0.35, 0.8) for k in range(-2, 3)
     )
-    out.append(_ok("theta zeros on -q^Z", worst, 1e-8))
+    yield _ok("theta zeros on -q^Z", worst, 1e-8)
 
     worst = 0.0
     for _ in range(10):
@@ -98,36 +102,37 @@ def suite_qspecial(seed: int = 0) -> list[CheckResult]:
         q = rng.uniform(0.1, 0.8)
         lhs = (1 - a) * qpoch_infinite(q * a, q)
         worst = max(worst, abs(lhs - qpoch_infinite(a, q)) / max(abs(lhs), 1e-30))
-    out.append(_ok("Pochhammer product recursion", worst, 1e-10))
+    yield _ok("Pochhammer product recursion", worst, 1e-10)
 
     q0, Qv = 0.8, 2.0
     errs = [abs((q0**t - 1) * q_log(q0**t, Qv) - math.log(Qv)) for t in (2**-8, 2**-9, 2**-10)]
     ratios = [errs[i + 1] / errs[i] for i in range(2)]
     good = all(0.35 < r < 0.65 for r in ratios)
-    out.append(CheckResult("q-log limit linear rate", good, f"halving ratios {ratios}"))
-    return out
+    yield CheckResult("q-log limit linear rate", good, f"halving ratios {ratios}")
 
 
 # ---------------------------------------------------------------- qdiff suite
 
 
-def suite_qdiff(seed: int = 0) -> list[CheckResult]:
-    out = []
-    # exact gauge identities for the three builtin confluence examples
-    for name in ("pochhammer-raw", "pochhammer-scaled", "irregular-limit"):
-        sys = cfl.builtin_system(name)
-        sol = frobenius_solution(sys, 24)
+def suite_qdiff(seed: int = 0):
+    # exact gauge identities for the three builtin confluence examples and the
+    # P^2 J-function system; each solution X = G C is then evaluated once to
+    # see that it is not degenerate
+    cases = [
+        (name, cfl.builtin_system(name), 24, 0.15, 0.6, lambda X: X[0, 0], "X(0.15)_00")
+        for name in ("pochhammer-raw", "pochhammer-scaled", "irregular-limit")
+    ]
+    cases.append(
+        ("pn-j N=2", cfl.pn_j_system(2, Fraction(1)), 6, 0.2, 0.7, np.linalg.det, "det X(0.2)")
+    )
+    for name, sys, D, Qv, qv, probe, probe_name in cases:
+        sol = frobenius_solution(sys, D)
         res = gauge_residual_series(sys, sol.gauge.inverse(), _a0_of(sys))
-        out.append(
-            CheckResult(f"frobenius gauge identity [{name}]", res.is_zero(), "exact to order 24")
-        )
-        num = sol.shift_residual(0.15, q_num=0.6)
-        out.append(_ok(f"frobenius shift residual [{name}]", num, 1e-8))
-    sys = cfl.pn_j_system(2, Fraction(1))
-    sol = frobenius_solution(sys, 6)
-    res = gauge_residual_series(sys, sol.gauge.inverse(), _a0_of(sys))
-    out.append(CheckResult("frobenius gauge identity [pn-j N=2]", res.is_zero(), "exact to order 6"))
-    out.append(_ok("frobenius shift residual [pn-j N=2]", sol.shift_residual(0.2, q_num=0.7), 1e-8))
+        yield CheckResult(f"frobenius gauge identity [{name}]", res.is_zero(), f"exact to order {D}")
+        yield _ok(f"frobenius shift residual [{name}]", sol.shift_residual(Qv, q_num=qv), 1e-8)
+        size = abs(probe(np.array(sol.eval(Qv, q_num=qv), dtype=complex)))
+        yield CheckResult(f"frobenius solution nondegenerate [{name}]", size > 1e-10,
+                          f"|{probe_name}| = {size:.3e} (min 1e-10)")
 
     rng = np.random.default_rng(seed)
     q = 0.35
@@ -137,13 +142,12 @@ def suite_qdiff(seed: int = 0) -> list[CheckResult]:
     op = qhg_operator(spec, q)
     base0, base_inf = qhg_bases(spec, q, 220)
     worst0 = max(operator_residual(op, y, 0.4 + 0.2j) for y in base0)
-    out.append(_ok("q-hypergeometric basis at 0 solves the equation", worst0, 1e-8))
+    yield _ok("q-hypergeometric basis at 0 solves the equation", worst0, 1e-8)
     worst_inf = max(operator_residual(op, y, 9 - 4j) for y in base_inf)
-    out.append(_ok("q-hypergeometric basis at infinity solves the equation", worst_inf, 1e-8))
+    yield _ok("q-hypergeometric basis at infinity solves the equation", worst_inf, 1e-8)
     c0 = abs(casoratian(base0, q, 0.4 + 0.2j))
     cinf = abs(casoratian(base_inf, q, 9 - 4j))
-    out.append(CheckResult("Casoratians nonzero", min(c0, cinf) > 1e-8, f"{c0:.3e}, {cinf:.3e}"))
-    return out
+    yield CheckResult("Casoratians nonzero", min(c0, cinf) > 1e-8, f"{c0:.3e}, {cinf:.3e}")
 
 
 def _a0_of(sys: QDifferenceSystem):
@@ -152,9 +156,16 @@ def _a0_of(sys: QDifferenceSystem):
 
 # ---------------------------------------------------------------- confluence suite
 
+# two sample points on each connected component of the Q-plane minus the
+# excluded spirals of the monodromy example
+MONODROMY_COMPONENTS = {
+    "upper-right": (1 + 2j, 2 + 1j),
+    "upper-left": (-1 + 2j, -2 + 1j),
+    "lower": (-3j, 1 - 2j),
+}
 
-def suite_confluence(seed: int = 0) -> list[CheckResult]:
-    out = []
+
+def suite_confluence(seed: int = 0):
     q0 = 0.8
     verdicts = {
         "pochhammer-raw": (False, "limit_exists"),
@@ -166,17 +177,51 @@ def suite_confluence(seed: int = 0) -> list[CheckResult]:
         ok = rep.confluent is want
         if failing is not None:
             ok = ok and getattr(rep, failing).status == "fail"
-        out.append(CheckResult(f"confluence verdict [{name}]", ok, f"confluent={rep.confluent}"))
+        yield CheckResult(f"confluence verdict [{name}]", ok, f"confluent={rep.confluent}")
     rep = cfl.check_confluent(cfl.builtin_system("pn-j", N=3), q0)
     ok = rep.confluent and rep.limit_system.B[3][0] == parse_bivariate("Q").map_coeffs(
         lambda c: c.limit_q_to_1(), Fraction(1)
     )
-    out.append(CheckResult("confluence verdict [pn-j N=3]", ok, "limit is the order-4 ODE system"))
+    yield CheckResult("confluence verdict [pn-j N=3]", ok, "limit is the order-4 ODE system")
 
     err = cfl.asymptotic_qpoch_ratio_check(2 + 1j, 0.1 + 0.2j, -0.4, q0, t=2.0**-14)
-    out.append(_ok("Pochhammer ratio asymptotics vs path", err, 1e-4))
+    yield _ok("Pochhammer ratio asymptotics vs path", err, 1e-4)
     err = cfl.asymptotic_theta_ratio_check(2 + 1j, 0.1 + 0.2j, -0.4, q0, t=2.0**-14)
-    out.append(_ok("theta ratio asymptotics vs path", err, 1e-4))
+    yield _ok("theta ratio asymptotics vs path", err, 1e-4)
+
+    # q -> 1 limits of the Pochhammer symbol and the q-special functions
+    q = R.q()
+    ok = all(((1 - q) ** d / gw.qpoch_exact(d)).limit_q_to_1() == Fraction(1, math.factorial(d))
+             for d in range(1, 13))
+    yield CheckResult("Pochhammer limit (1-q)^d/(q;q)_d -> 1/d! (d<=12)", ok, "exact")
+
+    sched = tuple(2.0**-j for j in range(4, 15))
+    worst, orders = 0.0, []
+    for Qv in (0.1, 0.3, 0.5):
+        res = cfl.limit_solution_along_path(
+            lambda qq, QQ: 1 / qpoch_infinite((1 - qq) * QQ, qq, 1e-13), q0, Qv, sched
+        )
+        worst = max(worst, abs(res.value - math.exp(Qv)))
+        orders.append(res.observed_order)
+    ok = worst < 1e-6 and all(abs(o - 1) < 0.3 for o in orders)
+    yield CheckResult(
+        "Pochhammer path limit 1/((1-q)Q;q)_inf -> e^Q (Q = 0.1, 0.3, 0.5)", ok,
+        f"error {worst:.3e} (tol 1e-06), observed orders "
+        + ", ".join(f"{o:.4f}" for o in orders) + " (1 +/- 0.3)",
+    )
+
+    res = cfl.limit_solution_along_path(
+        lambda qq, QQ: (qq - 1) * q_log(qq, QQ), q0, 2.0, sched, excluded_spirals=(-1.0,)
+    )
+    yield _ok("q-log limit (q-1) qlog(2) -> log 2", abs(res.value - math.log(2)), 1e-4)
+    worst = 0.0
+    for mu in (0.5, -1.0, 2 + 1j):
+        res = cfl.limit_solution_along_path(
+            lambda qq, QQ, mu=mu: q_character(qq**mu, qq, QQ), q0, 3.0, sched,
+            excluded_spirals=(-1.0,),
+        )
+        worst = max(worst, abs(res.value - 3.0**mu))
+    yield _ok("character limit e_(q,q^mu)(3) -> 3^mu (mu = 0.5, -1, 2+i)", worst, 1e-4)
 
     ex = cfl.MonodromyCubicExample(q0=q0)
     alpha = ex.alpha_taylor_data()
@@ -185,25 +230,39 @@ def suite_confluence(seed: int = 0) -> list[CheckResult]:
         (-cfl.QI_I, cfl.QI_I / 2),
         (-cfl.QI_ONE, -(cfl.QI_ONE - cfl.QI_I) / 4),
     ]
-    out.append(CheckResult("monodromy root Taylor data", alpha == want, "exact degree-1 match"))
+    yield CheckResult("monodromy root Taylor data", alpha == want, "exact degree-1 match")
 
-    sched = tuple(2.0**-j for j in range(6, 12))
-    worst = 0.0
-    for Qv in (1 + 2j, -3j):
-        res = cfl.limit_solution_along_path(ex.solution_at_0, q0, Qv, sched,
-                                            excluded_spirals=ex.excluded_spirals)
-        want_v = ex.solution_limit_closed_form(Qv)
-        worst = max(worst, abs(res.value - want_v) / abs(want_v))
-    out.append(_ok("monodromy solution limit", worst, 1e-3))
+    def path_limits(evaluator, sched):
+        return {
+            Qv: cfl.limit_solution_along_path(evaluator, q0, Qv, sched,
+                                              excluded_spirals=ex.excluded_spirals).value
+            for pair in MONODROMY_COMPONENTS.values() for Qv in pair
+        }
 
-    sched = tuple(2.0**-j for j in range(8, 13))
-    worst = 0.0
-    for Qv in (1 + 2j, -1 + 2j, -3j):
-        res = cfl.limit_solution_along_path(ex.birkhoff_theta_form, q0, Qv, sched,
-                                            excluded_spirals=ex.excluded_spirals)
-        want_v = ex.birkhoff_limit_closed_form(Qv)
-        worst = max(worst, abs(res.value - want_v) / abs(want_v))
-    out.append(_ok("monodromy connection-matrix limit", worst, 1e-3))
+    sol = path_limits(ex.solution_at_0, tuple(2.0**-j for j in range(6, 12)))
+    worst = max(_rel(sol[Qv], ex.solution_limit_closed_form(Qv)) for Qv in (1 + 2j, -3j))
+    yield _ok("monodromy solution limit", worst, 1e-3)
+    worst = max(_rel(v, ex.solution_limit_closed_form(Qv)) for Qv, v in sol.items())
+    yield _ok("monodromy solution limit (six points)", worst, 1e-3)
+    # the same multivalued expression as the displayed power product: their
+    # ratio is a constant branch determination on each component
+    ratio = {Qv: v / ex.solution_limit_display_form(Qv) for Qv, v in sol.items()}
+    worst = max(_rel(ratio[Qb], ratio[Qa]) for Qa, Qb in MONODROMY_COMPONENTS.values())
+    yield _ok("monodromy solution limit / display form constant per component", worst, 1e-3)
+
+    # the connection-matrix limit is locally constant, equals the value
+    # assembled from the theta-ratio asymptotics, and equals the displayed
+    # power product up to the quarter-turn branch unit u of (-iQ)^(-1/2)
+    con = path_limits(ex.birkhoff_theta_form, tuple(2.0**-j for j in range(8, 13)))
+    worst = max(_rel(con[Qv], ex.birkhoff_limit_closed_form(Qv)) for Qv in (1 + 2j, -1 + 2j, -3j))
+    yield _ok("monodromy connection-matrix limit", worst, 1e-3)
+    worst = max(_rel(v, ex.birkhoff_limit_closed_form(Qv)) for Qv, v in con.items())
+    yield _ok("monodromy connection-matrix limit (six points)", worst, 1e-3)
+    units = [v / ex.birkhoff_limit_display_form(Qv) for Qv, v in con.items()]
+    yield _ok("monodromy branch unit |u| = 1", max(abs(abs(u) - 1) for u in units), 1e-3)
+    yield _ok("monodromy branch unit u^4 = 1", max(abs(u**4 - 1) for u in units), 4e-3)
+    worst = max(_rel(con[Qb], con[Qa]) for Qa, Qb in MONODROMY_COMPONENTS.values())
+    yield _ok("monodromy connection-matrix limit locally constant", worst, 1e-3)
 
     # confluence of fundamental solutions for the J-function pullback
     qsys = cfl.pn_j_system(2, Fraction(1))
@@ -217,60 +276,52 @@ def suite_confluence(seed: int = 0) -> list[CheckResult]:
                 exact_ok = exact_ok and (
                     limit_q_to_1(qsol.gauge.terms[m][i][j]) == osol.gauge.terms[m][i][j]
                 )
-    out.append(
-        CheckResult(
-            "fundamental solution confluence [pn-j N=2]", exact_ok,
-            "exact coefficientwise gauge limit",
-        )
+    yield CheckResult(
+        "fundamental solution confluence [pn-j N=2]", exact_ok,
+        "exact coefficientwise gauge limit",
     )
-    return out
 
 
 # ---------------------------------------------------------------- gw suites
 
 
-def suite_gw_exact(seed: int = 0) -> list[CheckResult]:
-    out = []
+def suite_gw_exact(seed: int = 0):
     nd = gw.nd_recursion(8)
-    out.append(
-        CheckResult(
-            "N_d values d<=8",
-            nd.values == (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392),
-            str(nd.values),
-        )
+    yield CheckResult(
+        "N_d values d<=8",
+        nd.values == (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392),
+        str(nd.values),
     )
-    out.append(CheckResult("WDVV residual zero to E^4", gw.wdvv_residual_p2(4).is_zero, "exact"))
-    broken = gw.wdvv_residual_p2(4, gw.perturbed_nd(gw.nd_recursion(4), 2, 2))
-    out.append(
-        CheckResult(
-            "WDVV detects perturbed N_2",
-            (not broken.is_zero) and broken.min_e_degree() == 2,
+    yield CheckResult("WDVV residual zero to E^4", gw.wdvv_residual_p2(4).is_zero, "exact")
+    # N_d + 1 in place of N_d first breaks WDVV at E^max(d, 2)
+    base = gw.nd_recursion(4)
+    for d in range(1, 5):
+        broken = gw.wdvv_residual_p2(4, gw.perturbed_nd(base, d, base[d] + 1))
+        yield CheckResult(
+            f"WDVV detects perturbed N_{d}",
+            (not broken.is_zero) and broken.min_e_degree() == max(d, 2),
             f"first break at E^{broken.min_e_degree()}",
         )
-    )
     ok = all(gw.jk_closed_formula(N, 8).coeffs == gw.jk_series(N, 8).coeffs for N in range(5))
-    out.append(CheckResult("closed formula = series oracle (N<=4, D<=8)", ok, "exact"))
+    yield CheckResult("closed formula = series oracle (N<=4, D<=8)", ok, "exact")
     ok = all(gw.jk_qde_residual(N, 8).is_zero_through(8) for N in range(5))
-    out.append(CheckResult("q-difference equation residual (N<=4, D<=8)", ok, "exactly zero"))
+    yield CheckResult("q-difference equation residual (N<=4, D<=8)", ok, "exactly zero")
     ok = all(gw.jcoh_residual_is_zero(gw.jcoh_ode_residual(N, 8)) for N in range(5))
-    out.append(CheckResult("differential equation residual (N<=4, D<=8)", ok, "exactly zero"))
+    yield CheckResult("differential equation residual (N<=4, D<=8)", ok, "exactly zero")
     for N in range(5):
         rep = gw.confluence_compare(N, 6)
-        out.append(
-            CheckResult(
-                f"confluence_compare N={N} D=6: exact match",
-                rep.all_equal,
-                f"{len(rep.rows)} coefficients compared",
-            )
+        yield CheckResult(
+            f"confluence_compare N={N} D=6: exact match",
+            rep.all_equal,
+            f"{len(rep.rows)} coefficients compared",
         )
     ok = all(all(okc for _, okc in gw.small_quantum_ring_checks(N)) for N in range(4))
-    out.append(CheckResult("small quantum ring reduction", ok, "eps^(N+1) -> Q consistent"))
+    yield CheckResult("small quantum ring reduction", ok, "eps^(N+1) -> Q consistent")
 
     # modified J columns against the Frobenius log-solutions (N = 2)
     N, D = 2, 6
     jm = gw.jk_modified(N, D)
-    op = _pn_operator(N)
-    sols = frobenius_log_solutions(op, D)
+    sols = frobenius_log_solutions(gw.pn_operator(N), D)
     one = R.one()
     match = True
     for i in range(N + 1):
@@ -280,20 +331,10 @@ def suite_gw_exact(seed: int = 0) -> list[CheckResult]:
             for m in range(i + 1):
                 want = want + sols[m].coeffs[d].coeffs[0] * gamma.coeff(m)
             match = match and jm.coeffs[d].coeffs[i] == want
-    out.append(CheckResult("modified J columns = Frobenius log solutions (N=2)", match, "exact"))
-    return out
+    yield CheckResult("modified J columns = Frobenius log solutions (N=2)", match, "exact")
 
 
-def _pn_operator(N: int) -> ScalarQOperator:
-    coeffs = []
-    for k in range(N + 2):
-        coeffs.append(parse_bivariate(str(math.comb(N + 1, k) * (-1) ** k)))
-    coeffs[0] = coeffs[0] - parse_bivariate("Q")
-    return ScalarQOperator(tuple(coeffs), R.q())
-
-
-def suite_gw_equivariant(seed: int = 0) -> list[CheckResult]:
-    out = []
+def suite_gw_equivariant(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
@@ -304,19 +345,16 @@ def suite_gw_equivariant(seed: int = 0) -> list[CheckResult]:
         q = float(rng.uniform(0.3, 0.6))
         for ev in gw.jk_equivariant(spec, q, 140):
             worst = max(worst, gw.equivariant_operator_residual(spec, ev, 0.2 + 0.1j, q))
-    out.append(_ok("equivariant equation residual (3 random specs)", worst, 1e-8))
+    yield _ok("equivariant equation residual (3 random specs)", worst, 1e-8)
 
     for lams in ((0.0, 0.5), (0.0, 0.4, 0.9)):
         spec = gw.EquivariantSpec(lams, z=1.0)
         rep = gw.equivariant_confluence_compare(spec, D=4)
-        out.append(
-            CheckResult(
-                f"equivariant confluence match N={spec.N} d<=4",
-                rep.max_error < 1e-4 and rep.orders_near_one(slack=0.3),
-                f"max error {rep.max_error:.2e}",
-            )
+        yield CheckResult(
+            f"equivariant confluence match N={spec.N} d<=4",
+            rep.max_error < 1e-4 and rep.orders_near_one(slack=0.3),
+            f"max error {rep.max_error:.2e}",
         )
-    return out
 
 
 SUITES = {
@@ -329,8 +367,22 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0) -> list[CheckResult]:
-    """Run the named suites in order; results are sorted by check name."""
+    """Run the named suites in order; results are sorted by check name.
+
+    Each result's ``seconds`` is the wall time its suite spent between the
+    previous result (or its start) and this one; work that several checks
+    share counts toward the first of them.
+    """
     if "all" in names:
         names = list(SUITES)
-    results = [r for n in names for r in SUITES[n](seed)]
+    results = []
+    for n in names:
+        checks = SUITES[n](seed)
+        while True:
+            t0 = time.perf_counter()
+            r = next(checks, None)
+            if r is None:
+                break
+            r.seconds = time.perf_counter() - t0
+            results.append(r)
     return sorted(results, key=lambda r: r.name)

@@ -1,179 +1,108 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines, or via `qonf verify --suite all` for the equivalent named checks.
-
-Argument-sign convention for the q -> 1 limit laws: with
-theta(Q) = sum q^(d(d-1)/2) Q^d as implemented here, the limits
-(q-1) qlog -> log and e_(q,q^mu) -> (.)^mu hold with plain arguments off the
-spiral through -1 (see the qspecial module docstring); the criterion values
-(log Q, Q^mu at positive Q) are asserted unchanged.
+Every criterion is a set of named checks of the ``qonf verify`` suites in
+:mod:`qonf.verification`, run here at the criterion's own seed (and, for
+criterion 3, its own q grid).  Each suite runs once per module.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import math
-import time
-from fractions import Fraction as F
+import functools
 
-import numpy as np
-import pytest
-
-from qonf import confluence as cfl
 from qonf import gw
-from qonf.qdiff import (
-    QHypergeometricSpec,
-    casoratian,
-    frobenius_solution,
-    gauge_residual_series,
-    operator_residual,
-    qhg_bases,
-    qhg_operator,
-)
-from qonf.polyq import ratfunc_matrix_series
-from qonf.qspecial import (
-    jacobi_triple_product_check,
-    q_character,
-    q_log,
-    qpoch_infinite,
-    theta,
-)
-from qonf.rings import RationalFunctionQ as R, limit_q_to_1
+from qonf.verification import run_suites, suite_qspecial
+
+# criterion -> [(suite, seed, check names)]
+CRITERIA = {
+    1: [("gw-exact", 0, ["N_d values d<=8"])],
+    2: [("gw-exact", 0, ["WDVV residual zero to E^4"]
+         + [f"WDVV detects perturbed N_{d}" for d in range(1, 5)])],
+    3: [("qspecial", 3, ["theta shift law (5x5 grid)", "character shift law (5x5 grid)",
+                         "q-log increment (5x5 grid)", "Jacobi triple product (10 points)"])],
+    4: [("confluence", 0, ["Pochhammer limit (1-q)^d/(q;q)_d -> 1/d! (d<=12)",
+                           "Pochhammer path limit 1/((1-q)Q;q)_inf -> e^Q (Q = 0.1, 0.3, 0.5)"])],
+    5: [("confluence", 0, ["q-log limit (q-1) qlog(2) -> log 2",
+                           "character limit e_(q,q^mu)(3) -> 3^mu (mu = 0.5, -1, 2+i)"])],
+    6: [("gw-exact", 0, ["closed formula = series oracle (N<=4, D<=8)"])],
+    7: [("gw-exact", 0, ["q-difference equation residual (N<=4, D<=8)",
+                         "differential equation residual (N<=4, D<=8)"]),
+        ("gw-equivariant", 7, ["equivariant equation residual (3 random specs)"])],
+    8: [("gw-exact", 0, [f"confluence_compare N={N} D=6: exact match" for N in range(5)])],
+    9: [("gw-equivariant", 7, [f"equivariant confluence match N={N} d<=4" for N in (1, 2)])],
+    10: [("qdiff", 10, [
+        f"frobenius {check} [{name}]"
+        for name in ("pochhammer-raw", "pochhammer-scaled", "irregular-limit", "pn-j N=2")
+        for check in ("gauge identity", "shift residual", "solution nondegenerate")
+    ] + ["q-hypergeometric basis at 0 solves the equation",
+         "q-hypergeometric basis at infinity solves the equation", "Casoratians nonzero"])],
+    11: [("confluence", 0, [
+        "monodromy root Taylor data",
+        "monodromy solution limit (six points)",
+        "monodromy solution limit / display form constant per component",
+        "monodromy connection-matrix limit (six points)",
+        "monodromy branch unit |u| = 1",
+        "monodromy branch unit u^4 = 1",
+        "monodromy connection-matrix limit locally constant",
+    ])],
+}
+
+# wall-clock bounds in seconds on the named checks of a criterion together
+TIME_BOUNDS = {1: 1.0, 8: 60.0}
+
+SHIFT_LAW_QS = (0.15, 0.35, 0.55, 0.75, 0.9)
 
 
-def report(number: int, passed: bool, detail: str):
+@functools.cache
+def suite_results(suite: str, seed: int) -> dict:
+    if suite == "qspecial":  # the q grid is an input of the suite, not of run_suites
+        results = suite_qspecial(seed, qs=SHIFT_LAW_QS)
+    else:
+        results = run_suites([suite], seed)
+    return {r.name: r for r in results}
+
+
+def check_criterion(number: int):
+    results = [suite_results(suite, seed)[name]
+               for suite, seed, names in CRITERIA[number] for name in names]
+    passed = all(r.passed for r in results)
+    detail = "; ".join(f"{'' if r.passed else 'FAILED '}{r.name}: {r.detail}" for r in results)
+    if number in TIME_BOUNDS:
+        seconds = sum(r.seconds for r in results)
+        passed = passed and seconds < TIME_BOUNDS[number]
+        detail += f"; {seconds:.3f} s (bound {TIME_BOUNDS[number]:g} s)"
     print(f"criterion {number:2d}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, detail
 
 
-REFERENCE_ND = (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392)
-
-
 def test_criterion_1_nd_values():
-    t0 = time.time()
-    nd = gw.nd_recursion(8)
-    elapsed = time.time() - t0
-    ok = nd.values == REFERENCE_ND and elapsed < 1.0
-    report(1, ok, f"N_1..N_8 exact, computed in {elapsed * 1000:.0f} ms")
+    check_criterion(1)
 
 
 def test_criterion_2_wdvv():
-    res = gw.wdvv_residual_p2(4)
-    ok = res.is_zero
-    details = ["residual zero through E^4 t2^8"]
-    for d in range(1, 5):
-        base = gw.nd_recursion(4)
-        broken = gw.wdvv_residual_p2(4, gw.perturbed_nd(base, d, base[d] + 1))
-        want_order = max(d, 2)
-        ok = ok and (not broken.is_zero) and broken.min_e_degree() == want_order
-        details.append(f"N_{d} perturbation breaks at E^{want_order}")
-    report(2, ok, "; ".join(details))
+    check_criterion(2)
 
 
 def test_criterion_3_shift_laws():
-    qs = [0.15, 0.35, 0.55, 0.75, 0.9]
-    Qs = [0.7 + 0.4j, 1.3 - 0.2j, -0.6 + 0.9j, 2.1 + 0.7j, 0.45 - 1.1j]
-    lam = 0.8 + 0.3j
-    worst = 0.0
-    for q in qs:
-        for Q in Qs:
-            worst = max(worst, abs(theta(q, q * Q) * Q - theta(q, Q)) / abs(theta(q, Q)))
-            ref = lam * q_character(lam, q, Q)
-            worst = max(worst, abs(q_character(lam, q, q * Q) - ref) / abs(ref))
-            worst = max(worst, abs(q_log(q, q * Q) - q_log(q, Q) - 1))
-    rng = np.random.default_rng(3)
-    jt = 0.0
-    for _ in range(10):
-        q = rng.uniform(0.05, 0.9)
-        Q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(Q) < 0.1:
-            Q += 0.5
-        jt = max(jt, jacobi_triple_product_check(q, Q))
-    ok = worst < 1e-10 and jt < 1e-10
-    report(3, ok, f"shift-law residual {worst:.2e}, triple-product residual {jt:.2e}")
+    check_criterion(3)
 
 
 def test_criterion_4_pochhammer_confluence():
-    q = R.q()
-    exact_ok = True
-    poch = R.one()
-    scaled = R.one()
-    for d in range(1, 13):
-        poch = poch * R.one_minus_q_pow(d)
-        scaled = (1 - q) ** d / poch
-        exact_ok = exact_ok and scaled.limit_q_to_1() == F(1, math.factorial(d))
-
-    sched = tuple(2.0**-j for j in range(4, 15))
-    numeric_ok = True
-    worst_err, orders = 0.0, []
-    for Qv in (0.1, 0.3, 0.5):
-        res = cfl.limit_solution_along_path(
-            lambda qq, QQ: 1 / qpoch_infinite((1 - qq) * QQ, qq, 1e-13), 0.8, Qv, sched
-        )
-        err = abs(res.value - math.exp(Qv))
-        worst_err = max(worst_err, err)
-        orders.append(res.observed_order)
-        numeric_ok = numeric_ok and err < 1e-6 and abs(res.observed_order - 1) < 0.3
-    report(
-        4,
-        exact_ok and numeric_ok,
-        f"exact (1-q)^d/(q;q)_d -> 1/d! for d<=12; e^Q error {worst_err:.1e}, orders {orders}",
-    )
+    check_criterion(4)
 
 
 def test_criterion_5_special_function_limits():
-    sched = tuple(2.0**-j for j in range(4, 15))
-    res = cfl.limit_solution_along_path(
-        lambda q, Q: (q - 1) * q_log(q, Q), 0.8, 2.0, sched, excluded_spirals=(-1.0,)
-    )
-    ok = abs(res.value - math.log(2)) < 1e-4
-    details = [f"(q-1)qlog -> log 2 (err {abs(res.value - math.log(2)):.1e})"]
-    for mu in (0.5, -1.0, 2 + 1j):
-        res = cfl.limit_solution_along_path(
-            lambda q, Q, mu=mu: q_character(q**mu, q, Q), 0.8, 3.0, sched,
-            excluded_spirals=(-1.0,),
-        )
-        err = abs(res.value - 3.0**mu)
-        ok = ok and err < 1e-4
-        details.append(f"mu={mu}: err {err:.1e}")
-    report(5, ok, "; ".join(details))
+    check_criterion(5)
 
 
 def test_criterion_6_oracle_equivalence():
-    ok = True
-    for N in range(5):
-        ok = ok and gw.jk_closed_formula(N, 8).coeffs == gw.jk_series(N, 8).coeffs
-    report(6, ok, "closed formula = truncated-ring oracle, N<=4, D<=8, exact")
+    check_criterion(6)
 
 
 def test_criterion_7_functional_equations():
-    ok = True
-    for N in range(5):
-        ok = ok and gw.jk_qde_residual(N, 8).is_zero_through(7)
-        ok = ok and gw.jcoh_residual_is_zero(gw.jcoh_ode_residual(N, 8))
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(3):
-        lams = np.sort(rng.uniform(0, 0.9, size=3))
-        while np.min(np.diff(lams)) < 0.05:
-            lams = np.sort(rng.uniform(0, 0.9, size=3))
-        spec = gw.EquivariantSpec(tuple(float(x) for x in lams), z=1.0)
-        qv = float(rng.uniform(0.3, 0.6))
-        for ev in gw.jk_equivariant(spec, qv, 140):
-            worst = max(worst, gw.equivariant_operator_residual(spec, ev, 0.2 + 0.1j, qv))
-    ok = ok and worst < 1e-8
-    report(7, ok, f"exact residuals zero (N<=4, D<=8); equivariant residual {worst:.1e}")
+    check_criterion(7)
 
 
 def test_criterion_8_main_theorem():
-    t0 = time.time()
-    ok = True
-    counts = []
-    for N in range(5):
-        rep = gw.confluence_compare(N, 6)
-        ok = ok and rep.all_equal
-        counts.append(len(rep.rows))
     table = gw.confluence_compare(2, 6).p2_table()
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 60.0
     print("\nplane correspondence table (eps-columns vs 1, H, H^2):")
     print(f"  {table[0]['basis']};  {table[0]['prefactor']}")
     for col in table[1:]:
@@ -183,122 +112,16 @@ def test_criterion_8_main_theorem():
                 f"    Q^{e['d']}: {e['k_side']}  --(q->1)-->  {e['limit']} * z^{e['z_exponent']}"
                 f"  ==  {e['coh_side']} * z^{e['z_exponent']}  [{'ok' if e['equal'] else 'MISMATCH'}]"
             )
-    report(
-        8, ok,
-        f"exact coefficientwise equality for N<=4, d<=6 ({sum(counts)} coefficients, "
-        f"{elapsed:.1f} s)",
-    )
+    check_criterion(8)
 
 
 def test_criterion_9_equivariant_theorem():
-    ok = True
-    details = []
-    for lams in ((0.0, 0.5), (0.0, 0.4, 0.9)):
-        spec = gw.EquivariantSpec(lams, z=1.0)
-        rep = gw.equivariant_confluence_compare(spec, D=4,
-                                                Q_samples=(0.2, 0.35, 0.1 + 0.2j))
-        ok = ok and rep.max_error < 1e-4 and rep.orders_near_one(slack=0.3)
-        details.append(f"N={spec.N}: max err {rep.max_error:.1e}")
-    report(9, ok, "; ".join(details) + "; observed order 1 +/- 0.3")
+    check_criterion(9)
 
 
 def test_criterion_10_frobenius_machinery():
-    ok = True
-    details = []
-    for name in ("pochhammer-raw", "pochhammer-scaled", "irregular-limit"):
-        sys_ = cfl.builtin_system(name)
-        sol = frobenius_solution(sys_, 24)
-        a0 = ratfunc_matrix_series([list(r) for r in sys_.A], 0).terms[0]
-        exact_zero = gauge_residual_series(sys_, sol.gauge.inverse(), a0).is_zero()
-        num = sol.shift_residual(0.15, q_num=0.6)
-        cas = abs(sol.eval(0.15, q_num=0.6)[0][0])
-        ok = ok and exact_zero and num < 1e-8 and cas > 1e-10
-        details.append(f"{name}: exact, shift {num:.0e}")
-    sys_ = cfl.pn_j_system(2, F(1))
-    sol = frobenius_solution(sys_, 6)
-    a0 = ratfunc_matrix_series([list(r) for r in sys_.A], 0).terms[0]
-    exact_zero = gauge_residual_series(sys_, sol.gauge.inverse(), a0).is_zero()
-    num = sol.shift_residual(0.2, q_num=0.7)
-    cas = abs(np.linalg.det(np.array(sol.eval(0.2, q_num=0.7), dtype=complex)))
-    ok = ok and exact_zero and num < 1e-8 and cas > 1e-10
-    details.append(f"pn-j N=2: exact, shift {num:.0e}, det {cas:.1e}")
-
-    rng = np.random.default_rng(10)
-    qv = 0.35
-    a = tuple(complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5)) for _ in range(2))
-    b = (complex(rng.uniform(0.4, 1.5), rng.uniform(-0.5, 0.5)),)
-    spec = QHypergeometricSpec(a, b)
-    op = qhg_operator(spec, qv)
-    base0, base_inf = qhg_bases(spec, qv, 220)
-    w0 = max(operator_residual(op, y, 0.4 + 0.2j) for y in base0)
-    winf = max(operator_residual(op, y, 9 - 4j) for y in base_inf)
-    c0 = abs(casoratian(base0, qv, 0.4 + 0.2j))
-    cinf = abs(casoratian(base_inf, qv, 9 - 4j))
-    ok = ok and w0 < 1e-8 and winf < 1e-8 and c0 > 1e-8 and cinf > 1e-8
-    details.append(f"qhg residuals {max(w0, winf):.0e}, Casoratians {c0:.1e}/{cinf:.1e}")
-    report(10, ok, "; ".join(details))
+    check_criterion(10)
 
 
 def test_criterion_11_monodromy_example():
-    ex = cfl.MonodromyCubicExample(q0=0.8)
-
-    # (a) first-order root data, exact
-    want = [
-        (cfl.QI_ONE, (cfl.QI_ONE + cfl.QI_I) / 4),
-        (-cfl.QI_I, cfl.QI_I / 2),
-        (-cfl.QI_ONE, -(cfl.QI_ONE - cfl.QI_I) / 4),
-    ]
-    roots_ok = ex.alpha_taylor_data() == want
-
-    # (b) connection-matrix limit: locally constant, equal to the value
-    # assembled from the theta-ratio asymptotics, and equal to the displayed
-    # power product up to the quarter-turn branch unit of (-iQ)^(-1/2)
-    sched = tuple(2.0**-j for j in range(8, 13))
-    components = {
-        "upper-right": (1 + 2j, 2 + 1j),
-        "upper-left": (-1 + 2j, -2 + 1j),
-        "lower": (-3j, 1 - 2j),
-    }
-    birkhoff_ok = True
-    bdetails = []
-    for comp, (Qa, Qb) in components.items():
-        lims = []
-        for Qv in (Qa, Qb):
-            res = cfl.limit_solution_along_path(
-                ex.birkhoff_theta_form, ex.q0, Qv, sched,
-                excluded_spirals=ex.excluded_spirals,
-            )
-            closed = ex.birkhoff_limit_closed_form(Qv)
-            birkhoff_ok = birkhoff_ok and abs(res.value - closed) < 1e-3 * abs(closed)
-            display = ex.birkhoff_limit_display_form(Qv)
-            unit = res.value / display
-            birkhoff_ok = birkhoff_ok and abs(abs(unit) - 1) < 1e-3
-            birkhoff_ok = birkhoff_ok and abs(unit**4 - 1) < 4e-3
-            lims.append(res.value)
-        birkhoff_ok = birkhoff_ok and abs(lims[0] - lims[1]) < 1e-3 * abs(lims[0])
-        bdetails.append(f"{comp}: {lims[0]:.6g}")
-
-    # (c) solution limit: matches the Pochhammer-asymptotics closed form, and
-    # the displayed power product up to a branch constant on each component
-    sol_sched = tuple(2.0**-j for j in range(6, 12))
-    solution_ok = True
-    for comp, (Qa, Qb) in components.items():
-        ratios = []
-        for Qv in (Qa, Qb):
-            res = cfl.limit_solution_along_path(
-                ex.solution_at_0, ex.q0, Qv, sol_sched,
-                excluded_spirals=ex.excluded_spirals,
-            )
-            closed = ex.solution_limit_closed_form(Qv)
-            solution_ok = solution_ok and abs(res.value - closed) < 1e-3 * abs(closed)
-            ratios.append(res.value / ex.solution_limit_display_form(Qv))
-        # same multivalued expression: the ratio to the display is a constant
-        # branch determination on each connected component
-        solution_ok = solution_ok and abs(ratios[0] - ratios[1]) < 1e-3 * abs(ratios[0])
-    report(
-        11,
-        roots_ok and birkhoff_ok and solution_ok,
-        "root Taylor data exact; connection limits per component "
-        + ", ".join(bdetails)
-        + "; solution limit matches the asymptotic closed form",
-    )
+    check_criterion(11)

@@ -6,8 +6,6 @@ import pytest
 
 from qonf import qdiff
 from qonf.confluence import (
-    DEFAULT_T_SCHEDULE,
-    ConfluenceReport,
     GaussianRational,
     MonodromyCubicExample,
     ODESystem,
@@ -22,7 +20,6 @@ from qonf.confluence import (
     delta_form,
     limit_entry_q_to_1,
     limit_solution_along_path,
-    observed_order,
     ode_frobenius_solution,
     ode_gauge_residual,
     pn_j_system,

@@ -7,9 +7,6 @@ import pytest
 
 from qonf.gw import (
     EquivariantSpec,
-    JFunctionCoh,
-    JFunctionK,
-    NdTable,
     confluence_compare,
     equivariant_confluence_compare,
     equivariant_operator_residual,
@@ -24,13 +21,13 @@ from qonf.gw import (
     jk_series,
     nd_recursion,
     perturbed_nd,
+    pn_operator,
     qpoch_exact,
     quantum_reduce,
     small_quantum_ring_checks,
     wdvv_residual_p2,
 )
-from qonf.qdiff import ScalarQOperator, casoratian, frobenius_log_solutions
-from qonf.polyq import parse_bivariate
+from qonf.qdiff import casoratian, frobenius_log_solutions
 from qonf.rings import Poly, RationalFunctionQ as R, binom_l, chern_iso
 
 REFERENCE_ND = (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392)
@@ -129,14 +126,6 @@ class TestClosedFormula:
     def test_oracle_equivalence(self, N):
         D = 8
         assert jk_closed_formula(N, D).coeffs == jk_series(N, D).coeffs
-
-
-def pn_operator(N):
-    coeffs = []
-    for k in range(N + 2):
-        coeffs.append(parse_bivariate(str(math.comb(N + 1, k) * (-1) ** k)))
-    coeffs[0] = coeffs[0] - parse_bivariate("Q")
-    return ScalarQOperator(tuple(coeffs), R.q())
 
 
 class TestModified:

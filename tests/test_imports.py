@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used by that module.
+"""Every name a module of the package, a test module or a script imports is
+used by that module.
 
-``__init__.py`` is skipped: its imports are the public re-exports.
+The package's ``__init__.py`` is skipped: its imports are the public re-exports.
 """
 
 import ast
@@ -8,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qonf"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p
+    for pattern in ("src/qonf/*.py", "tests/*.py", "scripts/*.py")
+    for p in ROOT.glob(pattern)
+    if p != ROOT / "src" / "qonf" / "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list[str]:

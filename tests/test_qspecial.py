@@ -13,7 +13,6 @@ from qonf.qspecial import (
     char_power,
     jacobi_triple_product_check,
     log_qpoch_infinite,
-    log_theta,
     q_character,
     q_log,
     qpoch_finite,
