@@ -279,7 +279,7 @@ def _cx(z: complex):
 
 
 def cmd_theta(args, cfg) -> int:
-    value = theta(args.q, args.Q, args.tol)
+    value = theta(args.q, args.Q)
     doc = {
         "q": _cx(args.q), "Q": _cx(args.Q), "value": _cx(value),
         "triple_product_residual": jacobi_triple_product_check(args.q, args.Q, args.tol),

@@ -343,8 +343,7 @@ def _fraction_entry_str(e: RatFunc) -> str:
     return f"({num})/({den})"
 
 
-def check_confluent(sys: QDifferenceSystem, q0: complex,
-                    spiral_tol: float = 1e-8) -> ConfluenceReport:
+def check_confluent(sys: QDifferenceSystem, q0: complex) -> ConfluenceReport:
     """Run the four confluence conditions on an exact-mode system."""
     if not sys.is_exact:
         raise DomainError("the confluence check requires exact-q entries")
@@ -354,7 +353,7 @@ def check_confluent(sys: QDifferenceSystem, q0: complex,
     witnesses = []
     for i, p in enumerate(poles):
         for pb in poles[i + 1 :]:
-            if spiral_contains(p, q0, pb, spiral_tol):
+            if spiral_contains(p, q0, pb):
                 witnesses.append((p, pb))
     if witnesses:
         cond1 = ConditionReport("fail", f"{len(witnesses)} pole pair(s) share a spiral")
@@ -498,7 +497,6 @@ def limit_solution_along_path(
     Q: complex,
     t_schedule=DEFAULT_T_SCHEDULE,
     excluded_spirals=(),
-    spiral_tol: float = 1e-8,
 ) -> LimitResult:
     """Richardson-extrapolated q -> 1 limit of evaluator(q, Q) along q = q0^t.
 
@@ -506,7 +504,7 @@ def limit_solution_along_path(
     points on nu * q0^R.
     """
     for nu in excluded_spirals:
-        if spiral_contains(nu, q0, Q, spiral_tol):
+        if spiral_contains(nu, q0, Q):
             raise DomainError(f"Q = {Q} lies on the excluded spiral through {nu}")
     samples = [evaluator(q0**t, Q) for t in t_schedule]
     return LimitResult(richardson_limit(samples), observed_order(samples), samples)
@@ -529,9 +527,10 @@ def asymptotic_qpoch_ratio(Q0: complex, alpha1: complex, alpha2: complex,
     return cmath.exp((alpha2 - alpha1) * cmath.log(1 - Q0))
 
 
-def asymptotic_qpoch_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14,
-                                 tol: float = 1e-13) -> float:
-    """|closed form - direct path evaluation| at the given t."""
+def asymptotic_qpoch_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14) -> float:
+    """|closed form - direct path evaluation| at the given t, with the
+    products summed to within 1e-13."""
+    tol = 1e-13
     q = q0**t
     Q1 = Q0 * q0 ** (alpha1 * t)
     Q2 = Q0 * q0 ** (alpha2 * t)

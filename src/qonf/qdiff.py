@@ -7,7 +7,7 @@ transforms, normalization to a constant matrix by a degreewise Sylvester
 recursion, Frobenius-type fundamental solutions built from the q-characters
 and the q-logarithm, Taylor and log-series solutions of scalar operators,
 q-hypergeometric series with their solution bases at 0 and infinity, and
-Birkhoff connection matrices.
+rank-1 Birkhoff connection values.
 
 Two coefficient modes coexist: exact (entries rational in a symbolic q,
 scalars :class:`~qonf.rings.RationalFunctionQ`) for theorem-grade identities,
@@ -55,6 +55,7 @@ from .rings import (
     NilpotentElement,
     QonfError,
     RationalFunctionQ,
+    apply_operator,
     one_like,
     scalar_is_zero,
     zero_like,
@@ -163,14 +164,9 @@ def is_regular_singular_at_0(op: ScalarQOperator) -> bool:
     return True
 
 
-def sigma_ratfunc(f: RatFunc, q) -> RatFunc:
-    """Substitute Q -> qQ in a rational function of Q."""
-    return f.scale_argument(q)
-
-
 def gauge_transform(P, sys: QDifferenceSystem) -> QDifferenceSystem:
     """(sigma P) A P^{-1}: solutions transform as X -> P X."""
-    sigP = mat_map(P, lambda f: sigma_ratfunc(f, sys.q))
+    sigP = mat_map(P, lambda f: f.scale_argument(sys.q))  # Q -> qQ
     try:
         Pinv = mat_inv(P)
     except SingularMatrixError as exc:
@@ -440,8 +436,9 @@ class FundamentalSolutionAt0:
         A = np.array(self.sys.matrix_at(Q, q_num), dtype=complex)
         return float(np.abs(Xq - A @ X).max() / max(np.abs(X).max(), 1e-300))
 
-    def derivative_residual(self, Q: complex, h: float = 1e-6) -> float:
+    def derivative_residual(self, Q: complex) -> float:
         """|Q X'(Q) - B(Q) X(Q)| by central differences, relative (ODE side)."""
+        h = 1e-6
         Xp = (self.eval(Q * (1 + h)) - self.eval(Q * (1 - h))) / (2 * h)
         X = self.eval(Q)
         B = np.array(self.sys.matrix_at(Q), dtype=complex)
@@ -518,7 +515,7 @@ def numerically_defective(V) -> bool:
     return np.linalg.cond(V) > 1e8
 
 
-def _check_nonresonant_eigs(lams, q: complex, tol: float = 1e-10):
+def _check_nonresonant_eigs(lams, q: complex):
     logq = cmath.log(q)
     for i, a in enumerate(lams):
         for j, b in enumerate(lams):
@@ -527,7 +524,7 @@ def _check_nonresonant_eigs(lams, q: complex, tol: float = 1e-10):
             if abs(a) < 1e-300 or abs(b) < 1e-300:
                 raise DomainError("A(0) has a numerically zero eigenvalue")
             w = cmath.log(a / b) / logq
-            if abs(w.imag) < 1e-8 and abs(w.real - round(w.real)) < tol:
+            if abs(w.imag) < 1e-8 and abs(w.real - round(w.real)) < 1e-10:
                 raise ResonanceError(
                     f"eigenvalue ratio {a / b} lies in q^Z (exponent {round(w.real)})"
                 )
@@ -638,28 +635,7 @@ def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
 
 def apply_scalar_operator_logseries(op: ScalarQOperator, s: LogSeries) -> LogSeries:
     """Apply sum a_k(Q) sigma^k to a log-series (sigma: Q^d -> q^d Q^d, L -> L+1)."""
-    q = op.q
-    out = None
-    current = s
-    for k, ak in enumerate(op.coeffs):
-        if k > 0:
-            current = current.sigma(q)
-        ser = ak.series(s.truncation)
-        term = _logseries_mul_poly(current, ser)
-        out = term if out is None else out + term
-    return out
-
-
-def _logseries_mul_poly(s: LogSeries, poly_coeffs) -> LogSeries:
-    D = s.truncation
-    zero = s.coeffs[0] - s.coeffs[0]
-    out = [zero for _ in range(D + 1)]
-    for i, c in enumerate(poly_coeffs):
-        if scalar_is_zero(c):
-            continue
-        for d in range(0, D + 1 - i):
-            out[d + i] = out[d + i] + s.coeffs[d].map_coeffs(lambda lp: lp * c)
-    return LogSeries(D, out)
+    return apply_operator(_operator_series(op, s.truncation), lambda x: x.sigma(op.q), s)
 
 
 # ---------------------------------------------------------------- q-hypergeometric
@@ -681,8 +657,9 @@ class QHypergeometricSpec:
         return len(self.lower)
 
 
-def in_discrete_spiral(x: complex, q: complex, tol: float = 1e-9) -> bool:
-    """Whether x = q^k for some integer k, within tolerance."""
+def in_discrete_spiral(x: complex, q: complex) -> bool:
+    """Whether x = q^k for some integer k, within tolerance 1e-9."""
+    tol = 1e-9
     if x == 0:
         return False
     k = cmath.log(x) / cmath.log(q)
@@ -872,7 +849,6 @@ class Rank1ProductSolution:
     alphas: tuple
     betas: tuple
     q: complex
-    tol: float = 1e-13
 
     def log_eval(self, Q: complex) -> complex:
         if Q == 0:
@@ -881,9 +857,9 @@ class Rank1ProductSolution:
         if self.lam != 1:
             total += log_theta(self.q, Q) - log_theta(self.q, self.lam * Q)
         for b in self.betas:
-            total += log_qpoch_infinite(b * Q, self.q, self.tol)
+            total += log_qpoch_infinite(b * Q, self.q, 1e-13)
         for a in self.alphas:
-            la = log_qpoch_infinite(a * Q, self.q, self.tol)
+            la = log_qpoch_infinite(a * Q, self.q, 1e-13)
             if la == complex("-inf"):
                 raise PoleProximityError(f"pole: {a}*Q hits q^(-N)")
             total -= la
@@ -900,19 +876,6 @@ def rank1_product_solution(lam, alphas, betas, q) -> Rank1ProductSolution:
     if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
         raise DomainError("parameters must be nonzero")
     return Rank1ProductSolution(complex(lam), tuple(alphas), tuple(betas), complex(q))
-
-
-def birkhoff_matrix(sol0, sol_inf, Q: complex):
-    """Connection matrix X_0(Q) X_inf(1/Q)^{-1} of two fundamental solutions.
-
-    ``sol0`` and ``sol_inf`` are callables returning square complex matrices
-    (the one at infinity as a function of W = 1/Q).
-    """
-    X0 = np.asarray(sol0(Q), dtype=complex)
-    Xinf = np.asarray(sol_inf(1 / Q), dtype=complex)
-    if abs(np.linalg.det(Xinf)) == 0:
-        raise SingularMatrixError("solution at infinity is singular at this point")
-    return X0 @ np.linalg.inv(Xinf)
 
 
 def birkhoff_scalar(f0, f_inf, Q: complex) -> complex:

@@ -428,7 +428,7 @@ def log_theta(q, Q: complex) -> complex:
     return _theta_parts(q, Q)[0]
 
 
-def theta(q, Q: complex, tol: float = 1e-12) -> complex:
+def theta(q, Q: complex) -> complex:
     """theta_q(Q) = sum_{d in Z} q^(d(d-1)/2) Q^d."""
     q = _as_q(q)
     if Q == 0:
@@ -467,6 +467,9 @@ def jacobi_triple_product_check(q, Q: complex, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------- characters and q-log
 
 
+_POLE_TOL = 1e-8  # relative distance to -q^Z below which characters and q-logs refuse
+
+
 def _near_pole(q: complex, x: complex, tol: float) -> bool:
     """True when x is within relative tol of the zero set -q^Z of theta."""
     if x == 0:
@@ -479,23 +482,23 @@ def _near_pole(q: complex, x: complex, tol: float) -> bool:
     return False
 
 
-def q_character(lam: complex, q, Q: complex, pole_tol: float = 1e-8) -> complex:
+def q_character(lam: complex, q, Q: complex) -> complex:
     """e_{q,lam}(Q) = theta_q(Q)/theta_q(lam Q): solves f(qQ) = lam f(Q)."""
     q = _as_q(q)
     if lam == 0 or Q == 0:
         raise DomainError("lam and Q must be nonzero")
-    if _near_pole(q, lam * Q, pole_tol):
-        raise PoleProximityError(f"lam*Q = {lam * Q} is within {pole_tol} of the pole spiral")
+    if _near_pole(q, lam * Q, _POLE_TOL):
+        raise PoleProximityError(f"lam*Q = {lam * Q} is within {_POLE_TOL} of the pole spiral")
     return cmath.exp(log_theta(q, Q) - log_theta(q, lam * Q))
 
 
-def q_log(q, Q: complex, pole_tol: float = 1e-8) -> complex:
+def q_log(q, Q: complex) -> complex:
     """qlog(Q) = -Q theta'_q(Q)/theta_q(Q): solves f(qQ) = f(Q) + 1."""
     q = _as_q(q)
     if Q == 0:
         raise DomainError("Q must be nonzero")
-    if _near_pole(q, Q, pole_tol):
-        raise PoleProximityError(f"Q = {Q} is within {pole_tol} of the pole spiral")
+    if _near_pole(q, Q, _POLE_TOL):
+        raise PoleProximityError(f"Q = {Q} is within {_POLE_TOL} of the pole spiral")
     return _theta_parts(q, Q)[2]
 
 

@@ -1015,16 +1015,51 @@ class LogSeries:
             power = power * q
         return LogSeries(self.truncation, out)
 
-    def mul_by_Q(self) -> "LogSeries":
-        """Multiply by Q, dropping the overflow beyond the truncation order."""
-        zero = self.coeffs[0] - self.coeffs[0]
-        return LogSeries(self.truncation, (zero,) + self.coeffs[:-1])
+    def theta(self) -> "LogSeries":
+        """Apply the Euler operator Q d/dQ with L = log Q:
+        Q^d L^m -> d Q^d L^m + m Q^d L^(m-1)."""
+        return LogSeries(self.truncation, [
+            c.map_coeffs(lambda lp: lp * d + lp.derivative()) for d, c in enumerate(self.coeffs)])
 
     def is_zero_through(self, dmax: int) -> bool:
         return all(self.coeffs[d].is_zero for d in range(dmax + 1))
 
     def __repr__(self):
         return f"LogSeries(D={self.truncation}, N={self.order})"
+
+
+def apply_operator(coeffs, step, s: LogSeries) -> LogSeries:
+    """sum_k c_k(Q) step^k(s), truncated at the order of s.
+
+    ``coeffs[k]`` lists the Q-power coefficients of c_k, lowest first, as
+    scalars of the ring of s; ``step`` is a linear map of log-series, such
+    as :meth:`LogSeries.sigma` or :meth:`LogSeries.theta`.  A coefficient
+    equal to 1 or -1 adds or subtracts step^k(s) without forming the
+    product.
+    """
+    D = s.truncation
+    out = [None] * (D + 1)
+    current = s
+    for k, ck in enumerate(coeffs):
+        if k:
+            current = step(current)
+        for i, c in enumerate(ck):
+            if scalar_is_zero(c):
+                continue
+            sign = 1 if c == 1 else -1 if c == -1 else 0
+            for d in range(D + 1 - i):
+                x = current.coeffs[d]
+                if not sign:
+                    x = x.map_coeffs(lambda lp: lp * c)
+                acc = out[d + i]
+                if acc is None:
+                    out[d + i] = -x if sign < 0 else x
+                else:
+                    out[d + i] = acc - x if sign < 0 else acc + x
+    if any(c is None for c in out):
+        zero = s.coeffs[0] - s.coeffs[0]
+        out = [zero if c is None else c for c in out]
+    return LogSeries(D, out)
 
 
 # -- polynomial strings and series JSON ---------------------------------------
@@ -1113,17 +1148,15 @@ def series_to_json(s) -> dict:
     return {"N": s.order, "D": s.truncation, "coeffs": rows}
 
 
-def series_from_json(doc: dict, *, exact_q: bool | None = None) -> LogSeries:
+def series_from_json(doc: dict) -> LogSeries:
     """Rebuild a :class:`LogSeries` from :func:`series_to_json` output.
 
     Coefficients become :class:`RationalFunctionQ` whenever any entry carries
-    a genuine q-dependence (or when forced via ``exact_q``).
+    a genuine q-dependence.
     """
     N, D = doc["N"], doc["D"]
     rows = doc["coeffs"]
-    if exact_q is None:
-        exact_q = any("q" in r["num"] or "q" in r["den"] for r in rows)
-    if exact_q:
+    if any("q" in r["num"] or "q" in r["den"] for r in rows):
         one = RationalFunctionQ.one()
 
         def mk(r):

@@ -352,7 +352,7 @@ def suite_gw_equivariant(seed: int = 0):
         rep = gw.equivariant_confluence_compare(spec, D=4)
         yield CheckResult(
             f"equivariant confluence match N={spec.N} d<=4",
-            rep.max_error < 1e-4 and rep.orders_near_one(slack=0.3),
+            rep.max_error < 1e-4 and rep.orders_near_one(),
             f"max error {rep.max_error:.2e}",
         )
 

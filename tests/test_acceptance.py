@@ -125,3 +125,12 @@ def test_criterion_10_frobenius_machinery():
 
 def test_criterion_11_monodromy_example():
     check_criterion(11)
+
+
+def test_every_computed_check_passes():
+    """Each suite run above computes more checks than its criteria name."""
+    runs = sorted({(suite, seed) for table in CRITERIA.values() for suite, seed, _ in table})
+    failed = [f"{suite} (seed {seed}): {r.name}: {r.detail}"
+              for suite, seed in runs for r in suite_results(suite, seed).values()
+              if not r.passed]
+    assert not failed, failed

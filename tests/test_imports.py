@@ -1,7 +1,9 @@
 """Every name a module of the package, a test module or a script imports is
-used by that module.
+used by that module, and every module-level function or class of the package
+is used somewhere.
 
-The package's ``__init__.py`` is skipped: its imports are the public re-exports.
+The package's ``__init__.py`` is skipped by the import check: its imports are
+the public re-exports.
 """
 
 import ast
@@ -42,3 +44,60 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom fractions import Fraction\nx = Fraction(1)\n"
     assert unused_imports(source) == ["line 1: math"]
+
+
+# where a definition of the package may be used: the benchmark harness looks
+# functions up by their name as a string
+USERS = sorted(
+    p
+    for pattern in ("src/qonf/*.py", "tests/*.py", "scripts/*.py", "perfbench/*.py")
+    for p in ROOT.glob(pattern)
+)
+
+
+def referenced_names(node) -> set[str]:
+    """Names a syntax tree refers to: bare names, attributes, imported names
+    and strings that are identifiers."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def dead_definitions(modules: dict, users: dict) -> list[str]:
+    """Module-level functions and classes of ``modules`` (name -> source) that
+    no statement of ``users`` (name -> source) refers to, other than the
+    definition itself."""
+    refs = {}  # name -> {(user, index of the top-level statement)}
+    for user, source in users.items():
+        for k, stmt in enumerate(ast.parse(source).body):
+            for name in referenced_names(stmt):
+                refs.setdefault(name, set()).add((user, k))
+    dead = []
+    for module, source in modules.items():
+        for k, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not refs.get(stmt.name, set()) - {(module, k)}:
+                    dead.append(f"{module}: {stmt.name}")
+    return dead
+
+
+def test_no_dead_definitions():
+    users = {str(p.relative_to(ROOT)): p.read_text() for p in USERS}
+    modules = {name: text for name, text in users.items() if name.startswith("src/")}
+    assert dead_definitions(modules, users) == []
+
+
+def test_detects_a_dead_definition():
+    source = ("def used():\n    return 1\n\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+              "class Unused:\n    pass\n\n"
+              "x = used()\n")
+    assert dead_definitions({"m": source}, {"m": source}) == ["m: recursive", "m: Unused"]

@@ -443,14 +443,6 @@ class TestSeries:
         assert t.coeffs[0].coeffs[0] == Poly([one, one], one)
         assert t.coeffs[1].coeffs[0] == Poly([F(3), F(3)], one)
 
-    def test_log_series_q_degree_drop(self):
-        one = F(1)
-        s = LogSeries(2, [NilpotentElement(0, [Poly([F(d)], one)]) for d in range(3)])
-        t = s.mul_by_Q()
-        assert t.coeffs[0].coeffs[0].is_zero
-        assert t.coeffs[1].coeffs[0] == Poly([F(0)], one)
-        assert t.coeffs[2].coeffs[0] == Poly([F(1)], one)
-
     def test_log_series_product(self):
         # (1 + L Q)^2 = 1 + 2 L Q + L^2 Q^2
         one = F(1)
