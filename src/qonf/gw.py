@@ -48,6 +48,9 @@ from .rings import (
     nil_inv,
     nil_mul,
     one_like,
+    sigma_weight,
+    theta_weight,
+    twisted_sigma_weight,
     zero_like,
 )
 
@@ -345,17 +348,10 @@ def jk_qde_residual(N: int, D: int, modified: bool = True):
     sigma acting by Q^d -> q^d Q^d and L -> L + 1.  Otherwise the eps-twisted
     operator [(1 - (1-eps) sigma)^(N+1) - Q] on the plain series J.
     """
-    q = R.q()
-    # the coefficients of pn_operator are polynomials in Q: their Taylor
-    # coefficients are those of the numerator
-    coeffs = [a.num.coeffs for a in pn_operator(N).coeffs]
+    coeffs = [a.series(D) for a in pn_operator(N).coeffs]
     if modified:
-        return apply_operator(coeffs, lambda x: x.sigma(q), jk_modified(N, D))
-    unit = Poly.const(R.one())
-    one_minus_eps = NilpotentElement.from_scalar(N, unit) - NilpotentElement.eps(N, unit)
-    # sigma's L-shift does nothing on L-degree 0
-    return apply_operator(coeffs, lambda x: _times(one_minus_eps, x.sigma(q)),
-                          _lift(jk_series(N, D)))
+        return apply_operator(coeffs, sigma_weight, R.q(), jk_modified(N, D))
+    return apply_operator(coeffs, twisted_sigma_weight, R.q(), _lift(jk_series(N, D)))
 
 
 # ---------------------------------------------------------------- the classical J
@@ -399,12 +395,12 @@ def jcoh_modified(N: int, D: int) -> LogSeries:
 def jcoh_ode_residual(N: int, D: int) -> LogSeries:
     """[(zQ d/dQ)^(N+1) - Q] applied to Q^(H/z) * series.
 
-    zQ d/dQ acts as theta (:meth:`LogSeries.theta`) on
+    zQ d/dQ acts as theta (:func:`theta_weight`) on
     :func:`jcoh_modified`, raising the implied z-exponent by one; after N+1
     applications the exponent matches the Q-shifted term, and every
     coefficient of the difference must vanish exactly.
     """
-    return apply_operator([[0, -1]] + [[]] * N + [[1]], LogSeries.theta, jcoh_modified(N, D))
+    return apply_operator([[0, -1]] + [[]] * N + [[1]], theta_weight, None, jcoh_modified(N, D))
 
 
 def jcoh_residual_is_zero(residual: LogSeries) -> bool:

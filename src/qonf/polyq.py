@@ -129,6 +129,8 @@ class RatFunc:
         if scalar_is_zero(d0):
             raise ZeroDivisionError("not analytic at 0")
         inv = one_like(self.one) / d0
+        if self.den.degree == 0:
+            return [self.num.coeff(k) * inv for k in range(D + 1)]
         out = []
         for k in range(D + 1):
             acc = self.num.coeff(k)

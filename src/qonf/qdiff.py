@@ -58,6 +58,7 @@ from .rings import (
     apply_operator,
     one_like,
     scalar_is_zero,
+    sigma_weight,
     zero_like,
 )
 
@@ -606,10 +607,10 @@ def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
             c = ak[i]
             if scalar_is_zero(c):
                 continue
-            weight = math.comb(jprime, j) * k ** (jprime - j)
+            weight, e = sigma_weight(k, 0, dprime, jprime, j)
             if weight == 0:
                 continue
-            acc = acc + c * weight * (q ** (k * dprime))
+            acc = acc + c * weight * (q ** e)
         return acc
 
     u = [[zero_like(one) for _ in range(D + 1)] for _ in range(m + 1)]
@@ -635,7 +636,7 @@ def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
 
 def apply_scalar_operator_logseries(op: ScalarQOperator, s: LogSeries) -> LogSeries:
     """Apply sum a_k(Q) sigma^k to a log-series (sigma: Q^d -> q^d Q^d, L -> L+1)."""
-    return apply_operator(_operator_series(op, s.truncation), lambda x: x.sigma(op.q), s)
+    return apply_operator(_operator_series(op, s.truncation), sigma_weight, op.q, s)
 
 
 # ---------------------------------------------------------------- q-hypergeometric

@@ -20,7 +20,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 
 class QonfError(Exception):
@@ -112,6 +112,10 @@ def ipoly_mul(a, b) -> list:
     if len(a) == 1 or len(b) == 1:
         c, p = (a[0], b) if len(a) == 1 else (b[0], a)
         return list(p) if c == 1 else [c * x for x in p]
+    if not (b[-1] or any(b[1:])):
+        a, b = b, a
+    if not (a[-1] or any(a[1:])):  # a = c q^e: scale and shift
+        return [a[0] * x for x in b] + [0] * (len(a) - 1)
     if min(len(a), len(b)) <= _SCHOOLBOOK_LEN:
         return _schoolbook_mul(a, b)
     return _kronecker_mul(a, b)
@@ -521,13 +525,26 @@ def rfq_dot(pairs):
     :func:`ipoly_gcd` per distinct denominator, and the sum is reduced once
     (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5-6).  The
     canonical pair is unique, so the result equals the left fold of ``*``
-    and ``+``.  A single product, and any other scalars (Fraction alone,
-    float, complex, Poly), take that left fold, in order.  An empty sum is
-    the zero of Q(q).
+    and ``+``.  Pairs of :class:`Poly` with exact scalars give one such sum
+    per output coefficient.  A single product, and any other scalars
+    (Fraction alone, float, complex), take that left fold, in order.  An
+    empty sum is the zero of Q(q).
     """
     if not pairs:
         return RationalFunctionQ.zero()
-    if len(pairs) == 1 or type(pairs[0][0]) is not RationalFunctionQ:
+    first = pairs[0][0]
+    if (len(pairs) > 1 and type(first) is Poly and _exact_parts(first.one)[0] is not None
+            and all(type(a) is Poly and type(b) is Poly for a, b in pairs)):
+        terms = [[] for _ in range(max(len(a.coeffs) + len(b.coeffs) for a, b in pairs) - 1)]
+        for a, b in pairs:
+            for u, x in enumerate(a.coeffs):
+                if not scalar_is_zero(x):
+                    for v, y in enumerate(b.coeffs):
+                        if not scalar_is_zero(y):
+                            terms[u + v].append((x, y))
+        zero = zero_like(first.one)
+        return Poly([rfq_dot(t) if t else zero for t in terms], first.one)
+    if len(pairs) == 1 or type(first) is not RationalFunctionQ:
         return _fold_dot(pairs)
     buckets = {}
     for a, b in pairs:
@@ -738,7 +755,7 @@ class Poly:
     Serves for polynomials in the equation variable Q (see :mod:`qonf.polyq`)
     and for polynomials in the inert log symbol L.  L is never multiplied
     out: ring operations treat it formally, and the dilation Q -> qQ acts
-    through :meth:`shift` as L -> L + 1.
+    as L -> L + 1 (:func:`sigma_weight`).
     """
 
     __slots__ = ("coeffs", "one")
@@ -873,14 +890,6 @@ class Poly:
             p = p * c
         return Poly(out, self.one)
 
-    def shift(self, k: int = 1) -> "Poly":
-        """Substitute X -> X + k (binomial re-expansion)."""
-        cs = self.coeffs
-        if len(cs) <= 1:  # a constant is unchanged
-            return self
-        return Poly([rfq_dot([(cs[j], comb(j, m) * k ** (j - m)) for j in range(m, len(cs))])
-                     for m in range(len(cs))], self.one)
-
     def evaluate(self, x):
         acc = zero_like(self.one)
         for c in reversed(self.coeffs):
@@ -1007,19 +1016,12 @@ class LogSeries:
 
     def sigma(self, q) -> "LogSeries":
         """Apply the dilation: Q^d -> q^d Q^d and L -> L + 1."""
-        out = []
-        power = one_like(q)
-        for d in range(self.truncation + 1):
-            c = self.coeffs[d].map_coeffs(lambda lp: lp.shift(1))
-            out.append(c.scale(Poly.const(power, c.coeffs[0].one)) if d else c)
-            power = power * q
-        return LogSeries(self.truncation, out)
+        return apply_operator([[], [1]], sigma_weight, q, self)
 
     def theta(self) -> "LogSeries":
         """Apply the Euler operator Q d/dQ with L = log Q:
         Q^d L^m -> d Q^d L^m + m Q^d L^(m-1)."""
-        return LogSeries(self.truncation, [
-            c.map_coeffs(lambda lp: lp * d + lp.derivative()) for d, c in enumerate(self.coeffs)])
+        return apply_operator([[], [1]], theta_weight, None, self)
 
     def is_zero_through(self, dmax: int) -> bool:
         return all(self.coeffs[d].is_zero for d in range(dmax + 1))
@@ -1028,37 +1030,67 @@ class LogSeries:
         return f"LogSeries(D={self.truncation}, N={self.order})"
 
 
-def apply_operator(coeffs, step, s: LogSeries) -> LogSeries:
+def sigma_weight(k: int, a: int, d: int, mp: int, m: int):
+    """(n, e) with sigma^k(Q^d L^mp) = sum_m n q^e Q^d L^m, for a = 0:
+    sigma^k sends L to L + k, so n = C(mp, m) k^(mp-m) and e = k d."""
+    return (comb(mp, m) * k ** (mp - m) if not a else 0), k * d
+
+
+def twisted_sigma_weight(k: int, a: int, d: int, mp: int, m: int):
+    """The weight of ((1 - eps) sigma)^k = (1 - eps)^k sigma^k: the eps^a
+    term adds the factor (-1)^a C(k, a) to that of sigma^k."""
+    n, e = sigma_weight(k, 0, d, mp, m)
+    return (-1) ** a * comb(k, a) * n, e
+
+
+def theta_weight(k: int, a: int, d: int, mp: int, m: int):
+    """(n, 0) with theta^k(Q^d L^mp) = sum_m n Q^d L^m, for a = 0: theta acts
+    as d + d/dL, so n = C(k, t) d^(k-t) mp!/m! with t = mp - m."""
+    t = mp - m
+    if a or t > k:
+        return 0, 0
+    return comb(k, t) * d ** (k - t) * (factorial(mp) // factorial(m)), 0
+
+
+def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     """sum_k c_k(Q) step^k(s), truncated at the order of s.
 
     ``coeffs[k]`` lists the Q-power coefficients of c_k, lowest first, as
-    scalars of the ring of s; ``step`` is a linear map of log-series, such
-    as :meth:`LogSeries.sigma` or :meth:`LogSeries.theta`.  A coefficient
-    equal to 1 or -1 adds or subtracts step^k(s) without forming the
-    product.
+    scalars of the ring of s.  step^k acts on monomials in closed form:
+    ``weight(k, a, d, mp, m)`` is the pair (n, e) with n q^e the coefficient
+    of eps^(i+a) Q^d L^m in step^k(eps^i Q^d L^mp), for :func:`sigma_weight`,
+    :func:`twisted_sigma_weight` or :func:`theta_weight` (whose e is 0, so q
+    is not read).  Each entry (d, i, m) of the result is one :func:`rfq_dot`
+    of the coefficients of s against the factors c_(k,j) n q^e.
     """
-    D = s.truncation
-    out = [None] * (D + 1)
-    current = s
-    for k, ck in enumerate(coeffs):
-        if k:
-            current = step(current)
-        for i, c in enumerate(ck):
-            if scalar_is_zero(c):
-                continue
-            sign = 1 if c == 1 else -1 if c == -1 else 0
-            for d in range(D + 1 - i):
-                x = current.coeffs[d]
-                if not sign:
-                    x = x.map_coeffs(lambda lp: lp * c)
-                acc = out[d + i]
-                if acc is None:
-                    out[d + i] = -x if sign < 0 else x
-                else:
-                    out[d + i] = acc - x if sign < 0 else acc + x
-    if any(c is None for c in out):
-        zero = s.coeffs[0] - s.coeffs[0]
-        out = [zero if c is None else c for c in out]
+    D, N, top = s.truncation, s.order, s.logdegree
+    one = s.coeffs[0].coeffs[0].one
+    zero = zero_like(one)
+    ops = [(k, j, c) for k, ck in enumerate(coeffs) for j, c in enumerate(ck)
+           if not scalar_is_zero(c)]
+    factors = {}
+    out = []
+    for dout in range(D + 1):
+        entries = []
+        for iout in range(N + 1):
+            terms = [[] for _ in range(top + 1)]  # no step raises the L-degree
+            for k, j, c in ops:
+                d = dout - j
+                if d < 0:
+                    continue
+                for a in range(iout + 1):
+                    for mp, x in enumerate(s.coeffs[d].coeffs[iout - a].coeffs):
+                        if scalar_is_zero(x):
+                            continue
+                        for m in range(mp + 1):
+                            n, e = weight(k, a, d, mp, m)
+                            if n:
+                                key = (k, j, n, e)
+                                if key not in factors:
+                                    factors[key] = c * (n * q ** e if e else n)
+                                terms[m].append((x, factors[key]))
+            entries.append(Poly([rfq_dot(t) if t else zero for t in terms], one))
+        out.append(NilpotentElement(N, entries))
     return LogSeries(D, out)
 
 

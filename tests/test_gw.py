@@ -194,13 +194,22 @@ class TestResidualsDetectAWrongSeries:
         monkeypatch.setattr("qonf.gw.jk_modified", lambda N, D: wrong)
         self.assert_first_break_at(jk_qde_residual(self.N, self.D), d)
 
-    def test_twisted_sigma_on_jk_series(self, monkeypatch, d, i):
+    def patch_jk_series(self, monkeypatch, d, i):
         jk = jk_series(self.N, self.D)
         rows = [list(row) for row in jk.coeffs]
         rows[d][i] = rows[d][i] + 1
         wrong = JFunctionK(jk.N, jk.D, tuple(map(tuple, rows)))
         monkeypatch.setattr("qonf.gw.jk_series", lambda N, D: wrong)
+
+    def test_twisted_sigma_on_jk_series(self, monkeypatch, d, i):
+        self.patch_jk_series(monkeypatch, d, i)
         self.assert_first_break_at(jk_qde_residual(self.N, self.D, modified=False), d)
+
+    def test_sigma_on_jk_modified_of_a_wrong_jk_series(self, monkeypatch, d, i):
+        # jk_modified is built from the patched series, so both fused
+        # residuals of the one wrong J break at Q^d
+        self.patch_jk_series(monkeypatch, d, i)
+        self.assert_first_break_at(jk_qde_residual(self.N, self.D), d)
 
     def test_theta_on_jcoh_modified(self, monkeypatch, d, i):
         wrong = bump_log_series(jcoh_modified(self.N, self.D), d, i)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from qonf.rings import (
@@ -18,9 +18,11 @@ from qonf.rings import (
     OrderMismatchError,
     RationalFunctionQ,
     _euclid_gcd,
+    _fold_dot,
     _heu_gcd,
     _kronecker_mul,
     _schoolbook_mul,
+    apply_operator,
     binom_l,
     chern_iso,
     format_poly,
@@ -36,6 +38,9 @@ from qonf.rings import (
     series_mul,
     series_scale_pullback,
     series_to_json,
+    sigma_weight,
+    theta_weight,
+    twisted_sigma_weight,
 )
 
 Q = RationalFunctionQ.q()
@@ -239,6 +244,8 @@ class TestIntegerKernel:
     def test_kronecker_product_agrees_with_schoolbook(self, a, b):
         assert _kronecker_mul(a, b) == _schoolbook_mul(a, b)
         assert _kronecker_mul(a, a) == _schoolbook_mul(a, a)
+        mono = [a[0]] + [0] * (len(b) - 1)  # c q^e: ipoly_mul scales and shifts
+        assert ipoly_mul(mono, b) == ipoly_mul(b, mono) == _schoolbook_mul(mono, b)
 
     def test_kronecker_product_at_the_digit_edges(self):
         # equal operands reach the coefficient bound exactly; sweeping its
@@ -371,23 +378,6 @@ class TestNilpotentProperties:
         at_m = bp.map_coeffs(lambda lp: lp.evaluate(F(m)))
         one_minus_eps = NilpotentElement.from_scalar(n, F(1)) - NilpotentElement.eps(n, F(1))
         assert at_m == one_minus_eps**m
-
-
-fractions = st.fractions(min_value=-20, max_value=20, max_denominator=7)
-
-
-class TestPolyShift:
-    @given(st.lists(fractions, max_size=6), st.integers(-5, 5), st.integers(-5, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_shifts_compose(self, cs, a, b):
-        p = Poly(cs, F(1))
-        assert p.shift(a).shift(b) == p.shift(a + b)
-
-    @given(st.lists(fractions, max_size=6), st.integers(-5, 5), fractions)
-    @settings(max_examples=60, deadline=None)
-    def test_shift_is_translation(self, cs, k, x):
-        p = Poly(cs, F(1))
-        assert p.shift(k).evaluate(x) == p.evaluate(x + k)
 
 
 class TestBinomialPower:
@@ -620,3 +610,114 @@ class TestFusedMatrixSums:
             want.append([[-x for x in row] for row in fold_mat_mul(g0, acc)])
         for m in range(D + 1):
             assert same_matrix(inv[m], want[m])
+
+
+@st.composite
+def poly_pairs(draw):
+    """Pairs of Poly with all-RationalFunctionQ or all-Fraction entries."""
+    exact = draw(st.booleans())
+    one = ONE if exact else F(1)
+    entry = dot_factors().map(lambda x: x * ONE) if exact else small_fracs
+    polys = st.lists(entry, max_size=4).map(lambda cs: Poly(cs, one))
+    return draw(st.lists(st.tuples(polys, polys), min_size=2, max_size=5))
+
+
+class TestRfqDotOfPolys:
+    @given(poly_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_left_fold(self, pairs):
+        got, want = rfq_dot(pairs), _fold_dot(pairs)
+        assert type(got) is Poly and got.one == want.one
+        assert len(got.coeffs) == len(want.coeffs)
+        assert all(same_scalar(g, w) for g, w in zip(got.coeffs, want.coeffs))
+
+
+# ---------------------------------------------------------------- operators on log-series
+
+
+def shift_L(lp):
+    """lp(L + 1), by Horner's rule in Poly arithmetic."""
+    acc = Poly([], lp.one)
+    for c in reversed(lp.coeffs):
+        acc = acc * Poly([lp.one, lp.one], lp.one) + Poly([c], lp.one)
+    return acc
+
+
+def ref_sigma(s, q):
+    """One dilation step: Q^d -> q^d Q^d and L -> L + 1."""
+    return LogSeries(s.truncation, [
+        c.map_coeffs(lambda lp, f=q**d: shift_L(lp) * f) for d, c in enumerate(s.coeffs)])
+
+
+def ref_twisted_sigma(s, q):
+    """(1 - eps) sigma: eps^i -> eps^i - eps^(i+1), truncated at eps^N."""
+    t = ref_sigma(s, q)
+    out = []
+    for c in t.coeffs:
+        lps = c.coeffs
+        out.append(NilpotentElement(c.order, [lps[0]] + [lps[i] - lps[i - 1]
+                                                         for i in range(1, len(lps))]))
+    return LogSeries(s.truncation, out)
+
+
+def ref_theta(s, q):
+    """Q d/dQ with L = log Q: Q^d L^m -> d Q^d L^m + m Q^d L^(m-1)."""
+    return LogSeries(s.truncation, [
+        c.map_coeffs(lambda lp, d=d: lp * d + lp.derivative()) for d, c in enumerate(s.coeffs)])
+
+
+def iterated_apply(coeffs, step, q, s):
+    """The reference: sum_k c_k(Q) step^k(s), applying the step k times."""
+    D = s.truncation
+    out = [c.scale(0) for c in s.coeffs]
+    current = s
+    for k, ck in enumerate(coeffs):
+        if k:
+            current = step(current, q)
+        for j, c in enumerate(ck):
+            for d in range(D + 1 - j):
+                out[d + j] = out[d + j] + current.coeffs[d].scale(c)
+    return LogSeries(D, out)
+
+
+STEPS = {
+    "sigma": (sigma_weight, ref_sigma, True),
+    "twisted sigma": (twisted_sigma_weight, ref_twisted_sigma, True),
+    "theta": (theta_weight, ref_theta, False),
+}
+
+
+@st.composite
+def operator_and_series(draw, exact):
+    """A random operator sum_k c_k(Q) step^k and a log-series of L-degree >= 1."""
+    one = ONE if exact else F(1)
+    entry = dot_factors().map(lambda x: x * ONE) if exact else small_fracs
+    N, D = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    lps = st.lists(entry, max_size=3).map(lambda cs: Poly(cs, one))
+    rows = [draw(st.lists(lps, min_size=N + 1, max_size=N + 1)) for _ in range(D + 1)]
+    d, i = draw(st.integers(0, D)), draw(st.integers(0, N))
+    rows[d][i] = Poly([draw(entry), one], one)  # L-degree at least 1
+    s = LogSeries(D, [NilpotentElement(N, row) for row in rows])
+    coeffs = draw(st.lists(st.lists(entry, max_size=3), min_size=1, max_size=4))
+    return coeffs, s
+
+
+class TestApplyOperator:
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_equals_iterated_step(self, name, data):
+        weight, step, exact = STEPS[name]
+        coeffs, s = data.draw(operator_and_series(exact))
+        q = Q if exact else None
+        want = iterated_apply(coeffs, step, q, s)
+        assume(not want.is_zero_through(s.truncation))
+        got = apply_operator(coeffs, weight, q, s)
+        assert got == want
+        assert series_to_json(got) == series_to_json(want)
+
+    def test_sigma_and_theta_methods_are_the_one_step_operator(self):
+        one = F(1)
+        s = LogSeries(1, [NilpotentElement(1, [Poly([one, F(2)], one), Poly([F(3)], one)])] * 2)
+        assert s.sigma(F(3)) == iterated_apply([[], [1]], ref_sigma, F(3), s)
+        assert s.theta() == iterated_apply([[], [1]], ref_theta, None, s)
