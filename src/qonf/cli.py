@@ -204,7 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include the plane correspondence table (N = 2)")
     add_output(sp, "json", ("json",))
 
-    sp = sub.add_parser("verify", help="run verification suites")
+    sp = sub.add_parser(
+        "verify", help="run verification suites",
+        description="Run the verification suites.  Each check reports its wall time: "
+                    "'seconds' per check and 'total_seconds' for the run in the JSON "
+                    "format, a time column in the text format.")
     sp.add_argument("--suite", default="all",
                     choices=tuple(SUITES) + ("all",))
     sp.add_argument("--seed", type=int, default=0)
@@ -437,14 +441,17 @@ def cmd_verify(args, cfg) -> int:
         "passed": all(r.passed for r in results),
         "checks": [r.as_json() for r in results],
     }
+    doc["total_seconds"] = sum(c["seconds"] for c in doc["checks"])
 
     def render(d):
         lines = [
-            f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}"
+            f"[{'PASS' if c['passed'] else 'FAIL'}] {c['seconds']:8.3f}s "
+            f"{c['name']}: {c['detail']}"
             for c in d["checks"]
         ]
         lines.append(f"{'OK' if d['passed'] else 'FAILED'}: "
-                     f"{sum(c['passed'] for c in d['checks'])}/{len(d['checks'])} checks")
+                     f"{sum(c['passed'] for c in d['checks'])}/{len(d['checks'])} checks "
+                     f"in {d['total_seconds']:.3f}s")
         return "\n".join(lines) + "\n"
 
     cfg.emit(doc, render)

@@ -45,7 +45,6 @@ from .rings import (
     RationalFunctionQ,
     apply_operator,
     nil_binomial_power,
-    nil_inv,
     nil_mul,
     one_like,
     sigma_weight,
@@ -246,21 +245,33 @@ class JFunctionK:
         return self.coeffs[d][i]
 
 
+def _inverse_power(N: int, a, b) -> NilpotentElement:
+    """(a + b eps)^-(N+1) by the binomial series
+    sum_k (-1)^k C(N+k, k) b^k a^-(N+1+k) eps^k."""
+    return NilpotentElement(N, [(-1) ** k * math.comb(N + k, k) * (b ** k * a ** -(N + 1 + k))
+                                for k in range(N + 1)])
+
+
 def _inverse_product_powers(N: int, D: int, factor, one) -> tuple:
     """Rows d = 0..D of the eps-coefficients of prod_(r=1..d) (a_r + b_r eps)^-(N+1)
-    in the truncated ring, with (a_r, b_r) = factor(r) and ``one`` its unit."""
+    in the truncated ring, with (a_r, b_r) = factor(r) and ``one`` its unit.
+
+    The product is kept running: one :func:`nil_mul` by :func:`_inverse_power`
+    per degree.  It is a product in the truncated ring and shares nothing with
+    the elementary-symmetric sum of :func:`jk_closed_formula`, so it stays an
+    independent oracle for that formula.
+    """
     zero = zero_like(one)
     rows = [tuple([one] + [zero] * N)]
     prod = NilpotentElement.from_scalar(N, one)
     for d in range(1, D + 1):
-        a, b = factor(d)
-        prod = nil_mul(prod, NilpotentElement(N, ([a, b] + [zero] * N)[:N + 1]))
-        rows.append((nil_inv(prod) ** (N + 1)).coeffs)
+        prod = nil_mul(prod, _inverse_power(N, *factor(d)))
+        rows.append(prod.coeffs)
     return tuple(rows)
 
 
 def jk_series(N: int, D: int) -> JFunctionK:
-    """Oracle form: invert prod_(r=1..d) ((1-q^r) + q^r eps) in the truncated ring."""
+    """Oracle form: prod_(r=1..d) ((1-q^r) + q^r eps)^-(N+1) in the truncated ring."""
     if N < 0 or D < 0:
         raise ValueError("need N >= 0 and D >= 0")
     return JFunctionK(N, D, _inverse_product_powers(

@@ -112,9 +112,9 @@ def ipoly_mul(a, b) -> list:
     if len(a) == 1 or len(b) == 1:
         c, p = (a[0], b) if len(a) == 1 else (b[0], a)
         return list(p) if c == 1 else [c * x for x in p]
-    if not (b[-1] or any(b[1:])):
+    if _is_monomial(b):
         a, b = b, a
-    if not (a[-1] or any(a[1:])):  # a = c q^e: scale and shift
+    if _is_monomial(a):  # a = c q^e: scale and shift
         return [a[0] * x for x in b] + [0] * (len(a) - 1)
     if min(len(a), len(b)) <= _SCHOOLBOOK_LEN:
         return _schoolbook_mul(a, b)
@@ -149,13 +149,18 @@ def ipoly_gcd(f, g):
     """(h, f / h, g / h) with h = gcd(f, g) in Z[q] and lc(h) > 0.
 
     The gcd includes the integer content, so the two cofactors are coprime
-    over Z[q].  f and g are nonzero.
+    over Z[q].  f and g are nonzero.  When a primitive part is +-q^e, the
+    gcd of the primitive parts is q^min(e, v), v the other part's number of
+    trailing zeros, and the cofactors are slices.
     """
     cf, pf = _content_split(f)
     cg, pg = _content_split(g)
     c = gcd(cf, cg)
     if len(pf) == 1 or len(pg) == 1:
         h, qf, qg = [1], pf, pg
+    elif _is_monomial(pf) or _is_monomial(pg):
+        k = min(_trailing_zeros(pf), _trailing_zeros(pg))
+        h, qf, qg = [1] + [0] * k, pf[:len(pf) - k], pg[:len(pg) - k]
     else:
         h, qf, qg = _heu_gcd(pf, pg) or _euclid_gcd(pf, pg)
     if cf != c:
@@ -165,6 +170,18 @@ def ipoly_gcd(f, g):
     if c != 1:
         h = [c * x for x in h]
     return h, qf, qg
+
+
+def _is_monomial(p) -> bool:
+    """p = c q^e with e >= 1."""
+    return not (p[-1] or any(p[1:]))
+
+
+def _trailing_zeros(p) -> int:
+    k = len(p)
+    while not p[k - 1]:
+        k -= 1
+    return len(p) - k
 
 
 def _heu_gcd(f, g):
@@ -1052,6 +1069,13 @@ def theta_weight(k: int, a: int, d: int, mp: int, m: int):
     return comb(k, t) * d ** (k - t) * (factorial(mp) // factorial(m)), 0
 
 
+def _constant_times_q_power(c: RationalFunctionQ, n: int, e: int) -> RationalFunctionQ:
+    """c n q^e for a nonzero constant c and n != 0, as its canonical pair."""
+    num, den = c._n[0] * n, c._d[0]
+    g = gcd(num, den)
+    return RationalFunctionQ._make((num // g,) + (0,) * e, (den // g,))
+
+
 def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     """sum_k c_k(Q) step^k(s), truncated at the order of s.
 
@@ -1061,20 +1085,23 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     of eps^(i+a) Q^d L^m in step^k(eps^i Q^d L^mp), for :func:`sigma_weight`,
     :func:`twisted_sigma_weight` or :func:`theta_weight` (whose e is 0, so q
     is not read).  Each entry (d, i, m) of the result is one :func:`rfq_dot`
-    of the coefficients of s against the factors c_(k,j) n q^e.
+    of the coefficients of s against the factors c_(k,j) n q^e.  When q is
+    the generator of Q(q) and c_(k,j) a constant of Q(q), the factor is
+    written as its canonical pair; otherwise it is ``c * (n * q ** e)``.
     """
     D, N, top = s.truncation, s.order, s.logdegree
     one = s.coeffs[0].coeffs[0].one
     zero = zero_like(one)
-    ops = [(k, j, c) for k, ck in enumerate(coeffs) for j, c in enumerate(ck)
-           if not scalar_is_zero(c)]
+    generator = type(q) is RationalFunctionQ and q._n == (1, 0) and q._d == (1,)
+    ops = [(k, j, c, generator and type(c) is RationalFunctionQ and len(c._n) == len(c._d) == 1)
+           for k, ck in enumerate(coeffs) for j, c in enumerate(ck) if not scalar_is_zero(c)]
     factors = {}
     out = []
     for dout in range(D + 1):
         entries = []
         for iout in range(N + 1):
             terms = [[] for _ in range(top + 1)]  # no step raises the L-degree
-            for k, j, c in ops:
+            for k, j, c, direct in ops:
                 d = dout - j
                 if d < 0:
                     continue
@@ -1087,7 +1114,8 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
                             if n:
                                 key = (k, j, n, e)
                                 if key not in factors:
-                                    factors[key] = c * (n * q ** e if e else n)
+                                    factors[key] = (_constant_times_q_power(c, n, e) if direct
+                                                    else c * (n * q ** e if e else n))
                                 terms[m].append((x, factors[key]))
             entries.append(Poly([rfq_dot(t) if t else zero for t in terms], one))
         out.append(NilpotentElement(N, entries))

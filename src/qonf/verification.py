@@ -50,7 +50,8 @@ class CheckResult:
     seconds: float = 0.0  # wall time of this check alone, set by run_suites
 
     def as_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return {"name": self.name, "passed": self.passed, "detail": self.detail,
+                "seconds": self.seconds}
 
 
 def _ok(name, residual, tol) -> CheckResult:

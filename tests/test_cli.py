@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -301,6 +302,28 @@ class TestCompareAndVerify:
         code, out = run(capsys, "verify", "--suite", "gw-equivariant", "--seed", "0")
         assert code == 0
         assert "OK" in out
+
+    def test_verify_reports_timings(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "gw-equivariant", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        seconds = [c["seconds"] for c in doc["checks"]]
+        assert seconds and all(isinstance(t, float) and t >= 0 for t in seconds)
+        assert isinstance(doc["total_seconds"], float)
+        assert doc["total_seconds"] == pytest.approx(sum(seconds))
+
+    def test_verify_text_has_a_time_column(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "gw-equivariant")
+        lines = out.splitlines()
+        assert code == 0
+        assert all(re.match(r"\[PASS\] +\d+\.\d{3}s \S", line) for line in lines[:-1])
+        assert re.fullmatch(r"OK: (\d+)/\1 checks in \d+\.\d{3}s", lines[-1])
+
+    def test_verify_help_names_the_timings(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "'seconds' per check" in text and "'total_seconds'" in text
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "nd.csv"

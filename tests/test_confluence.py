@@ -145,6 +145,28 @@ class TestVerdicts:
         assert not rep.confluent
         assert rep.limit_exists.status == "fail"
 
+    @staticmethod
+    def q_dependent_system(entries):
+        return QDifferenceSystem(tuple(tuple(rf(x) for x in row) for row in entries), R.q())
+
+    def test_q_dependent_eigenbasis_converges(self):
+        # B_q(0) depends on q, so condition 4 compares eigenvectors along the path
+        sys = self.q_dependent_system([["1", "(q-1)*q"], ["0", "1 + (q-1)/2"]])
+        rep = check_confluent(sys, Q0)
+        cond = rep.jordan_basis_converges
+        assert cond.status == "pass" and rep.confluent
+        prefix = "eigenvector distance along path: "
+        assert cond.detail.startswith(prefix)
+        dists = [float(x) for x in cond.detail[len(prefix):].strip("[]").split(",")]
+        assert dists == pytest.approx([1.7e-3, 2.2e-4, 2.7e-5], rel=0.05)
+
+    def test_defective_limit_is_skipped(self):
+        # the limit B(0) = [[0, 1], [0, 0]] has one eigenvector
+        rep = check_confluent(self.q_dependent_system([["1", "(q-1)*q"], ["0", "1"]]), Q0)
+        assert rep.jordan_basis_converges.status == "skipped"
+        assert "defective" in rep.jordan_basis_converges.detail
+        assert not rep.confluent
+
     def test_report_serializes(self):
         import json
 

@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from qonf.gw import (
     EquivariantSpec,
     JFunctionK,
+    _inverse_power,
     confluence_compare,
     equivariant_confluence_compare,
     equivariant_operator_residual,
@@ -29,7 +32,15 @@ from qonf.gw import (
     wdvv_residual_p2,
 )
 from qonf.qdiff import casoratian
-from qonf.rings import LogSeries, NilpotentElement, RationalFunctionQ as R, chern_iso
+from qonf.rings import (
+    LogSeries,
+    NilpotentElement,
+    RationalFunctionQ as R,
+    chern_iso,
+    nil_inv,
+    nil_mul,
+    zero_like,
+)
 
 REFERENCE_ND = (1, 1, 12, 620, 87304, 26312976, 14616808192, 13525751027392)
 
@@ -110,6 +121,56 @@ class TestJkSeries:
 
         x = NilpotentElement(2, [R.one(), 3 * R.one(), R.zero()])
         assert chern_iso(x).coeffs == x.coeffs
+
+
+def linear(N, a, b):
+    """a + b eps in the truncated ring of order N."""
+    return NilpotentElement(N, ([a, b] + [zero_like(a)] * N)[:N + 1])
+
+
+def reference_inverse_product_powers(N, D, factor, one):
+    """The oracle's rows built the long way: the running product of the
+    factors a_r + b_r eps, then its inverse, then the (N+1)-th power."""
+    rows = [NilpotentElement.from_scalar(N, one).coeffs]
+    prod = NilpotentElement.from_scalar(N, one)
+    for d in range(1, D + 1):
+        prod = nil_mul(prod, linear(N, *factor(d)))
+        rows.append((nil_inv(prod) ** (N + 1)).coeffs)
+    return tuple(rows)
+
+
+def the_long_way(a, b, N):
+    """(a + b eps)^-(N+1) by the geometric series and N+1 products."""
+    return nil_inv(linear(N, a, b)) ** (N + 1)
+
+
+nonzero_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+class TestOracleConstruction:
+    @pytest.mark.parametrize("N", range(5))
+    def test_rows_equal_the_inverse_of_the_product(self, N):
+        D = 6
+        want_k = reference_inverse_product_powers(
+            N, D, lambda r: (R.one_minus_q_pow(r), R.q_power(r)), R.one())
+        want_coh = reference_inverse_product_powers(N, D, lambda r: (F(r), F(1)), F(1))
+        for d in range(D + 1):
+            got_k, got_coh = jk_series(N, d).coeffs, jcoh_series(N, d).coeffs
+            assert got_k == want_k[:d + 1] and repr(got_k) == repr(want_k[:d + 1])
+            assert got_coh == want_coh[:d + 1] and repr(got_coh) == repr(want_coh[:d + 1])
+
+    @given(st.integers(0, 4), nonzero_fracs, nonzero_fracs)
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_factor_over_fractions(self, N, a, b):
+        got, want = _inverse_power(N, a, b), the_long_way(a, b, N)
+        assert got == want and repr(got) == repr(want)
+
+    @given(st.integers(0, 4), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_binomial_factor_over_q(self, N, r):
+        a, b = R.one_minus_q_pow(r), R.q_power(r)
+        got, want = _inverse_power(N, a, b), the_long_way(a, b, N)
+        assert got == want and repr(got) == repr(want)
 
 
 class TestClosedFormula:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,8 +137,6 @@ def stripped(p):
 
 
 def primitive(p):
-    import math
-
     c = math.gcd(*p)
     return [x // c for x in p]
 
@@ -231,6 +230,22 @@ class TestIntegerKernel:
         h, qf, qg = _heu_gcd(f, g)
         assert (h, qf, qg) == _euclid_gcd(f, g)
         assert ipoly_mul(h, qf) == f and ipoly_mul(h, qg) == g
+
+    @given(st.integers(-40, 40).filter(bool), st.integers(1, 6), int_polys,
+           st.integers(0, 4), st.integers(1, 30), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_with_a_monomial(self, c, e, p, t, content, swap):
+        # c q^e against content * p * q^t: the short cut returns q^min(e, t)
+        # (p may have its own trailing zeros) without GCDHEU or Euclid
+        mono = [c] + [0] * e
+        other = [content * x for x in p] + [0] * t
+        f, g = (other, mono) if swap else (mono, other)
+        h, qf, qg = ipoly_gcd(f, g)
+        assert h[0] > 0
+        assert ipoly_mul(h, qf) == f and ipoly_mul(h, qg) == g
+        cf, cg = math.gcd(*qf), math.gcd(*qg)
+        assert math.gcd(cf, cg) == 1
+        assert _euclid_gcd(primitive(qf), primitive(qg))[0] == [1]
 
     def test_euclid_fallback_on_coprime_and_shared_factors(self):
         # (q^2 + 1)(q - 3) and (q^2 + 1)(2q + 5): the gcd is q^2 + 1
@@ -715,6 +730,50 @@ class TestApplyOperator:
         got = apply_operator(coeffs, weight, q, s)
         assert got == want
         assert series_to_json(got) == series_to_json(want)
+
+    def test_constant_coefficients_over_the_generator(self):
+        # every c_k is a constant of Q(q), so each factor is written directly;
+        # c_k n cancels where n = C(m', m) k^(m'-m) is k, and in the second
+        # case each output entry is a single product, which rfq_dot does not
+        # reduce again
+        s = LogSeries(2, [NilpotentElement(1, [Poly([F(k + 1) * ONE, Q], ONE),
+                                               Poly([Q / (1 - Q)], ONE)])
+                          for k in range(3)])
+        zero = Poly([], ONE)
+        single = LogSeries(1, [NilpotentElement(1, [zero, zero]),
+                               NilpotentElement(1, [Poly([0, ONE], ONE), zero])])
+        cases = [([[F(3, 2) * ONE, -2 * ONE], [], [F(5, 2) * ONE], [F(-4, 3) * ONE]], s),
+                 ([[], [], [F(5, 2) * ONE]], single)]
+        for weight, step in ((sigma_weight, ref_sigma), (twisted_sigma_weight, ref_twisted_sigma)):
+            for coeffs, series in cases:
+                got = apply_operator(coeffs, weight, Q, series)
+                want = iterated_apply(coeffs, step, Q, series)
+                assert got == want and series_to_json(got) == series_to_json(want)
+
+    def test_coefficients_that_are_not_constant(self):
+        s = LogSeries(2, [NilpotentElement(0, [Poly([ONE, ONE], ONE)])] * 3)
+        coeffs = [[(1 + Q) / (1 - Q)], [Q * Q, F(1, 3) * ONE], [1 / (2 + Q)]]
+        got = apply_operator(coeffs, sigma_weight, Q, s)
+        want = iterated_apply(coeffs, ref_sigma, Q, s)
+        assert got == want and series_to_json(got) == series_to_json(want)
+
+    def test_floating_q_keeps_the_order_of_the_generic_product(self):
+        # c (n q^e) and (c n) q^e differ in the last bit for these values
+        q, one = 0.7, 1.0
+        xs = [0.3, -2.7, 1.3]  # x_0 + x_1 L + x_2 L^2 at Q^1
+        cs = [0.9, 1.1, -2.7, 3.7]  # c_k of sigma^k
+        s = LogSeries(1, [NilpotentElement(0, [Poly([], one)]),
+                          NilpotentElement(0, [Poly(xs, one)])])
+        got = apply_operator([[c] for c in cs], sigma_weight, q, s).coeffs[1].coeffs[0].coeffs
+        for m in range(3):
+            want = None
+            for k, c in enumerate(cs):
+                for mp in range(m, 3):
+                    n, e = math.comb(mp, m) * k ** (mp - m), k
+                    if n:
+                        term = xs[mp] * (c * (n * q ** e if e else n))
+                        want = term if want is None else want + term
+            assert repr(got[m]) == repr(want)
 
     def test_sigma_and_theta_methods_are_the_one_step_operator(self):
         one = F(1)
