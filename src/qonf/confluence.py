@@ -22,7 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -43,7 +42,6 @@ from .qdiff import (
     ConstantPart,
     FundamentalSolutionAt0,
     QDifferenceSystem,
-    ResonanceError,
     UnsupportedJordanError,
     _entry_at,
     _to_complex,
@@ -230,39 +228,26 @@ def ode_gauge_residual(ode: ODESystem, P: MatrixSeries, B0) -> MatrixSeries:
 def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> FundamentalSolutionAt0:
     """Fundamental solution P(Q) Q^(B(0)) of a regular-singular ODE at 0.
 
-    Same Jordan restrictions as the q-side: B(0) diagonalizable with
-    non-resonant (integer-difference-free) eigenvalues, or a single
-    eigenvalue with nilpotent part; an exact B(0) is classified before any
-    degree is solved.  The gauge P has P(0) = I and Q P' + P B(0) = B(Q) P;
-    degree m solves m P_m + P_m B0 - B0 P_m = sum_{k=1..m} B_k P_{m-k}, the
-    q side's Sylvester equation with c = m, s = 1.  The solution evaluates
-    Q^lam and log Q on the branch cut along the spiral (-1) q0^R
+    The entries are exact (the limit systems of :func:`check_confluent` are
+    built from Fractions), and B(0) must have a single eigenvalue, with a
+    nilpotent part; this is decided before any degree is solved.  The gauge
+    P has P(0) = I and Q P' + P B(0) = B(Q) P; degree m solves
+    m P_m + P_m B0 - B0 P_m = sum_{k=1..m} B_k P_{m-k}, the q side's
+    Sylvester equation with c = m, s = 1.  The solution evaluates Q^lam and
+    log Q on the branch cut along the spiral (-1) q0^R
     (:func:`qonf.qspecial.spiral_log`).
     """
     Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
-    B0 = Bser.terms[0]
     one = Bser.one
-    n = ode.n
-    part = ConstantPart.of(B0, one)
-    exact = not isinstance(one, (float, complex))
-    if exact and not part.nilpotent:
+    if isinstance(one, (float, complex)):
+        raise DomainError("the ODE side needs exact entries")
+    part = ConstantPart.of(Bser.terms[0], one)
+    if not part.nilpotent:
         raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
     P = solve_gauge(Bser, part, D, lambda m: (m * one, one), "integer eigenvalue difference")
-    solution = partial(FundamentalSolutionAt0, ode, P, q=q0,
-                       character=_ode_power, logarithm=_ode_log)
-    if exact:
-        return solution("nilpotent", [part.lam] * n, nilpotent_log=part.N)
-    B0c = np.array([[complex(x) for x in row] for row in B0])
-    lams, V = np.linalg.eig(B0c)
-    if np.all(np.abs(lams - lams.mean()) < 1e-10 * max(1.0, np.abs(lams).max())):
-        mu = complex(lams.mean())
-        return solution("nilpotent", [mu] * n, nilpotent_log=B0c - mu * np.eye(n))
-    resonant = _integer_differences(lams)
-    if resonant:
-        raise ResonanceError(f"eigenvalues differ by the integer {resonant[0][2]}")
-    if numerically_defective(V):
-        raise UnsupportedJordanError("B(0) is numerically defective")
-    return solution("diagonalizable", list(lams), basis=V)
+    return FundamentalSolutionAt0(ode, P, "nilpotent", [part.lam] * ode.n, q=q0,
+                                  nilpotent_log=part.N, character=_ode_power,
+                                  logarithm=_ode_log)
 
 
 def _integer_differences(lams) -> list:
@@ -422,23 +407,34 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
     if constant_in_q:
         return ConditionReport("pass", "B_q(0) is independent of q")
 
-    lams_lim, V_lim = np.linalg.eig(B0_limit)
-    if numerically_defective(V_lim):
-        return ConditionReport(
-            "skipped", "limit B(0) is defective; eigenvector comparison not performed"
-        )
-    V_lim = _normalize_eigvecs(V_lim)
-    dists = []
-    for t in (2.0**-6, 2.0**-9, 2.0**-12):
-        qn = q0**t
-        Bq0 = np.array([[_to_complex(v, qn) for v in row] for row in vals0])
-        lams, V = np.linalg.eig(Bq0)
-        order = _match_order(lams, lams_lim)
-        V = _normalize_eigvecs(V[:, order])
-        dists.append(float(np.abs(V - V_lim).max()))
-    if dists[-1] < 1e-3 and dists[-1] <= dists[0] + 1e-12:
-        return ConditionReport("pass", f"eigenvector distance along path: {dists}")
-    return ConditionReport("fail", f"eigenvector distance along path: {dists}")
+    path = [np.linalg.eig(np.array([[_to_complex(v, q0**t) for v in row] for row in vals0]))
+            for t in (2.0**-6, 2.0**-9, 2.0**-12)]
+    if np.array_equal(B0_limit, B0_limit[0, 0] * np.eye(n)):
+        # every basis is an eigenbasis of a scalar limit: the question is
+        # whether the eigenbasis of B_q(0) settles along the path
+        if any(numerically_defective(V) for _, V in path):
+            return ConditionReport(
+                "skipped", "B_q(0) is defective along the path; eigenvector comparison not performed"
+            )
+        refs, path, what = path[:-1], path[1:], "limit B(0) is scalar; eigenvector change along path"
+    else:
+        lams_lim, V_lim = np.linalg.eig(B0_limit)
+        if numerically_defective(V_lim):
+            return ConditionReport(
+                "skipped", "limit B(0) is defective; eigenvector comparison not performed"
+            )
+        refs, what = [(lams_lim, V_lim)] * len(path), "eigenvector distance along path"
+    dists = [_basis_distance(lams, V, lams_ref, V_ref)
+             for (lams, V), (lams_ref, V_ref) in zip(path, refs)]
+    status = "pass" if dists[-1] < 1e-3 and dists[-1] <= dists[0] + 1e-12 else "fail"
+    return ConditionReport(status, f"{what}: {dists}")
+
+
+def _basis_distance(lams, V, lams_ref, V_ref) -> float:
+    """Largest entry of the difference of the two normalized eigenbases, the
+    columns of V put in the order of the nearest eigenvalues of lams_ref."""
+    order = _match_order(lams, lams_ref)
+    return float(np.abs(_normalize_eigvecs(V[:, order]) - _normalize_eigvecs(V_ref)).max())
 
 
 def _normalize_eigvecs(V: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from struct import pack, unpack
 
 
 class QonfError(Exception):
@@ -56,31 +57,56 @@ def _strip(p):
     return p[k:] if k else p
 
 
-def _repunit(n: int, nbytes: int) -> int:
-    """sum_{i<n} 2^(8*nbytes*i)."""
-    return int.from_bytes((b"\0" * (nbytes - 1) + b"\1") * n, "big")
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct codes of signed words
+
+
+def _word_width(nbytes: int) -> int:
+    """nbytes rounded up to a struct word (1, 2, 4 or 8 bytes); wider digits
+    stay as they are."""
+    return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
+
+
+def _bias(n: int, nbytes: int) -> int:
+    """sum_{i<n} 2^(8*nbytes*i) * 2^(8*nbytes-1): n digits of half the base."""
+    return int.from_bytes((b"\x80" + b"\0" * (nbytes - 1)) * n, "big")
 
 
 def _pack(p, nbytes: int) -> int:
     """p(2^(8*nbytes)); every |coefficient| must be below 2^(8*nbytes-1).
 
     Each coefficient is biased by 2^(8*nbytes-1) to make its digit
-    nonnegative, and the packed bias is subtracted once at the end.
+    nonnegative, and the packed bias is subtracted once at the end.  A
+    digit of a struct word's width is the coefficient's two's complement
+    with its top bit flipped, so one struct call packs the words, least
+    significant first, and one XOR with the bias flips every top bit.
+    Wider digits are converted one coefficient at a time.
     """
+    bias = _bias(len(p), nbytes)
+    code = _WORD_CODES.get(nbytes)
+    if code:
+        words = int.from_bytes(pack(f"<{len(p)}{code}", *p[::-1]), "little")
+        return (words ^ bias) - bias
     half = 1 << (8 * nbytes - 1)
     digits = b"".join([(c + half).to_bytes(nbytes, "big") for c in p])
-    return int.from_bytes(digits, "big") - _repunit(len(p), nbytes) * half
+    return int.from_bytes(digits, "big") - bias
 
 
 def _unpack(value: int, n: int, nbytes: int):
     """The n balanced digits of value in base 2^(8*nbytes), each in
     [-2^(8*nbytes-1), 2^(8*nbytes-1)), leading zeros stripped; None when n
-    digits do not suffice."""
-    half = 1 << (8 * nbytes - 1)
+    digits do not suffice.  The inverse of :func:`_pack`."""
+    bias = _bias(n, nbytes)
+    code = _WORD_CODES.get(nbytes)
     try:
-        data = (value + _repunit(n, nbytes) * half).to_bytes(n * nbytes, "big")
+        if code:
+            data = ((value + bias) ^ bias).to_bytes(n * nbytes, "little")
+        else:
+            data = (value + bias).to_bytes(n * nbytes, "big")
     except OverflowError:
         return None
+    if code:
+        return _strip(list(unpack(f"<{n}{code}", data)[::-1]))
+    half = 1 << (8 * nbytes - 1)
     return _strip([int.from_bytes(data[i:i + nbytes], "big") - half
                    for i in range(0, n * nbytes, nbytes)])
 
@@ -99,7 +125,7 @@ def _schoolbook_mul(a, b):
 def _kronecker_mul(a, b):
     """Product by Kronecker substitution: one big-int product, then unpack."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbytes = (bound.bit_length() + 8) // 8  # 2^(8*nbytes - 1) > bound
+    nbytes = _word_width((bound.bit_length() + 8) // 8)  # 2^(8*nbytes - 1) > bound
     pa = _pack(a, nbytes)
     pb = pa if b is a else _pack(b, nbytes)
     return _unpack(pa * pb, len(a) + len(b) - 1, nbytes)
@@ -194,7 +220,8 @@ def _heu_gcd(f, g):
     exactly through the cofactors f(xi) / h(xi) and g(xi) / h(xi).
     """
     norm_f, norm_g = max(map(abs, f)), max(map(abs, g))
-    nbytes = (max(norm_f, norm_g).bit_length() + 9) // 8
+    # rounding up to a struct word only raises xi
+    nbytes = _word_width((max(norm_f, norm_g).bit_length() + 9) // 8)
     for _ in range(_HEU_ATTEMPTS):
         xi = 1 << (8 * nbytes)
         F, G = _pack(f, nbytes), _pack(g, nbytes)

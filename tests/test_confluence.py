@@ -167,6 +167,24 @@ class TestVerdicts:
         assert "defective" in rep.jordan_basis_converges.detail
         assert not rep.confluent
 
+    def test_scalar_limit_compares_the_eigenbasis_along_the_path(self):
+        # B_q(0) = [[0, q-1], [q-1, 0]] keeps the eigenbasis (1, +-1) while
+        # its limit is 0, whose every basis is an eigenbasis
+        sys = self.q_dependent_system([["1", "(q-1)^2"], ["(q-1)^2", "1"]])
+        rep = check_confluent(sys, Q0)
+        cond = rep.jordan_basis_converges
+        assert cond.status == "pass" and rep.confluent
+        prefix = "limit B(0) is scalar; eigenvector change along path: "
+        assert cond.detail.startswith(prefix)
+        dists = [float(x) for x in cond.detail[len(prefix):].strip("[]").split(",")]
+        assert len(dists) == 2 and max(dists) < 1e-12
+
+    def test_scalar_limit_of_a_defective_path_is_skipped(self):
+        # B_q(0) = [[0, q-1], [0, 0]] has one eigenvector for every q
+        rep = check_confluent(self.q_dependent_system([["1", "(q-1)^2"], ["0", "1"]]), Q0)
+        assert rep.jordan_basis_converges.status == "skipped"
+        assert "defective along the path" in rep.jordan_basis_converges.detail
+
     def test_report_serializes(self):
         import json
 
@@ -221,6 +239,11 @@ class TestOdeFrobenius:
         )
         with pytest.raises(UnsupportedJordanError):
             ode_frobenius_solution(ODESystem(B), 12)
+
+    def test_floating_entries_are_refused(self):
+        ode = ODESystem(((RatFunc(Poly([0.5], 1.0)),),))
+        with pytest.raises(DomainError, match="exact"):
+            ode_frobenius_solution(ode, 4)
 
     def test_gauge_converted_to_complex_once_per_q(self, monkeypatch):
         calls = []

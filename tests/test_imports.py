@@ -1,12 +1,14 @@
 """Every name a module of the package, a test module or a script imports is
-used by that module, and every module-level function or class of the package
-is used somewhere.
+used by that module, every module-level function or class of the package
+is used somewhere, and the exact scalar kernel imports only the standard
+library.
 
 The package's ``__init__.py`` is skipped by the import check: its imports are
 the public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,26 @@ def test_detects_a_dead_definition():
               "class Unused:\n    pass\n\n"
               "x = used()\n")
     assert dead_definitions({"m": source}, {"m": source}) == ["m: recursive", "m: Unused"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports; "." for a relative
+    import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add(node.module.split(".")[0] if node.level == 0 else ".")
+    return out
+
+
+def test_the_exact_kernel_imports_only_the_standard_library():
+    # rings is the bottom of the package: no numpy, no sibling module
+    source = (ROOT / "src" / "qonf" / "rings.py").read_text()
+    assert imported_modules(source) - sys.stdlib_module_names == set()
+
+
+def test_detects_a_non_standard_import():
+    source = "import numpy as np\nfrom struct import pack\nfrom .polyq import Poly\nimport os.path\n"
+    assert imported_modules(source) - sys.stdlib_module_names == {"numpy", "."}

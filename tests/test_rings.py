@@ -22,7 +22,9 @@ from qonf.rings import (
     _fold_dot,
     _heu_gcd,
     _kronecker_mul,
+    _pack,
     _schoolbook_mul,
+    _unpack,
     apply_operator,
     binom_l,
     chern_iso,
@@ -159,6 +161,38 @@ edge_ints = st.one_of(
 edge_polys = st.lists(edge_ints, min_size=1, max_size=20).map(stripped).filter(bool)
 
 
+@st.composite
+def packing_digits(draw):
+    """(p, nbytes): coefficients that fit balanced digits of nbytes bytes,
+    the extreme digits -2^(8*nbytes-1) and 2^(8*nbytes-1) - 1 favoured."""
+    nbytes = draw(st.integers(1, 17))
+    half = 1 << (8 * nbytes - 1)
+    digit = st.sampled_from([-half, half - 1, 0, 1, -1]) | st.integers(-half, half - 1)
+    return draw(st.lists(digit, min_size=1, max_size=12)), nbytes
+
+
+def byte_join_pack(p, nbytes):
+    """The reference packing: one biased big-endian digit per coefficient."""
+    half = 1 << (8 * nbytes - 1)
+    digits = b"".join([(c + half).to_bytes(nbytes, "big") for c in p])
+    return int.from_bytes(digits, "big") - half * repunit(len(p), nbytes)
+
+
+def byte_join_unpack(value, n, nbytes):
+    half = 1 << (8 * nbytes - 1)
+    try:
+        data = (value + half * repunit(n, nbytes)).to_bytes(n * nbytes, "big")
+    except OverflowError:
+        return None
+    return stripped([int.from_bytes(data[i:i + nbytes], "big") - half
+                     for i in range(0, n * nbytes, nbytes)])
+
+
+def repunit(n, nbytes):
+    """sum_{i<n} 2^(8*nbytes*i)."""
+    return int.from_bytes((b"\0" * (nbytes - 1) + b"\1") * n, "big")
+
+
 class TestIntegerKernel:
     @given(rational_functions(), rational_functions(),
            st.fractions(min_value=-3, max_value=3, max_denominator=5))
@@ -268,11 +302,30 @@ class TestIntegerKernel:
         from math import isqrt
 
         for n in (9, 10, 16):
-            for bits in range(56, 80):
+            for bits in range(1, 80):
                 m = isqrt((1 << bits) // n)
+                if not m:
+                    continue
                 alternating = [m if k % 2 else -m for k in range(n)]
                 for a, b in (([m] * n, [m] * n), ([m] * n, [-m] * n), (alternating, [m] * n)):
                     assert _kronecker_mul(a, b) == _schoolbook_mul(a, b)
+
+    @given(packing_digits(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_packing_agrees_with_byte_join(self, case, data):
+        p, nbytes = case
+        half = 1 << (8 * nbytes - 1)
+        value = _pack(p, nbytes)
+        assert value == byte_join_pack(p, nbytes)
+        assert _unpack(value, len(p), nbytes) == byte_join_unpack(value, len(p), nbytes) == stripped(p)
+        if p[0] and len(p) > 1:  # the leading digit does not fit in fewer digits
+            assert _unpack(value, len(p) - 1, nbytes) is None
+        # any value, +half as a digit (a carry) included, against the reference
+        digits = data.draw(st.lists(st.sampled_from([-half, half, 0]) | st.integers(-half, half),
+                                    min_size=1, max_size=12))
+        other = sum(c << (8 * nbytes * i) for i, c in enumerate(digits))
+        for n in range(1, len(digits) + 2):
+            assert _unpack(other, n, nbytes) == byte_join_unpack(other, n, nbytes)
 
     def test_exact_quotient(self):
         assert ipoly_quo(ipoly_mul([3, -1, 2], [2, 0, -7]), [2, 0, -7]) == [3, -1, 2]
