@@ -14,10 +14,13 @@ scalars, plus truncated matrix power series.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import reduce
 
 from .rings import Poly, RationalFunctionQ, one_like, rfq_dot, scalar_is_zero, zero_like
+
+
+_ZERO_DIVISOR = "division by the zero rational function"
 
 
 def _is_exact(one) -> bool:
@@ -38,10 +41,12 @@ class RatFunc:
             if num.is_zero:
                 den = Poly([num.one], num.one)
             elif _is_exact(num.one):
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
+                # against a constant the gcd is a constant: nothing cancels
+                if num.degree and den.degree:
+                    g = num.gcd(den)
+                    if g.degree > 0:
+                        num = num.divmod(g)[0]
+                        den = den.divmod(g)[0]
                 lc = den.coeffs[-1]
                 if lc != one_like(lc):
                     inv = one_like(lc) / lc
@@ -97,7 +102,7 @@ class RatFunc:
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
+            raise ZeroDivisionError(_ZERO_DIVISOR)
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -124,18 +129,36 @@ class RatFunc:
         return self.evaluate(zero_like(self.one))
 
     def series(self, D: int) -> list:
-        """Taylor coefficients at 0 through order D (needs den(0) != 0)."""
-        d0 = self.den.evaluate(zero_like(self.one))
+        """Taylor coefficients at 0 through order D (needs den(0) != 0).
+
+        Over exact scalars coefficient k is one :func:`qonf.rings.rfq_dot`
+        of num_k and the earlier coefficients against den_0^-1 and
+        -den_j den_0^-1.  Floating scalars keep the recurrence
+        acc - den_j out_{k-j}, padded zeros included, in the same order.
+        """
+        zero, one = zero_like(self.one), one_like(self.one)
+        d0 = self.den.evaluate(zero)
         if scalar_is_zero(d0):
             raise ZeroDivisionError("not analytic at 0")
-        inv = one_like(self.one) / d0
+        inv = one / d0
+        num = (list(self.num.coeffs) + [zero] * (D + 1))[:D + 1]
         if self.den.degree == 0:
-            return [self.num.coeff(k) * inv for k in range(D + 1)]
+            if _is_exact(one) and inv == one:
+                return num
+            return [c * inv for c in num]
+        if _is_exact(one):
+            tail = [-c * inv for c in self.den.coeffs[1:]]
+            out = []
+            for k in range(D + 1):
+                terms = [(c, out[k - 1 - j]) for j, c in enumerate(tail[:k])]
+                out.append(rfq_dot([(num[k], inv)] + terms))
+            return out
+        den = (list(self.den.coeffs) + [zero] * (D + 1))[:D + 1]
         out = []
         for k in range(D + 1):
-            acc = self.num.coeff(k)
+            acc = num[k]
             for j in range(1, k + 1):
-                acc = acc - self.den.coeff(j) * out[k - j]
+                acc = acc - den[j] * out[k - j]
             out.append(acc * inv)
         return out
 
@@ -174,21 +197,20 @@ def mat_scale(A, s):
     return [[a * s for a in row] for row in A]
 
 
+def _float_dot(row, col):
+    """row . col summed left to right, the rounding every float product keeps."""
+    acc = row[0] * col[0]
+    for k in range(1, len(col)):
+        acc = acc + row[k] * col[k]
+    return acc
+
+
 def mat_mul(A, B):
     """A B; over exact scalars each entry is one :func:`qonf.rings.rfq_dot`."""
     cols = list(zip(*B))
     if _is_exact(A[0][0]):
         return [[rfq_dot(list(zip(row, col))) for col in cols] for row in A]
-    out = []
-    for row in A:
-        out_row = []
-        for col in cols:
-            acc = row[0] * col[0]
-            for k in range(1, len(col)):
-                acc = acc + row[k] * col[k]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [[_float_dot(row, col) for col in cols] for row in A]
 
 
 def mat_is_zero(A) -> bool:
@@ -199,16 +221,28 @@ def mat_dot(pairs, n: int, one):
     """sum_k A_k B_k over the n x n matrix pairs (A_k, B_k).
 
     Over exact scalars each entry is one :func:`qonf.rings.rfq_dot` over
-    every k and inner index.  Floating scalars keep the rounding of the
-    ``mat_add`` chain of products.  An empty sum is the zero matrix.
+    every k and inner index.  Floating scalars add the products' entries
+    in k order, ((A_0 B_0 + A_1 B_1) + A_2 B_2) + ..., the rounding of the
+    ``mat_add`` chain of :func:`mat_mul` products, with no matrix in
+    between.  An empty sum is the zero matrix.
     """
     if not pairs:
         return mat_zero(n, one)
-    if not _is_exact(one):
-        return reduce(mat_add, (mat_mul(A, B) for A, B in pairs))
     cols = [list(zip(*B)) for _, B in pairs]
-    return [[rfq_dot([t for (A, _), cB in zip(pairs, cols) for t in zip(A[i], cB[j])])
-             for j in range(n)] for i in range(n)]
+    if _is_exact(one):
+        return [[rfq_dot([t for (A, _), cB in zip(pairs, cols) for t in zip(A[i], cB[j])])
+                 for j in range(n)] for i in range(n)]
+    rows = [A for A, _ in pairs]
+    out = []
+    for i in range(n):
+        out_row = []
+        for j in range(n):
+            acc = _float_dot(rows[0][i], cols[0][j])
+            for A, cB in zip(rows[1:], cols[1:]):
+                acc = acc + _float_dot(A[i], cB[j])
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def mat_map(A, fn):
@@ -339,12 +373,20 @@ class MatrixSeries:
                             one if one is not None else self.one)
 
     def evaluate(self, x):
-        """Horner evaluation; scalars must support arithmetic with x."""
+        """Horner evaluation entry by entry, acc * x + t from the top term
+        down; scalars must support arithmetic with x."""
         n = len(self.terms[0])
-        acc = [[self.terms[-1][i][j] for j in range(n)] for i in range(n)]
-        for m in range(self.truncation - 1, -1, -1):
-            acc = mat_add(mat_scale(acc, x), self.terms[m])
-        return acc
+        lower = self.terms[-2::-1]
+        out = []
+        for i in range(n):
+            out_row = []
+            for j in range(n):
+                acc = self.terms[-1][i][j]
+                for t in lower:
+                    acc = acc * x + t[i][j]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
 
 def ratfunc_matrix_series(A, D: int) -> MatrixSeries:
@@ -375,6 +417,9 @@ class _Tokens:
         return ch
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> RatFunc:
     """Parse an expression in q and Q into a RatFunc over RationalFunctionQ.
 
@@ -383,24 +428,39 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
     (k times the q-degree of b) exceeds cq, or whose Q-exponent (k times the
     Q-degree of b) exceeds cQ, raises ValueError before it is formed.  A
     constant b counts as q-degree 1, since its integers grow with k.
+
+    A node free of Q stays a :class:`RationalFunctionQ`; it becomes a
+    constant RatFunc only when combined with a node in Q, or at the end.
+    Both forms are canonical, so the result is the one every node built as
+    a RatFunc gives, and a zero divisor raises RatFunc's error either way.
     """
     one = RationalFunctionQ.one()
     toks = _Tokens(text)
+
+    def combine(a, op, b):
+        fa, fb = isinstance(a, RatFunc), isinstance(b, RatFunc)
+        if fa != fb:
+            out = _with_scalar(a, op, b) if fa else _with_scalar(b, op, a, scalar_first=True)
+            if out is not None:
+                return out
+        if fa or fb:
+            a, b = _lift(a, one), _lift(b, one)
+        elif op == "/" and b.is_zero:
+            raise ZeroDivisionError(_ZERO_DIVISOR)
+        return _OPS[op](a, b)
 
     def expr():
         node = term()
         while toks.peek() and toks.peek() in "+-":
             op = toks.take()
-            rhs = term()
-            node = node + rhs if op == "+" else node - rhs
+            node = combine(node, op, term())
         return node
 
     def term():
         node = factor()
         while toks.peek() and toks.peek() in "*/":
             op = toks.take()
-            rhs = factor()
-            node = node * rhs if op == "*" else node / rhs
+            node = combine(node, op, factor())
         return node
 
     def factor():
@@ -414,10 +474,8 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
             k = integer()
             if max_exponents is not None:
                 _check_exponent(node, k, max_exponents)
-            if sign * k >= 0:
-                node = _ratfunc_pow(node, k)
-            else:
-                node = RatFunc.const(one) / _ratfunc_pow(node, k)
+            power = _ratfunc_pow(node, k) if isinstance(node, RatFunc) else node**k
+            node = power if sign * k >= 0 else combine(one, "/", power)
         return node
 
     def integer():
@@ -444,7 +502,7 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
             return base()
         if ch == "q":
             toks.take()
-            return RatFunc.const(RationalFunctionQ.q(), one)
+            return RationalFunctionQ.q()
         if ch == "Q":
             toks.take()
             return RatFunc.variable(one)
@@ -452,19 +510,44 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
             digits = ""
             while toks.peek().isdigit() or toks.peek() == ".":
                 digits += toks.take()
-            return RatFunc.const(RationalFunctionQ.from_fraction(Fraction(digits)), one)
+            return RationalFunctionQ.from_fraction(Fraction(digits))
         raise ValueError(f"unexpected character {ch!r} in {text!r}")
 
     node = expr()
     if toks.pos != len(toks.text):
         raise ValueError(f"trailing input in {text!r}")
-    return node
+    return _lift(node, one)
 
 
-def _check_exponent(node: RatFunc, k: int, caps) -> None:
-    coeffs = node.num.coeffs + node.den.coeffs
+def _with_scalar(f: RatFunc, op: str, c, scalar_first=False):
+    """f op c (c op f with ``scalar_first``) for a reduced f with a monic
+    denominator and a scalar c, or None where a reduction is needed.
+    Adding c, or multiplying by a nonzero c, leaves gcd(num, den) = 1 and
+    the denominator as they are."""
+    if op == "+":
+        num = f.num + f.den * c
+    elif op == "-":
+        num = f.den * c - f.num if scalar_first else f.num - f.den * c
+    elif op == "*" and not c.is_zero:
+        num = f.num * c
+    elif op == "/" and not scalar_first and not c.is_zero:
+        num = f.num * (1 / c)
+    else:
+        return None
+    return RatFunc(num, f.den, _canonical=True)
+
+
+def _lift(node, one) -> RatFunc:
+    return node if isinstance(node, RatFunc) else RatFunc.const(node, one)
+
+
+def _check_exponent(node, k: int, caps) -> None:
+    if isinstance(node, RatFunc):
+        coeffs = node.num.coeffs + node.den.coeffs
+        Q_degree = max(node.num.degree, node.den.degree)
+    else:
+        coeffs, Q_degree = (node,), 0
     q_degree = max(len(p) for c in coeffs for p in c.integer_pair()) - 1
-    Q_degree = max(node.num.degree, node.den.degree)
     if not q_degree and not Q_degree:
         q_degree = 1
     for name, degree, cap in (("q", q_degree, caps[0]), ("Q", Q_degree, caps[1])):
@@ -473,9 +556,14 @@ def _check_exponent(node: RatFunc, k: int, caps) -> None:
 
 
 def _ratfunc_pow(node: RatFunc, k: int) -> RatFunc:
+    """node^k by binary powering, like :meth:`qonf.rings.Poly.__pow__`."""
     out = RatFunc.const(node.one)
-    for _ in range(k):
-        out = out * node
+    while k:
+        if k & 1:
+            out = out * node
+        k >>= 1
+        if k:
+            node = node * node
     return out
 
 

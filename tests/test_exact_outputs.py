@@ -3,8 +3,10 @@
 Every exact output of the package (J-function coefficient tables, the P^2
 correspondence table, Frobenius gauge terms on both sides of the confluence)
 is a rational function of q or a rational number, so a refactor must leave
-it byte-identical.  The digests below pin that; no floating output enters
-them.
+it byte-identical.  The digests below pin that.  The floating paths of
+:mod:`qonf.polyq` promise the same rounding whatever their loops look like,
+so the parsed systems and one numeric gauge are pinned by their reprs too,
+signed zeros included.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import pytest
 
 from qonf.cli import main
 from qonf.confluence import check_confluent, ode_frobenius_solution, pn_j_system
-from qonf.qdiff import frobenius_solution
+from qonf.qdiff import frobenius_solution, system_from_json
 
 
 def digest(text: str) -> str:
@@ -50,3 +52,34 @@ def test_gauge_terms_on_both_sides():
     osol = ode_frobenius_solution(check_confluent(qsys, 0.8).limit_system, 6)
     assert digest(repr(qsol.gauge.terms)) == Q_GAUGE
     assert digest(repr(osol.gauge.terms)) == ODE_GAUGE
+
+
+EXACT_DOC = {"n": 2, "q": "q", "entries": [
+    {"i": 0, "j": 0, "entry": "1 + (q-1)*(3*Q)/(3 + 4*q + 5*q^2)"},
+    {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(2 + q))"},
+    {"i": 1, "j": 0, "num": "(q-1)*Q*(4 + 5*q)", "den": "(3 + 4*q + 5*q^2) + Q"},
+    {"i": 1, "j": 1, "entry": "1.25 - q^-2*Q^2/(1 - q)^3 + 3/4*q"},
+]}
+NUMERIC_DOC = {"n": 2, "q": [0.41, 0.37], "entries": [
+    {"i": 0, "j": 0, "entry": "1.25 + Q/(3 + Q)"},
+    {"i": 0, "j": 1, "entry": "Q/(2*q^2 + q + 5)"},
+    {"i": 1, "j": 0, "num": "Q*(1 - q)", "den": "4*q^2 + q + 3 - Q"},
+    {"i": 1, "j": 1, "entry": "2.2 + Q/(4 + Q)"},
+]}
+
+
+def test_parsed_systems():
+    """system_from_json of an exact and a numeric-q document, entry reprs
+    included (the numeric entries are complex)."""
+    assert digest(repr(system_from_json(EXACT_DOC))) == (
+        "ba9016d7deace74789134de03dba5de4a0caa64c3aa28b2a2dd23101b4a3c571")
+    assert digest(repr(system_from_json(NUMERIC_DOC))) == (
+        "360526881b6c273d99c7d19e0445317e3ec2ab3826e0194be636d744d36648dc")
+
+
+def test_numeric_gauge_terms():
+    """The complex gauge of the numeric document through Q^40: series of
+    its entries, mat_dot sums and Gauss-Jordan solves, all in floats."""
+    sol = frobenius_solution(system_from_json(NUMERIC_DOC), 40)
+    assert digest(repr(sol.gauge.terms)) == (
+        "bc87c07c38fe5510ba3c27d6ae04ecb03aba2903f768e5021d5e2e8b13bd98f6")
