@@ -155,9 +155,10 @@ def ref_parse(text: str, caps=None) -> RatFunc:
 def outcome(parse, text, caps=None):
     """The repr of the parsed value, or the type and message of its error."""
     try:
-        return "value", repr(parse(text, caps)), parse(text, caps)
+        value = parse(text, caps)
     except (ZeroDivisionError, ValueError) as exc:
         return type(exc).__name__, str(exc), None
+    return "value", repr(value), value
 
 
 def assert_same_outcome(text, caps=None):
