@@ -32,9 +32,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .confluence import limit_solution_along_path
-from .polyq import parse_bivariate
+from .polyq import RatFunc
 from .qdiff import ScalarQOperator
 from .qspecial import DomainError, q_log, spiral_log
 from .rings import (
@@ -44,6 +45,7 @@ from .rings import (
     Poly,
     RationalFunctionQ,
     apply_operator,
+    ipoly_mul,
     nil_binomial_power,
     nil_mul,
     one_like,
@@ -227,9 +229,10 @@ def qpoch_exact(d: int) -> RationalFunctionQ:
 def pn_operator(N: int) -> ScalarQOperator:
     """(1 - sigma)^(N+1) - Q with exact coefficients: the scalar q-difference
     operator whose Taylor solution at 0 is sum_d Q^d / (q;q)_d^(N+1)."""
-    coeffs = [parse_bivariate(str(math.comb(N + 1, k) * (-1) ** k)) for k in range(N + 2)]
-    coeffs[0] = coeffs[0] - parse_bivariate("Q")
-    return ScalarQOperator(tuple(coeffs), R.q())
+    one = R.one()
+    coeffs = [RatFunc.const(R.from_fraction((-1) ** k * math.comb(N + 1, k)), one)
+              for k in range(1, N + 2)]
+    return ScalarQOperator((RatFunc(Poly([one, -one], one)), *coeffs), R.q())
 
 
 @dataclass(frozen=True)
@@ -252,12 +255,31 @@ def _inverse_power(N: int, a, b) -> NilpotentElement:
                                 for k in range(N + 1)])
 
 
-def _inverse_product_powers(N: int, D: int, factor, one) -> tuple:
-    """Rows d = 0..D of the eps-coefficients of prod_(r=1..d) (a_r + b_r eps)^-(N+1)
-    in the truncated ring, with (a_r, b_r) = factor(r) and ``one`` its unit.
+def _q_inverse_power(N: int, r: int) -> NilpotentElement:
+    """:func:`_inverse_power` of a = 1 - q^r, b = q^r, written as canonical pairs.
 
-    The product is kept running: one :func:`nil_mul` by :func:`_inverse_power`
-    per degree.  It is a product in the truncated ring and shares nothing with
+    Its eps^k term is (-1)^(k+m) C(N+k, k) q^(rk) / (q^r - 1)^m with
+    m = N+1+k.  The pair is already reduced: q^r - 1 has no root at 0,
+    content 1 and leading coefficient 1.
+    """
+    coeffs = []
+    for k in range(N + 1):
+        m = N + 1 + k
+        den = [0] * (r * m + 1)
+        for j in range(m + 1):
+            den[r * j] = (-1) ** j * math.comb(m, j)
+        num = [(-1) ** (k + m) * math.comb(N + k, k)] + [0] * (r * k)
+        coeffs.append(R._make(num, den))
+    return NilpotentElement(N, coeffs)
+
+
+def _inverse_product_powers(N: int, D: int, inverse_factor, one) -> tuple:
+    """Rows d = 0..D of the eps-coefficients of prod_(r=1..d) (a_r + b_r eps)^-(N+1)
+    in the truncated ring, with ``inverse_factor(r)`` the factor
+    (a_r + b_r eps)^-(N+1) and ``one`` its unit.
+
+    The product is kept running: one :func:`nil_mul` by the factor per
+    degree.  It is a product in the truncated ring and shares nothing with
     the elementary-symmetric sum of :func:`jk_closed_formula`, so it stays an
     independent oracle for that formula.
     """
@@ -265,7 +287,7 @@ def _inverse_product_powers(N: int, D: int, factor, one) -> tuple:
     rows = [tuple([one] + [zero] * N)]
     prod = NilpotentElement.from_scalar(N, one)
     for d in range(1, D + 1):
-        prod = nil_mul(prod, _inverse_power(N, *factor(d)))
+        prod = nil_mul(prod, inverse_factor(d))
         rows.append(prod.coeffs)
     return tuple(rows)
 
@@ -275,7 +297,7 @@ def jk_series(N: int, D: int) -> JFunctionK:
     if N < 0 or D < 0:
         raise ValueError("need N >= 0 and D >= 0")
     return JFunctionK(N, D, _inverse_product_powers(
-        N, D, lambda r: (R.one_minus_q_pow(r), R.q_power(r)), R.one()))
+        N, D, lambda r: _q_inverse_power(N, r), R.one()))
 
 
 def _compositions(total: int, weighted: int, parts: int):
@@ -391,7 +413,8 @@ class JFunctionCoh:
 def jcoh_series(N: int, D: int) -> JFunctionCoh:
     """Expand 1/prod (H + rz)^(N+1) by nilpotency of H (via hhat = H/z)."""
     one = Fraction(1)
-    return JFunctionCoh(N, D, _inverse_product_powers(N, D, lambda r: (Fraction(r), one), one))
+    return JFunctionCoh(N, D, _inverse_product_powers(
+        N, D, lambda r: _inverse_power(N, Fraction(r), one), one))
 
 
 def jcoh_modified(N: int, D: int) -> LogSeries:
@@ -484,20 +507,44 @@ class ComparisonReport:
         return table
 
 
+def _times_one_minus_q_power(c: RationalFunctionQ, e: int) -> RationalFunctionQ:
+    """(1-q)^e * c as its canonical pair, with no gcd.
+
+    (q-1) is divided out of c's denominator while its coefficients sum to
+    zero, v <= e times, and (-1)^v (1-q)^(e-v) joins the numerator.  gcd,
+    content and the sign of the leading coefficient are all unchanged
+    (q-1 is primitive with leading coefficient 1), so the pair stays
+    canonical.
+    """
+    n, den = c.integer_pair()
+    if not n:
+        return c
+    v = 0
+    while v < e:
+        # synthetic division by q - 1; the last partial sum is the remainder
+        partial = list(accumulate(den))
+        if partial[-1]:
+            break
+        den, v = partial[:-1], v + 1
+    k = e - v
+    factor = [(-1) ** (v + k - j) * math.comb(k, j) for j in range(k + 1)]
+    return R._make(ipoly_mul(factor, n), den)
+
+
 def confluence_compare(N: int, D: int) -> ComparisonReport:
     """Exact verification that the q-side degenerates to the classical side."""
     jk = jk_series(N, D)
     jcoh = jcoh_modified(N, D)
     rows, failures = [], []
     for d in range(D + 1):
+        # (1-q)^(b+d(N+1)) c_(d,b), shared by the rows (d, b+m, m)
+        scaled_d = [_times_one_minus_q_power(c, b + d * (N + 1))
+                    for b, c in enumerate(jk.coeffs[d])]
         for i in range(N + 1):
             for m in range(i + 1):
-                b = i - m
-                scaled = (
-                    R.from_fraction(Fraction(1, math.factorial(m)))
-                    * (1 - R.q()) ** (b + d * (N + 1))
-                    * jk.coeffs[d][b]
-                )
+                scaled = scaled_d[i - m]
+                if m > 1:
+                    scaled = R.from_fraction(Fraction(1, math.factorial(m))) * scaled
                 try:
                     lim = scaled.limit_q_to_1()
                 except LimitUndefinedError as exc:

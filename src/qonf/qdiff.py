@@ -390,7 +390,7 @@ class FundamentalSolutionAt0:
     side's e_{q,lam} and qlog, or the ODE side's Q^lam and log Q cut along
     the spiral (-1) q^R (:func:`qonf.confluence.ode_frobenius_solution`).
     ``q`` is the numeric q that ``eval`` uses when none is given; the gauge
-    is converted to complex once per q.
+    and the nilpotent log are converted to complex once per q.
     """
 
     sys: object  # QDifferenceSystem, or a confluence.ODESystem
@@ -404,10 +404,14 @@ class FundamentalSolutionAt0:
     logarithm: object = q_log
     _numeric_cache: dict = field(default_factory=dict, repr=False)
 
-    def _numeric_gauge(self, q_num: complex) -> MatrixSeries:
+    def _numeric(self, q_num: complex) -> tuple:
+        """The gauge and the nilpotent log (None for "diagonalizable") at q_num."""
         if q_num not in self._numeric_cache:
-            self._numeric_cache[q_num] = self.gauge.map_entries(
-                lambda c: _to_complex(c, q_num), 1 + 0j)
+            gauge = self.gauge.map_entries(lambda c: _to_complex(c, q_num), 1 + 0j)
+            log = None if self.nilpotent_log is None else np.array(
+                [[_to_complex(x, q_num) for x in row] for row in self.nilpotent_log],
+                dtype=complex)
+            self._numeric_cache[q_num] = gauge, log
         return self._numeric_cache[q_num]
 
     def eval(self, Q: complex, q_num: complex | None = None):
@@ -415,15 +419,13 @@ class FundamentalSolutionAt0:
         q = q_num if q_num is not None else self.q
         if isinstance(q, RationalFunctionQ):
             raise DomainError("numeric evaluation of an exact system needs q_num")
-        G = self._numeric_gauge(q).evaluate(complex(Q))
+        gauge, Nm = self._numeric(q)
+        G = gauge.evaluate(complex(Q))
         if self.kind == "diagonalizable":
             V = self.basis
             chars = np.diag([self.character(lam, q, Q) for lam in self.eigenvalues])
             E = V @ chars @ np.linalg.inv(V)
         else:
-            Nm = np.array(
-                [[_to_complex(x, q) for x in row] for row in self.nilpotent_log], dtype=complex
-            )
             E = _nilpotent_exp(self.logarithm(q, Q) * Nm)
             if self.kind == "nilpotent":
                 E = self.character(self.eigenvalues[0], q, Q) * E

@@ -579,15 +579,7 @@ def rfq_dot(pairs):
     first = pairs[0][0]
     if (len(pairs) > 1 and type(first) is Poly and _exact_parts(first.one)[0] is not None
             and all(type(a) is Poly and type(b) is Poly for a, b in pairs)):
-        terms = [[] for _ in range(max(len(a.coeffs) + len(b.coeffs) for a, b in pairs) - 1)]
-        for a, b in pairs:
-            for u, x in enumerate(a.coeffs):
-                if not scalar_is_zero(x):
-                    for v, y in enumerate(b.coeffs):
-                        if not scalar_is_zero(y):
-                            terms[u + v].append((x, y))
-        zero = zero_like(first.one)
-        return Poly([rfq_dot(t) if t else zero for t in terms], first.one)
+        return _poly_dot(pairs)
     if len(pairs) == 1 or type(first) is not RationalFunctionQ:
         return _fold_dot(pairs)
     buckets = {}
@@ -617,6 +609,22 @@ def rfq_dot(pairs):
             num = _ipoly_add(ipoly_mul(num, b), ipoly_mul(n, a))
             den = ipoly_mul(den, b)
     return RationalFunctionQ._make(*_reduce(num, den))
+
+
+def _poly_dot(pairs):
+    """sum of a * b over pairs of :class:`Poly` with exact scalars: one
+    :func:`rfq_dot` per output coefficient, added to zero like the
+    schoolbook fold, so that the scalar types match it too."""
+    one = pairs[0][0].one
+    terms = [[] for _ in range(max(len(a.coeffs) + len(b.coeffs) for a, b in pairs) - 1)]
+    for a, b in pairs:
+        for u, x in enumerate(a.coeffs):
+            if not scalar_is_zero(x):
+                for v, y in enumerate(b.coeffs):
+                    if not scalar_is_zero(y):
+                        terms[u + v].append((x, y))
+    zero = zero_like(one)
+    return Poly([zero + rfq_dot(t) if t else zero for t in terms], one)
 
 
 def _exact_parts(x):
@@ -863,6 +871,10 @@ class Poly:
             return Poly([c * other for c in self.coeffs], self.one)
         if self.is_zero or other.is_zero:
             return Poly([], self.one)
+        if type(self.one) is RationalFunctionQ and min(len(self.coeffs), len(other.coeffs)) > 1:
+            return _poly_dot([(self, other)])
+        # rfq_dot fuses only sums of products over Q(q): floats (whose bits
+        # depend on the order), Fractions and single products take the loop
         out = [zero_like(self.one)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if scalar_is_zero(a):

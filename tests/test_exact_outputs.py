@@ -15,6 +15,7 @@ import pytest
 
 from qonf.cli import main
 from qonf.confluence import check_confluent, ode_frobenius_solution, pn_j_system
+from qonf.gw import confluence_compare
 from qonf.qdiff import frobenius_solution, system_from_json
 
 
@@ -83,3 +84,12 @@ def test_numeric_gauge_terms():
     sol = frobenius_solution(system_from_json(NUMERIC_DOC), 40)
     assert digest(repr(sol.gauge.terms)) == (
         "bc87c07c38fe5510ba3c27d6ae04ecb03aba2903f768e5021d5e2e8b13bd98f6")
+
+
+def test_comparison_rows():
+    """Every row of the exact q -> 1 comparison of P^4 through Q^12: the
+    scaled q-side coefficient, its limit and the classical coefficient."""
+    rep = confluence_compare(4, 12)
+    assert rep.all_equal and len(rep.rows) == 195
+    assert digest(repr(rep.rows)) == (
+        "93c4c500b323260a3264ff7d7f4470cecaf46d208b1059f1035b1a9317339196")

@@ -11,6 +11,8 @@ from qonf.gw import (
     EquivariantSpec,
     JFunctionK,
     _inverse_power,
+    _q_inverse_power,
+    _times_one_minus_q_power,
     confluence_compare,
     equivariant_confluence_compare,
     equivariant_operator_residual,
@@ -171,6 +173,50 @@ class TestOracleConstruction:
         a, b = R.one_minus_q_pow(r), R.q_power(r)
         got, want = _inverse_power(N, a, b), the_long_way(a, b, N)
         assert got == want and repr(got) == repr(want)
+
+
+_q = R.q()
+# the first: numerator content 6, denominator content 4, and (q - 1) three
+# times in the denominator
+SCALING_CASES = [
+    6 * (_q + 2) / (4 * (_q - 1) ** 3 * (_q**2 + 1)),
+    -(_q + 2) / ((1 - _q) ** 3 * (2 * _q + 3)),
+    3 * (_q - 1) ** 2 / (5 * _q**2 + 1),  # (q - 1) only in the numerator
+    R.from_fraction(F(-4, 9)),
+    1 / (_q - 1),
+    R.zero(),
+]
+
+
+class TestCanonicalFactors:
+    """The closed-form factors written as canonical integer pairs equal the
+    same factors built with **, * and gcds."""
+
+    @pytest.mark.parametrize("N", range(5))
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_oracle_factor(self, N, r):
+        a, b = R.one_minus_q_pow(r), R.q_power(r)
+        got = _q_inverse_power(N, r)
+        for want in (_inverse_power(N, a, b), the_long_way(a, b, N)):
+            assert got == want and repr(got) == repr(want)
+            assert [c.integer_pair() for c in got.coeffs] == [
+                c.integer_pair() for c in want.coeffs]
+
+    @pytest.mark.parametrize("c", SCALING_CASES, ids=range(len(SCALING_CASES)))
+    @pytest.mark.parametrize("e", range(7))  # v < e, v = e and v > e
+    def test_scaling_by_one_minus_q_power(self, c, e):
+        got, want = _times_one_minus_q_power(c, e), (1 - R.q()) ** e * c
+        assert got == want and repr(got) == repr(want)
+        assert got.integer_pair() == want.integer_pair()
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+           st.integers(0, 4), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_scaling_of_random_pairs(self, num, den, j, e):
+        c = R(num, den) / (R.q() - 1) ** j
+        got, want = _times_one_minus_q_power(c, e), (1 - R.q()) ** e * c
+        assert got.integer_pair() == want.integer_pair()
 
 
 class TestClosedFormula:

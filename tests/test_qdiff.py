@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qonf import qdiff
@@ -230,6 +231,52 @@ class TestFrobenius:
         assert X[1][0] == pytest.approx(ell, rel=1e-12)
         assert X[1][1] == pytest.approx(1.0)
         assert sol.shift_residual(0.3) < 1e-12
+
+    @staticmethod
+    def uncached_eval(sol, Q, q_num=None):
+        """eval with the gauge and the nilpotent log converted afresh per call."""
+        q = q_num if q_num is not None else sol.q
+        G = sol.gauge.map_entries(lambda c: qdiff._to_complex(c, q), 1 + 0j).evaluate(complex(Q))
+        if sol.kind == "diagonalizable":
+            V = sol.basis
+            chars = np.diag([sol.character(lam, q, Q) for lam in sol.eigenvalues])
+            E = V @ chars @ np.linalg.inv(V)
+        else:
+            Nm = np.array(
+                [[qdiff._to_complex(x, q) for x in row] for row in sol.nilpotent_log], dtype=complex
+            )
+            E = qdiff._nilpotent_exp(sol.logarithm(q, Q) * Nm)
+            if sol.kind == "nilpotent":
+                E = sol.character(sol.eigenvalues[0], q, Q) * E
+        return np.array(G, dtype=complex) @ E
+
+    def test_eval_converts_once_per_q_with_unchanged_bits(self, monkeypatch):
+        from qonf.confluence import check_confluent, ode_frobenius_solution, pn_j_system
+
+        qsys = pn_j_system(2)
+        osys = check_confluent(qsys, 0.8).limit_system
+        numeric = system_from_json({"n": 2, "q": [0.41, 0.37], "entries": [
+            {"i": 0, "j": 0, "entry": "1.25 + Q/(3 + Q)"},
+            {"i": 1, "j": 1, "entry": "2.2 + Q/(4 + Q)"}]})
+        qsol = frobenius_solution(qsys, 6)
+        cases = [  # (solution, q_num): unipotent at two q, nilpotent, diagonalizable
+            (qsol, 0.5), (qsol, 0.3 + 0.4j),
+            (ode_frobenius_solution(osys, 6), None), (frobenius_solution(numeric, 8), None),
+        ]
+        calls = []
+        convert = qdiff._to_complex
+        monkeypatch.setattr(qdiff, "_to_complex", lambda c, q: calls.append(c) or convert(c, q))
+        for sol, q_num in cases:
+            calls.clear()
+            sol.eval(0.1, q_num)
+            assert len(calls) > len(sol.eigenvalues)  # a new q is converted ...
+            for Q in (0.3, 0.2 - 0.5j, -0.7 + 0.1j):
+                calls.clear()
+                got = sol.eval(Q, q_num)
+                # ... once: later calls convert only the eigenvalues of the characters
+                assert all(any(c is lam for lam in sol.eigenvalues) for c in calls)
+                want = self.uncached_eval(sol, Q, q_num)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_pochhammer_equation_exact_series(self):
         # A(Q) = 1 - Q: normalized solution is sum Q^d/(q;q)_d

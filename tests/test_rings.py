@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -37,6 +38,7 @@ from qonf.rings import (
     nil_mul,
     parse_poly,
     rfq_dot,
+    scalar_is_zero,
     series_from_json,
     series_mul,
     series_scale_pullback,
@@ -44,6 +46,7 @@ from qonf.rings import (
     sigma_weight,
     theta_weight,
     twisted_sigma_weight,
+    zero_like,
 )
 
 Q = RationalFunctionQ.q()
@@ -698,6 +701,68 @@ class TestRfqDotOfPolys:
         assert type(got) is Poly and got.one == want.one
         assert len(got.coeffs) == len(want.coeffs)
         assert all(same_scalar(g, w) for g, w in zip(got.coeffs, want.coeffs))
+
+
+def schoolbook_mul(a, b):
+    """Poly.__mul__ before exact scalars took rfq_dot: the schoolbook fold
+    from zero, skipping zero left coefficients, in order."""
+    if a.is_zero or b.is_zero:
+        return Poly([], a.one)
+    out = [zero_like(a.one)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if scalar_is_zero(x):
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out, a.one)
+
+
+def float_bits(x):
+    """The IEEE bits of a float or of both parts of a complex."""
+    if isinstance(x, complex):
+        return struct.pack("<dd", x.real, x.imag)
+    return struct.pack("<d", x)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+finite_floats = st.one_of(signed_zeros, st.floats(-1e6, 1e6, allow_nan=False))
+POLY_SCALARS = {
+    # mixed exact entries: RationalFunctionQ, int, Fraction and zero of Q(q)
+    "rfq": (ONE, dot_factors()),
+    "fraction": (F(1), st.one_of(small_fracs, st.integers(-5, 5))),
+    "float": (1.0, finite_floats),
+    "complex": (1 + 0j, st.builds(complex, finite_floats, finite_floats)),
+}
+
+
+class TestPolyProduct:
+    @given(st.sampled_from(sorted(POLY_SCALARS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_schoolbook_fold(self, kind, data):
+        one, entries = POLY_SCALARS[kind]
+        a, b = (Poly(data.draw(st.lists(entries, max_size=5)), one) for _ in range(2))
+        got, want = a * b, schoolbook_mul(a, b)
+        assert got.one == want.one and len(got.coeffs) == len(want.coeffs)
+        for g, w in zip(got.coeffs, want.coeffs):
+            if kind in ("float", "complex"):
+                assert type(g) is type(w) and float_bits(g) == float_bits(w)
+            else:
+                assert same_scalar(g, w)
+        assert got == want and repr(got) == repr(want)
+
+    def test_products_of_plain_numbers_are_scalars_of_the_ring(self):
+        # the schoolbook adds each product to the ring's zero, so 2 * 3 is
+        # the constant 6 of Q(q), not the int 6
+        a, b = Poly([2, F(1, 2), ONE], ONE), Poly([3, Q], ONE)
+        got, want = a * b, schoolbook_mul(a, b)
+        assert len(got.coeffs) == len(want.coeffs) == 4
+        assert all(same_scalar(g, w) for g, w in zip(got.coeffs, want.coeffs))
+
+    def test_signed_zeros(self):
+        for one, z in ((1.0, -0.0), (1 + 0j, complex(-0.0, -0.0)), (1 + 0j, complex(0.0, -0.0))):
+            a, b = Poly([z, one], one), Poly([z, z, -one], one)
+            got, want = (a * b).coeffs, schoolbook_mul(a, b).coeffs
+            assert [float_bits(x) for x in got] == [float_bits(x) for x in want]
 
 
 # ---------------------------------------------------------------- operators on log-series
