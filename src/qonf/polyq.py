@@ -125,9 +125,6 @@ class RatFunc:
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.evaluate(x) / d
 
-    def at_zero(self):
-        return self.evaluate(zero_like(self.one))
-
     def series(self, D: int) -> list:
         """Taylor coefficients at 0 through order D (needs den(0) != 0).
 

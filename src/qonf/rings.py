@@ -66,9 +66,22 @@ def _word_width(nbytes: int) -> int:
     return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
 
 
+_BIAS_DIGITS = 256  # biases of struct words are kept for up to this many digits
+_BIASES = {}
+
+
 def _bias(n: int, nbytes: int) -> int:
-    """sum_{i<n} 2^(8*nbytes*i) * 2^(8*nbytes-1): n digits of half the base."""
-    return int.from_bytes((b"\x80" + b"\0" * (nbytes - 1)) * n, "big")
+    """sum_{i<n} 2^(8*nbytes*i) * 2^(8*nbytes-1): n digits of half the base.
+
+    For struct words and n <= _BIAS_DIGITS the value is read from a table
+    (at most 4 * 256 entries, about 0.5 MB), filled on first use.
+    """
+    bias = _BIASES.get((n, nbytes))
+    if bias is None:
+        bias = int.from_bytes((b"\x80" + b"\0" * (nbytes - 1)) * n, "big")
+        if n <= _BIAS_DIGITS and nbytes in _WORD_CODES:
+            _BIASES[n, nbytes] = bias
+    return bias
 
 
 def _pack(p, nbytes: int) -> int:
@@ -166,18 +179,19 @@ def ipoly_quo(a, b) -> list:
 
 
 def _content_split(p):
-    """(c, p / c) with c > 0 the gcd of the coefficients."""
+    """(c, p / c) with c > 0 the gcd of the coefficients; p itself when c is 1."""
     c = gcd(*p)
-    return c, (list(p) if c == 1 else [x // c for x in p])
+    return c, (p if c == 1 else [x // c for x in p])
 
 
 def ipoly_gcd(f, g):
     """(h, f / h, g / h) with h = gcd(f, g) in Z[q] and lc(h) > 0.
 
     The gcd includes the integer content, so the two cofactors are coprime
-    over Z[q].  f and g are nonzero.  When a primitive part is +-q^e, the
-    gcd of the primitive parts is q^min(e, v), v the other part's number of
-    trailing zeros, and the cofactors are slices.
+    over Z[q].  f and g are nonzero; the three results are lists.  When a
+    primitive part is +-q^e, the gcd of the primitive parts is q^min(e, v),
+    v the other part's number of trailing zeros, and the cofactors are
+    slices.
     """
     cf, pf = _content_split(f)
     cg, pg = _content_split(g)
@@ -191,8 +205,12 @@ def ipoly_gcd(f, g):
         h, qf, qg = _heu_gcd(pf, pg) or _euclid_gcd(pf, pg)
     if cf != c:
         qf = [(cf // c) * x for x in qf]
+    elif type(qf) is not list:  # an input tuple, passed through
+        qf = list(qf)
     if cg != c:
         qg = [(cg // c) * x for x in qg]
+    elif type(qg) is not list:
+        qg = list(qg)
     if c != 1:
         h = [c * x for x in h]
     return h, qf, qg
@@ -226,6 +244,8 @@ def _heu_gcd(f, g):
         xi = 1 << (8 * nbytes)
         F, G = _pack(f, nbytes), _pack(g, nbytes)
         gamma = gcd(F, G)
+        if gamma == 1:  # xi bounds the roots of a common factor h, so |h(xi)| >= 2
+            return [1], f, g
         h = _unpack(gamma, min(len(f), len(g)), nbytes)
         if h:
             ch = gcd(*h) if h[0] > 0 else -gcd(*h)
@@ -424,9 +444,10 @@ class RationalFunctionQ:
         if not self._n or not other._n:
             return RationalFunctionQ.zero()
         # cross-cancel to keep intermediate degrees small; both cofactor
-        # denominators keep a positive leading coefficient
-        _, n1, d2 = ipoly_gcd(self._n, other._d)
-        _, n2, d1 = ipoly_gcd(other._n, self._d)
+        # denominators keep a positive leading coefficient.  Nothing cancels
+        # against a denominator of 1.
+        n1, d2 = (self._n, (1,)) if other._d == (1,) else ipoly_gcd(self._n, other._d)[1:]
+        n2, d1 = (other._n, (1,)) if self._d == (1,) else ipoly_gcd(other._n, self._d)[1:]
         return RationalFunctionQ._make(ipoly_mul(n1, n2), ipoly_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -565,9 +586,11 @@ def rfq_dot(pairs):
     :class:`RationalFunctionQ` and every factor is one, an int or a
     Fraction, the products are not cross-cancelled.  They are bucketed by
     their pair of denominators, and the numerators of a bucket are added
-    with no gcd.  The buckets are then combined over a running lcm, one
-    :func:`ipoly_gcd` per distinct denominator, and the sum is reduced once
-    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5-6).  The
+    with no gcd.  The buckets are then combined, in insertion order, over a
+    running lcm: when one denominator divides the other, the lcm cofactor
+    is one exact division (:func:`_exact_quo`), and otherwise it comes from
+    one :func:`ipoly_gcd`.  The sum is reduced once (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 5-6).  The
     canonical pair is unique, so the result equals the left fold of ``*``
     and ``+``.  Pairs of :class:`Poly` with exact scalars give one such sum
     per output coefficient.  A single product, and any other scalars
@@ -594,21 +617,61 @@ def rfq_dot(pairs):
         num = ipoly_mul(na, nb)
         prev = buckets.get(key)
         buckets[key] = num if prev is None else _ipoly_add(prev, num)
-    num, den = [], [1]
+    num, den, den2 = [], [1], 1  # den2 = den(2), kept for the screens of _exact_quo
     for (da, db), n in buckets.items():
         if not n:
             continue
         d = ipoly_mul(da, db)
+        d2 = _at_two(d)
         if not num:
-            num, den = n, d
+            num, den, den2 = n, d, d2
         elif d == den:
             num = _ipoly_add(num, n)
+        elif (a := _exact_quo(den, den2, d, d2)) is not None:
+            # d | den: the lcm is den = d a
+            num = _ipoly_add(num, ipoly_mul(n, a))
+        elif (b := _exact_quo(d, d2, den, den2)) is not None:
+            # den | d: the lcm is d = den b
+            num, den, den2 = _ipoly_add(ipoly_mul(num, b), n), d, d2
         else:
             # num/(g a) + n/(g b) = (num b + n a)/(g a b), over lcm = g a b
             _, a, b = ipoly_gcd(den, d)
             num = _ipoly_add(ipoly_mul(num, b), ipoly_mul(n, a))
-            den = ipoly_mul(den, b)
+            den, den2 = ipoly_mul(den, b), den2 * _at_two(b)
     return RationalFunctionQ._make(*_reduce(num, den))
+
+
+def _at_two(p) -> int:
+    """p(2), by Horner's rule."""
+    acc = 0
+    for c in p:
+        acc += acc + c  # faster than 2 * acc + c
+    return acc
+
+
+def _exact_quo(f, f2, g, g2):
+    """f / g when g divides f in Z[q], else None; f2 and g2 are f(2) and g(2).
+
+    The length, the leading coefficient, the constant term and the value at
+    q = 2 must each allow the division.  A constant g divides each
+    coefficient.  Otherwise f(xi) is divided by g(xi), with xi as in
+    :func:`_heu_gcd`, and a quotient read back from balanced digits is
+    checked by :func:`_divides`.  None can also mean that the
+    quotient's coefficients were too large to read back at xi; the caller
+    then takes the gcd.
+    """
+    if (len(g) > len(f) or f[0] % g[0] or (f[-1] % g[-1] if g[-1] else f[-1])
+            or (f2 % g2 if g2 else f2)):
+        return None
+    if len(g) == 1:
+        return None if any(x % g[0] for x in f) else [x // g[0] for x in f]
+    norm_f = max(map(abs, f))
+    nbytes = _word_width((max(norm_f, max(map(abs, g))).bit_length() + 9) // 8)
+    quo, rem = divmod(_pack(f, nbytes), _pack(g, nbytes))
+    if rem:
+        return None
+    a = _unpack(quo, len(f) - len(g) + 1, nbytes)
+    return a if a and _divides(g, a, f, norm_f, 1 << (8 * nbytes)) else None
 
 
 def _poly_dot(pairs):

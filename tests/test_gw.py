@@ -39,6 +39,7 @@ from qonf.rings import (
     NilpotentElement,
     RationalFunctionQ as R,
     chern_iso,
+    ipoly_mul,
     nil_inv,
     nil_mul,
     zero_like,
@@ -176,6 +177,8 @@ class TestOracleConstruction:
 
 
 _q = R.q()
+# Phi_1, ..., Phi_6
+CYCLOTOMIC = [[1, -1], [1, 1], [1, 1, 1], [1, 0, 1], [1, 1, 1, 1, 1], [1, -1, 1]]
 # the first: numerator content 6, denominator content 4, and (q - 1) three
 # times in the denominator
 SCALING_CASES = [
@@ -216,6 +219,24 @@ class TestCanonicalFactors:
     def test_scaling_of_random_pairs(self, num, den, j, e):
         c = R(num, den) / (R.q() - 1) ** j
         got, want = _times_one_minus_q_power(c, e), (1 - R.q()) ** e * c
+        assert got.integer_pair() == want.integer_pair()
+
+    @given(st.lists(st.integers(0, 3), min_size=len(CYCLOTOMIC), max_size=len(CYCLOTOMIC)),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+           st.integers(1, 6), st.integers(0, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_scaling_over_cyclotomic_denominators(self, exps, num, content, e):
+        # a product of cyclotomic polynomials is palindromic (antipalindromic
+        # for an odd power of q - 1), so only the top half of each quotient
+        # by q - 1 is computed; odd and even lengths, both signs, v < e,
+        # v = e and v > e all occur
+        den = [content]
+        for factor, m in zip(CYCLOTOMIC, exps):
+            for _ in range(m):
+                den = ipoly_mul(den, factor)
+        c = R(num, den)
+        got, want = _times_one_minus_q_power(c, e), (1 - R.q()) ** e * c
+        assert got == want and repr(got) == repr(want)
         assert got.integer_pair() == want.integer_pair()
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from qonf.rings import (
@@ -20,6 +20,7 @@ from qonf.rings import (
     OrderMismatchError,
     RationalFunctionQ,
     _euclid_gcd,
+    _exact_quo,
     _fold_dot,
     _heu_gcd,
     _kronecker_mul,
@@ -151,6 +152,14 @@ def as_poly(p):
     return Poly([F(c) for c in reversed(p)], F(1))
 
 
+# coprime primitive pairs whose first GCDHEU evaluation gives a false
+# candidate of degree 1, which only the cofactor check rejects
+SPURIOUS_CANDIDATES = [
+    ([6, 8, -7, 7], [-9, -7, -3]),
+    ([-3, -6, -2, 6, 3], [-5, -2, -6]),
+    ([1, -4, -3, 5, -3], [3, 1, 5]),
+    ([1, 5, -2, 7, -6], [-7, -2, 9, 1, 3]),
+]
 int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=10).map(stripped).filter(bool)
 wide_polys = st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=10).map(stripped).filter(
     lambda p: len(p) > 1
@@ -291,6 +300,23 @@ class TestIntegerKernel:
         assert _euclid_gcd(f, g) == ([1, 0, 1], [1, -3], [2, 5])
         assert _euclid_gcd([1, -3], [2, 5]) == ([1], [1, -3], [2, 5])
 
+    @given(st.one_of(st.tuples(int_polys, int_polys), st.sampled_from(SPURIOUS_CANDIDATES)),
+           st.integers(1, 12), st.integers(1, 12), st.booleans())
+    @example(([6, 8, -7, 7], [-9, -7, -3]), 4, 6, True)
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_of_coprime_pairs_with_content(self, fg, cf, cg, tuples):
+        f, g = (primitive(p) for p in fg)
+        assume(len(f) > 1 and len(g) > 1 and _euclid_gcd(f, g)[0] == [1])
+        c = math.gcd(cf, cg)
+        h, qf, qg = _euclid_gcd(f, g)
+        want = ([c * x for x in h], [cf // c * x for x in qf], [cg // c * x for x in qg])
+        scaled = [cf * x for x in f], [cg * x for x in g]
+        if tuples:  # canonical pairs store tuples; the cofactors are lists
+            scaled = tuple(map(tuple, scaled))
+        got = ipoly_gcd(*scaled)
+        assert got == want
+        assert all(type(p) is list for p in got)
+
     @given(edge_polys, edge_polys)
     @settings(max_examples=200, deadline=None)
     def test_kronecker_product_agrees_with_schoolbook(self, a, b):
@@ -329,6 +355,18 @@ class TestIntegerKernel:
         other = sum(c << (8 * nbytes * i) for i, c in enumerate(digits))
         for n in range(1, len(digits) + 2):
             assert _unpack(other, n, nbytes) == byte_join_unpack(other, n, nbytes)
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 8])
+    def test_packing_around_the_bias_table(self, nbytes):
+        # struct-word biases come from a table for up to 256 digits; longer
+        # polynomials, and digits of other widths, build their bias each time
+        half = 1 << (8 * nbytes - 1)
+        for n in (1, 255, 256, 257, 300):
+            extremes = [half - 1] * n, [-half] + [1 - half] * (n - 1)
+            for p in (*extremes, [k % 7 - 3 or 1 for k in range(n)]):
+                value = _pack(p, nbytes)
+                assert value == byte_join_pack(p, nbytes)
+                assert _unpack(value, n, nbytes) == byte_join_unpack(value, n, nbytes) == p
 
     def test_exact_quotient(self):
         assert ipoly_quo(ipoly_mul([3, -1, 2], [2, 0, -7]), [2, 0, -7]) == [3, -1, 2]
@@ -576,6 +614,47 @@ def dot_factors(draw):
     return RationalFunctionQ(num, den)
 
 
+# cyclotomic factors, and factors that are not, with integer content drawn
+# separately; (q+5)(q^2+1) and q^2+q+1 pass every screen of the
+# divisibility test but do not divide
+CHAIN_FACTORS = [[1, -1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1], [1, 5], [2, 3], [1, 1, 3]]
+SCREENED_DEN, SCREENED_D = [1, 5, 1, 5], [1, 1, 1]
+
+
+@st.composite
+def chained_pairs(draw):
+    """2 to 6 pairs (a, b) whose denominators grow or shrink by one factor
+    from pair to pair, stay, or are drawn afresh: the bucket denominators
+    of the sum divide one another in either order, are equal, or form no
+    chain."""
+    exps, content, pairs = [0] * len(CHAIN_FACTORS), 1, []
+    for _ in range(draw(st.integers(2, 6))):
+        step = draw(st.sampled_from(["grow", "shrink", "same", "fresh"]))
+        k = draw(st.integers(0, len(CHAIN_FACTORS) - 1))
+        if step == "grow":
+            exps[k] += 1
+            content *= draw(st.sampled_from([1, 1, 2, 3]))
+        elif step == "shrink":
+            exps[k] = max(exps[k] - 1, 0)
+        elif step == "fresh":
+            exps = [draw(st.integers(0, 2)) for _ in CHAIN_FACTORS]
+            content = draw(st.sampled_from([1, 2, 3, 6]))
+        den = [content]
+        for factor, m in zip(CHAIN_FACTORS, exps):
+            for _ in range(m):
+                den = ipoly_mul(den, factor)
+        a = RationalFunctionQ(draw(st.lists(small_fracs, min_size=1, max_size=4)), den)
+        b = draw(st.one_of(
+            st.integers(-3, 3),
+            small_fracs,
+            st.builds(lambda n, d: RationalFunctionQ(n, d),
+                      st.lists(small_fracs, min_size=1, max_size=2),
+                      st.sampled_from(CHAIN_FACTORS)),
+        ))
+        pairs.append((a, b))
+    return pairs
+
+
 def fold_dot(pairs):
     """The reference: left fold of * and +; the empty sum is the zero of Q(q)."""
     if not pairs:
@@ -617,6 +696,28 @@ class TestRfqDot:
         pairs = [(ONE * F(1, 2), 3), (Q / (1 + Q), F(2, 3)), (ONE, Q**2)]
         assert same_scalar(rfq_dot(pairs), fold_dot(pairs))
         assert same_scalar(rfq_dot([(F(1, 2), F(2, 3)), (2, 5)]), F(31, 3))
+
+    @given(chained_pairs())
+    @example([(RationalFunctionQ([1], SCREENED_DEN), 1), (RationalFunctionQ([2], SCREENED_D), 1)])
+    @example([(RationalFunctionQ([1], SCREENED_D), F(1, 3)),
+              (RationalFunctionQ([1], SCREENED_DEN), 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_chained_denominators_equal_left_fold(self, pairs):
+        assert same_scalar(rfq_dot(pairs), fold_dot(pairs))
+
+    def test_screens_pass_but_division_fails(self):
+        # (q+5)(q^2+1) against q^2+q+1: length, leading coefficient,
+        # constant term and the values 35 and 7 at q = 2 all allow the
+        # division, but q^2+q+1 does not divide
+        den, d = SCREENED_DEN, SCREENED_D
+        assert len(d) <= len(den) and den[0] % d[0] == 0 and den[-1] % d[-1] == 0
+        assert (fraction_value(den, 2), fraction_value(d, 2)) == (35, 7)
+        assert _exact_quo(den, 35, d, 7) is None
+        assert _exact_quo(ipoly_mul(den, d), 245, d, 7) == den
+        a, b = RationalFunctionQ([1], den), RationalFunctionQ([1, 0], d)
+        for pairs in ([(a, 1), (b, 1)], [(b, 1), (a, 1)], [(a, Q), (b, F(2, 3)), (a * b, 3)]):
+            assert same_scalar(rfq_dot(pairs), fold_dot(pairs))
+        assert rfq_dot([(a, 1), (b, 1)]).integer_pair()[1] == tuple(ipoly_mul(den, d))
 
 
 def exact_matrices(n):
