@@ -22,7 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .qspecial import (
 from .rings import (
     LimitUndefinedError,
     RationalFunctionQ,
+    _divide_q_minus_one,
     format_poly,
     ipoly_gcd,
     ipoly_mul,
@@ -73,29 +73,17 @@ DEFAULT_T_SCHEDULE = tuple(2.0**-j for j in range(4, 17))
 # ---------------------------------------------------------------- exact q -> 1 limits
 
 
-def _one_multiplicity(p):
-    """(m, r): p = (q - 1)^m r with r(1) != 0, for a nonzero integer polynomial.
-
-    Division by q - 1 is synthetic: the quotient's coefficients are the
-    running sums of p's, and the remainder is p(1) = sum(p).
-    """
-    m = 0
-    while sum(p) == 0:
-        p = list(accumulate(p[:-1]))
-        m += 1
-    return m, p
-
-
 def _leading_at_one(polys):
     """(k, values): k is the least multiplicity of the root q = 1 among the
     nonzero polys, and values[i] is (polys[i] / (q - 1)^k) at q = 1; (None,
     None) when every poly is zero."""
-    split = [_one_multiplicity(p) if p else None for p in polys]
-    ks = [s[0] for s in split if s]
+    # the multiplicity of q = 1 is below len(p), so e = len(p) never binds
+    split = [_divide_q_minus_one(p, len(p)) if p else None for p in polys]
+    ks = [s[1] for s in split if s]
     if not ks:
         return None, None
     k = min(ks)
-    return k, [Fraction(sum(s[1])) if s and s[0] == k else Fraction(0) for s in split]
+    return k, [Fraction(sum(s[0])) if s and s[1] == k else Fraction(0) for s in split]
 
 
 def limit_entry_q_to_1(entry: RatFunc) -> RatFunc:
@@ -720,9 +708,6 @@ class MonodromyCubicExample:
         for c in (1, 1j, -1):
             total -= log_qpoch_infinite(q * c * W, q)
         return cmath.exp(total)
-
-    def birkhoff_value(self, q: complex, Q: complex) -> complex:
-        return self.solution_at_0(q, Q) / self.solution_at_inf(q, 1 / Q)
 
     def birkhoff_theta_form(self, q: complex, Q: complex) -> complex:
         alphas = self.alphas_at(q)

@@ -32,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .confluence import limit_solution_along_path
 from .polyq import RatFunc
@@ -44,6 +43,7 @@ from .rings import (
     NilpotentElement,
     Poly,
     RationalFunctionQ,
+    _divide_q_minus_one,
     apply_operator,
     ipoly_mul,
     nil_binomial_power,
@@ -523,42 +523,6 @@ def _times_one_minus_q_power(c: RationalFunctionQ, e: int) -> RationalFunctionQ:
     k = e - v
     factor = [(-1) ** (v + k - j) * math.comb(k, j) for j in range(k + 1)]
     return R._make(ipoly_mul(factor, n), den)
-
-
-def _divide_q_minus_one(den, e: int):
-    """(den / (q-1)^v, v) for the largest v <= e with (q-1)^v | den.
-
-    Each division by q - 1 is a synthetic division: prefix sums, the last
-    one the remainder.  A palindromic or antipalindromic den, such as a
-    product of cyclotomic polynomials, needs only the top half: if
-    rev(p) = s p, then p / (q-1) is again symmetric, with sign -s, and
-    p(1) is 0 for s = -1 and twice the top half's sum (plus the middle
-    coefficient) for s = 1.  The bottom half of the quotient is the
-    mirror of its top half.
-    """
-    if den[0] == den[-1] and den == den[::-1]:
-        sign = 1
-    elif den[0] == -den[-1] and den == tuple(-x for x in reversed(den)):
-        sign = -1
-    else:
-        v = 0
-        while v < e:
-            partial = list(accumulate(den))
-            if partial.pop():
-                break
-            den, v = partial, v + 1
-        return den, v
-    size, v = len(den), 0
-    top = den[:(size + 1) // 2]  # the top ceil(size/2) coefficients
-    while v < e:
-        partial = list(accumulate(top))
-        half = size // 2
-        if sign > 0 and 2 * (partial[half - 1] if half else 0) + (top[half] if size % 2 else 0):
-            break
-        if size % 2:  # the quotient's top half is one coefficient shorter
-            partial.pop()
-        top, size, sign, v = partial, size - 1, -sign, v + 1
-    return list(top) + [sign * x for x in reversed(top[:size // 2])], v
 
 
 def confluence_compare(N: int, D: int) -> ComparisonReport:

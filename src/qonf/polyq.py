@@ -553,7 +553,7 @@ def _check_exponent(node, k: int, caps) -> None:
 
 
 def _ratfunc_pow(node: RatFunc, k: int) -> RatFunc:
-    """node^k by binary powering, like :meth:`qonf.rings.Poly.__pow__`."""
+    """node^k by binary powering."""
     out = RatFunc.const(node.one)
     while k:
         if k & 1:
@@ -562,22 +562,3 @@ def _ratfunc_pow(node: RatFunc, k: int) -> RatFunc:
         if k:
             node = node * node
     return out
-
-
-def format_bivariate(f: RatFunc) -> str:
-    """Inverse-ish of :func:`parse_bivariate` for exact-q entries."""
-
-    def poly_str(p: Poly) -> str:
-        if p.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(p.coeffs):
-            if scalar_is_zero(c):
-                continue
-            cs = f"({c!r})"
-            parts.append(cs if k == 0 else (f"{cs}*Q" if k == 1 else f"{cs}*Q^{k}"))
-        return " + ".join(parts)
-
-    if f.den == RatFunc.const(f.one).num:  # denominator 1
-        return poly_str(f.num)
-    return f"({poly_str(f.num)})/({poly_str(f.den)})"

@@ -28,7 +28,6 @@ from .polyq import (
     Poly,
     RatFunc,
     SingularMatrixError,
-    format_bivariate,
     lin_solve,
     mat_add,
     mat_dot,
@@ -55,7 +54,6 @@ from .rings import (
     NilpotentElement,
     QonfError,
     RationalFunctionQ,
-    apply_operator,
     one_like,
     scalar_is_zero,
     sigma_weight,
@@ -636,11 +634,6 @@ def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
                          for d in range(D + 1)])
 
 
-def apply_scalar_operator_logseries(op: ScalarQOperator, s: LogSeries) -> LogSeries:
-    """Apply sum a_k(Q) sigma^k to a log-series (sigma: Q^d -> q^d Q^d, L -> L+1)."""
-    return apply_operator(_operator_series(op, s.truncation), sigma_weight, op.q, s)
-
-
 # ---------------------------------------------------------------- q-hypergeometric
 
 
@@ -881,25 +874,7 @@ def rank1_product_solution(lam, alphas, betas, q) -> Rank1ProductSolution:
     return Rank1ProductSolution(complex(lam), tuple(alphas), tuple(betas), complex(q))
 
 
-def birkhoff_scalar(f0, f_inf, Q: complex) -> complex:
-    """Rank-1 connection value f_0(Q) / f_inf(1/Q)."""
-    return f0(Q) / f_inf(1 / Q)
-
-
 # ---------------------------------------------------------------- JSON interchange
-
-
-def system_to_json(sys: QDifferenceSystem) -> dict:
-    entries = []
-    for i, row in enumerate(sys.A):
-        for j, f in enumerate(row):
-            if f.is_zero:
-                continue
-            if not sys.is_exact:
-                raise DomainError("JSON export requires exact entries")
-            entries.append({"i": i, "j": j, "entry": format_bivariate(f)})
-    q = "q" if sys.is_exact else [sys.q.real, sys.q.imag]
-    return {"n": sys.n, "q": q, "entries": entries}
 
 
 def _json_index(value, what: str) -> int:

@@ -117,24 +117,6 @@ class QValue:
             raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(self.q)}")
 
 
-@dataclass(frozen=True)
-class QPath:
-    """The path q(t) = q0**t, t in (0, 1], along which q -> 1 limits are taken."""
-
-    q0: complex
-    t: float
-
-    def __post_init__(self):
-        if not 0 < abs(self.q0) < 1:
-            raise DomainError("need 0 < |q0| < 1")
-        if not 0 < self.t <= 1:
-            raise DomainError("need t in (0, 1]")
-
-    @property
-    def q(self) -> complex:
-        return self.q0**self.t
-
-
 def _as_q(q) -> complex:
     if isinstance(q, QValue):
         return q.q

@@ -20,6 +20,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 from struct import pack, unpack
 
@@ -176,6 +177,44 @@ def ipoly_quo(a, b) -> list:
     if any(rem[len(rem) - nb + 1:]):
         raise ArithmeticError("inexact polynomial division")
     return quo
+
+
+def _divide_q_minus_one(p, e: int):
+    """(p / (q-1)^v, v) for the largest v <= e with (q-1)^v | p, p nonzero.
+
+    Each division by q - 1 is a synthetic division: prefix sums, the last
+    one the remainder p(1).  A palindromic or antipalindromic p, such as a
+    product of cyclotomic polynomials, needs only the top half: if
+    rev(p) = s p, then p / (q-1) is again symmetric, with sign -s, and
+    p(1) is 0 for s = -1 and twice the top half's sum (plus the middle
+    coefficient) for s = 1.  The bottom half of the quotient is the
+    mirror of its top half.
+    """
+    if sum(p):
+        return p, 0
+    if p[0] == p[-1] and p == p[::-1]:
+        sign = 1
+    elif p[0] == -p[-1] and all(a == -b for a, b in zip(p, reversed(p))):
+        sign = -1
+    else:
+        v = 0
+        while v < e:
+            partial = list(accumulate(p))
+            if partial.pop():
+                break
+            p, v = partial, v + 1
+        return p, v
+    size, v = len(p), 0
+    top = p[:(size + 1) // 2]  # the top ceil(size/2) coefficients
+    while v < e:
+        partial = list(accumulate(top))
+        half = size // 2
+        if sign > 0 and 2 * (partial[half - 1] if half else 0) + (top[half] if size % 2 else 0):
+            break
+        if size % 2:  # the quotient's top half is one coefficient shorter
+            partial.pop()
+        top, size, sign, v = partial, size - 1, -sign, v + 1
+    return list(top) + [sign * x for x in reversed(top[:size // 2])], v
 
 
 def _content_split(p):
@@ -856,11 +895,6 @@ def nil_inv(a: NilpotentElement) -> NilpotentElement:
     return acc.scale(inv0)
 
 
-def chern_iso(x: NilpotentElement) -> NilpotentElement:
-    """Basis re-tag (1 - P^{-1})^i -> H^i: the identity on coefficients."""
-    return NilpotentElement(x.order, x.coeffs)
-
-
 # -- dense polynomials --------------------------------------------------------
 
 
@@ -951,17 +985,6 @@ class Poly:
     def __truediv__(self, c):
         """Divide every coefficient by the scalar c."""
         return Poly([a / c for a in self.coeffs], self.one)
-
-    def __pow__(self, k: int):
-        out = Poly([self.one], self.one)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -1055,28 +1078,6 @@ def _binom_of_poly(e: Poly, k: int, one) -> Poly:
 
 
 # -- truncated series in Q ----------------------------------------------------
-
-
-def series_mul(a, b):
-    """Truncated Cauchy product of two :class:`LogSeries`."""
-    D = a.truncation
-    out = []
-    for d in range(D + 1):
-        acc = nil_mul(a.coeffs[0], b.coeffs[d])
-        for k in range(1, d + 1):
-            acc = acc + nil_mul(a.coeffs[k], b.coeffs[d - k])
-        out.append(acc)
-    return LogSeries(D, out)
-
-
-def series_scale_pullback(s, c):
-    """Substitute Q -> c*Q: the Q^d coefficient picks up the factor c^d."""
-    out = []
-    power = one_like(c)
-    for d in range(s.truncation + 1):
-        out.append(s.coeffs[d].scale(power) if d else s.coeffs[0])
-        power = power * c
-    return LogSeries(s.truncation, out)
 
 
 class LogSeries:
@@ -1230,8 +1231,8 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
 def format_poly(coeffs_ascending, var: str) -> str:
     """Render a polynomial with exact rational coefficients as text.
 
-    ``coeffs_ascending[k]`` is the coefficient of var^k.  Inverse of
-    :func:`parse_poly`.
+    ``coeffs_ascending[k]`` is the coefficient of var^k, e.g. [1, -3/2, 0, 2]
+    gives ``1 - 3/2*q + 2*q^3`` for var q.
     """
     terms = []
     for k, c in enumerate(coeffs_ascending):
@@ -1251,40 +1252,6 @@ def format_poly(coeffs_ascending, var: str) -> str:
     head = terms[0]
     head = "-" + head[2:] if head.startswith("- ") else head[2:]
     return " ".join([head] + terms[1:])
-
-
-def parse_poly(text: str, var: str) -> list[Fraction]:
-    """Parse the output of :func:`format_poly` back to ascending coefficients."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
-    if s == "0":
-        return []
-    # split into signed terms
-    terms, cur = [], ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*^/(":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    coeffs: dict[int, Fraction] = {}
-    for t in terms:
-        sign = Fraction(1)
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:]
-        if var in t:
-            head, _, tail = t.partition(var)
-            coef = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-            k = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            coef, k = Fraction(t), 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coef
-    n = max(coeffs) + 1
-    return [coeffs.get(k, Fraction(0)) for k in range(n)]
 
 
 def _scalar_num_den_strings(c):
@@ -1308,50 +1275,3 @@ def series_to_json(s) -> dict:
                 num, den = _scalar_num_den_strings(c)
                 rows.append({"d": d, "i": i, "m": m, "num": num, "den": den})
     return {"N": s.order, "D": s.truncation, "coeffs": rows}
-
-
-def series_from_json(doc: dict) -> LogSeries:
-    """Rebuild a :class:`LogSeries` from :func:`series_to_json` output.
-
-    Coefficients become :class:`RationalFunctionQ` whenever any entry carries
-    a genuine q-dependence.
-    """
-    N, D = doc["N"], doc["D"]
-    rows = doc["coeffs"]
-    if any("q" in r["num"] or "q" in r["den"] for r in rows):
-        one = RationalFunctionQ.one()
-
-        def mk(r):
-            return RationalFunctionQ(
-                list(reversed(parse_poly(r["num"], "q"))),
-                list(reversed(parse_poly(r["den"], "q"))),
-            )
-
-    else:
-        one = Fraction(1)
-
-        def mk(r):
-            return Fraction(parse_poly(r["num"], "q")[0] if r["num"] != "0" else 0) / Fraction(
-                parse_poly(r["den"], "q")[0]
-            )
-
-    zero_lp = Poly([], one)
-    grid = [
-        [dict() for _ in range(N + 1)] for _ in range(D + 1)
-    ]  # [d][i] -> {m: scalar}
-    for r in rows:
-        grid[r["d"]][r["i"]][r["m"]] = mk(r)
-    coeffs = []
-    for d in range(D + 1):
-        nil_coeffs = []
-        for i in range(N + 1):
-            entries = grid[d][i]
-            if not entries:
-                nil_coeffs.append(zero_lp)
-                continue
-            mmax = max(entries)
-            nil_coeffs.append(
-                Poly([entries.get(m, zero_like(one)) for m in range(mmax + 1)], one)
-            )
-        coeffs.append(NilpotentElement(N, nil_coeffs))
-    return LogSeries(D, coeffs)

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from qonf.cli import main
-from qonf.qdiff import system_to_json
-from qonf.rings import series_from_json
+from qonf.rings import series_to_json
 
 
 def run(capsys, *argv):
@@ -89,11 +88,9 @@ class TestSystems:
         assert entries[(3, 0)] == "Q"
 
     def test_confluence_from_file(self, tmp_path, capsys):
-        from qonf.confluence import builtin_system
-
-        doc = system_to_json(builtin_system("pochhammer-scaled"))
+        # the builtin pochhammer-scaled system in the README's schema
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
+        path.write_text('{"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1 - (1-q)*Q"}]}')
         code, out = run(capsys, "confluence", "--file", str(path))
         assert code == 0
         assert json.loads(out)["confluent"] is True
@@ -242,8 +239,7 @@ class TestJfn:
         doc = json.loads(out)
         from qonf.gw import jk_modified
 
-        back = series_from_json(doc)
-        assert back == jk_modified(1, 2)
+        assert doc == {"kind": "kth-modified", **series_to_json(jk_modified(1, 2))}
 
     def test_equivariant_resonant_exits_2(self, capsys):
         # resonant weights are an input error (2), not a failed verification (1)

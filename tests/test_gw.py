@@ -38,7 +38,6 @@ from qonf.rings import (
     LogSeries,
     NilpotentElement,
     RationalFunctionQ as R,
-    chern_iso,
     ipoly_mul,
     nil_inv,
     nil_mul,
@@ -118,12 +117,6 @@ class TestJkSeries:
             for i in range(N + 1):
                 clear = qpoch_exact(d) ** (N + 1 + i)
                 assert len((clear * jk.coefficient(d, i)).den) == 1
-
-    def test_chern_retag(self):
-        from qonf.rings import NilpotentElement
-
-        x = NilpotentElement(2, [R.one(), 3 * R.one(), R.zero()])
-        assert chern_iso(x).coeffs == x.coeffs
 
 
 def linear(N, a, b):

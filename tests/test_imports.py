@@ -1,7 +1,7 @@
 """Every name a module of the package, a test module or a script imports is
-used by that module, every module-level function or class of the package
-is used somewhere, and the exact scalar kernel imports only the standard
-library.
+used by that module, every module-level function or class of the package,
+and every method or property of its classes other than a dunder, is used
+somewhere, and the exact scalar kernel imports only the standard library.
 
 The package's ``__init__.py`` is skipped by the import check: its imports are
 the public re-exports.
@@ -73,21 +73,41 @@ def referenced_names(node) -> set[str]:
     return out
 
 
-def dead_definitions(modules: dict, users: dict) -> list[str]:
-    """Module-level functions and classes of ``modules`` (name -> source) that
-    no statement of ``users`` (name -> source) refers to, other than the
-    definition itself."""
-    refs = {}  # name -> {(user, index of the top-level statement)}
+def reference_sites(users: dict) -> dict:
+    """name -> the sites of ``users`` (name -> source) that refer to it.  A
+    site is a top-level statement, (user, k); a statement of a top-level
+    class body is also a site of its own, (user, k, j)."""
+    refs = {}
     for user, source in users.items():
         for k, stmt in enumerate(ast.parse(source).body):
             for name in referenced_names(stmt):
                 refs.setdefault(name, set()).add((user, k))
+            if isinstance(stmt, ast.ClassDef):
+                for j, member in enumerate(stmt.body):
+                    for name in referenced_names(member):
+                        refs[name].add((user, k, j))
+    return refs
+
+
+def dead_definitions(modules: dict, users: dict) -> list[str]:
+    """Module-level functions and classes of ``modules`` (name -> source) that
+    no statement of ``users`` (name -> source) refers to, other than the
+    definition itself; likewise the methods and properties of their classes,
+    dunders aside, with the method as its own definition."""
+    refs = reference_sites(users)
     dead = []
     for module, source in modules.items():
         for k, stmt in enumerate(ast.parse(source).body):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not refs.get(stmt.name, set()) - {(module, k)}:
+                if not {site for site in refs.get(stmt.name, ()) if len(site) == 2} - {(module, k)}:
                     dead.append(f"{module}: {stmt.name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for j, member in enumerate(stmt.body):
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))
+                        and not refs.get(member.name, set()) - {(module, k), (module, k, j)}):
+                    dead.append(f"{module}: {stmt.name}.{member.name}")
     return dead
 
 
@@ -103,6 +123,20 @@ def test_detects_a_dead_definition():
               "class Unused:\n    pass\n\n"
               "x = used()\n")
     assert dead_definitions({"m": source}, {"m": source}) == ["m: recursive", "m: Unused"]
+
+
+def test_detects_a_dead_method():
+    source = ("class Box:\n"
+              "    def __init__(self):\n        self.v = self.helper()\n\n"
+              "    def helper(self):\n        return 1\n\n"
+              "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+              "    @property\n    def unused(self):\n        return self.v\n\n"
+              "    @property\n    def size(self):\n        return self.v\n\n"
+              "    def _private(self):\n        return 2\n\n"
+              "b = Box()\n"
+              "n = b.size\n")
+    assert dead_definitions({"m": source}, {"m": source}) == [
+        "m: Box.recursive", "m: Box.unused", "m: Box._private"]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -8,7 +8,6 @@ import pytest
 from qonf.qspecial import (
     DomainError,
     PoleProximityError,
-    QPath,
     QValue,
     char_power,
     jacobi_triple_product_check,
@@ -194,6 +193,3 @@ class TestValueObjects:
     def test_qvalue_validation(self):
         with pytest.raises(DomainError):
             QValue(1.2)
-        with pytest.raises(DomainError):
-            QPath(0.5, 0.0)
-        assert QPath(0.25, 0.5).q == pytest.approx(0.5)
