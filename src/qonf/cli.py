@@ -409,10 +409,8 @@ def cmd_jfn(args, cfg) -> int:
         lambdas = args.lambdas or tuple(i / (N + 2) for i in range(N + 1))
         spec = gw.EquivariantSpec(lambdas, z=args.z)  # resonant weights: DomainError, exit 2
         evs = gw.jk_equivariant(spec, args.q, D)
-        rows = []
-        for i, ev in enumerate(evs):
-            dens = ev._denominators(args.q)
-            rows.append({"index": i, "coefficients": [_cx(1 / x) for x in dens]})
+        rows = [{"index": i, "coefficients": [_cx(1 / x) for x in ev.denominators]}
+                for i, ev in enumerate(evs)]
         cfg.emit({"kind": "equivariant", "N": N, "D": D,
                   "lambdas": [_cx(complex(x)) for x in lambdas], "z": _cx(complex(args.z)),
                   "q": _cx(args.q), "restrictions": rows})

@@ -548,74 +548,116 @@ def asymptotic_theta_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14) -> floa
 
 
 class GaussianRational:
-    """Exact complex rationals a + b i, enough for first-order root data."""
+    """Exact complex rationals (a + b i)/m, enough for first-order root data.
 
-    __slots__ = ("re", "im")
+    The value is kept as the integer triple (a, b, m) with m > 0 and
+    gcd(a, b, m) = 1, so equal values have equal triples; every operation
+    reduces its result once.  ``re`` and ``im`` are the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "m")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        # with both parts in lowest terms, the lcm of their denominators
+        # leaves gcd(a, b, m) = 1
+        m = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (m // re.denominator)
+        self.b = im.numerator * (m // im.denominator)
+        self.m = m
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.m)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.m)
 
     @staticmethod
-    def _coerce(x):
+    def _parts(x):
         if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        return NotImplemented
+            return x.a, x.b, x.m
+        if isinstance(x, int):
+            return x, 0, 1
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
+        return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, m = o
+        return _gaussian(self.a * m + a * self.m, self.b * m + b * self.m, self.m * m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, m = o
+        return _gaussian(self.a * m - a * self.m, self.b * m - b * self.m, self.m * m)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(*o) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.m)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a, b, m = o
+        return _gaussian(self.a * a - self.b * b, self.a * b + self.b * a, self.m * m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.re * o.re + o.im * o.im
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, m = o
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        # multiply through by the conjugate of the divisor
+        return _gaussian(m * (self.a * a + self.b * b), m * (self.b * a - self.a * b), self.m * n)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(*o) / self
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.a, self.b, self.m) == o
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        # a/m rounds once, as float(Fraction(a, m)) does
+        return complex(self.a / self.m, self.b / self.m)
 
     def __repr__(self):
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        return f"({self.re}{'+' if self.b >= 0 else ''}{self.im}i)"
+
+
+def _gaussian(a: int, b: int, m: int) -> GaussianRational:
+    """(a + b i)/m for m > 0, reduced."""
+    g = math.gcd(a, b, m)
+    z = object.__new__(GaussianRational)
+    z.a, z.b, z.m = (a, b, m) if g == 1 else (a // g, b // g, m // g)
+    return z
 
 
 QI_ONE = GaussianRational(1)

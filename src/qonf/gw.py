@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .confluence import limit_solution_along_path
@@ -590,28 +590,38 @@ class EquivariantJEvaluator:
 
     value(Q) = Lambda_i^(-qlog(Q)) sum_d Q^d / prod_j (q Lambda_j/Lambda_i; q)_d,
     optionally with the confluence rescaling (1-q)^(d(N+1))/z^(d(N+1)) per term.
+    ``denominators`` holds the products prod_j (q Lambda_j/Lambda_i; q)_d,
+    d = 0..truncation, at the evaluator's own q, built once.
     """
 
     spec: EquivariantSpec
     index: int
     q: complex
     truncation: int
+    denominators: list = field(init=False, repr=False, compare=False)
 
-    def _denominators(self, q: complex):
+    def __post_init__(self):
+        self.denominators = self.denominators_at(self.q)
+
+    def denominators_at(self, q: complex) -> list:
+        """The table of ``denominators`` at another q."""
         n = self.spec.N + 1
         Lam = [self.spec.Lambda(j, q) for j in range(n)]
         ratios = [Lam[j] / Lam[self.index] for j in range(n)]
         dens = [1.0 + 0j]
         acc = 1.0 + 0j
         for d in range(1, self.truncation + 1):
-            for j in range(n):
-                acc *= 1.0 - q**d * ratios[j]
+            qd = q**d
+            for r in ratios:
+                acc *= 1.0 - qd * r
             dens.append(acc)
         return dens
 
     def series_value(self, Q: complex, q: complex | None = None, rescaled: bool = False) -> complex:
-        q = self.q if q is None else q
-        dens = self._denominators(q)
+        if q is None:
+            q, dens = self.q, self.denominators
+        else:
+            dens = self.denominators_at(q)
         n = self.spec.N + 1
         total = 0j
         for d in range(self.truncation + 1):
@@ -622,11 +632,12 @@ class EquivariantJEvaluator:
         return total
 
     def eval(self, Q: complex, q: complex | None = None, rescaled: bool = False) -> complex:
+        series = self.series_value(Q, q, rescaled)
         q = self.q if q is None else q
         ell = q_log(q, Q)
         # Lambda_i^(-ell) = exp(+(lambda_i/z) log(q) ell)
         prefactor = cmath.exp((self.spec.lambdas[self.index] / self.spec.z) * cmath.log(q) * ell)
-        return prefactor * self.series_value(Q, q, rescaled)
+        return prefactor * series
 
     def __call__(self, Q: complex) -> complex:
         return self.eval(Q)

@@ -321,10 +321,6 @@ class MatrixSeries:
     def dim(self) -> int:
         return len(self.terms[0])
 
-    @classmethod
-    def identity(cls, n: int, D: int, one) -> "MatrixSeries":
-        return cls([mat_eye(n, one)] + [mat_zero(n, one) for _ in range(D)], one)
-
     def nonzero_degrees(self) -> list[int]:
         return [m for m, t in enumerate(self.terms) if not mat_is_zero(t)]
 

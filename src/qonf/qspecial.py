@@ -16,12 +16,15 @@ form
     theta_q(Q) = sqrt(2 pi / lam) * sum_k exp((b - 2 pi i k)^2 / (2 lam)),
 
 with lam = -log q and b = log Q + lam/2, whose dual terms decay like
-exp(-2 pi^2 Re(1/lam) k^2).  For q in (0, 1) the dual form is used once
--log q < 0.7; it stays accurate as q -> 1, where the direct sum suffers
-catastrophic float cancellation for complex Q.  For complex q the sum with
-the faster decay is taken, and the dual step is repeated while it decays
-faster (a modular reduction, see _log_theta_reduced), so that q near any
-root of unity, including q -> -1, ends in a short, well-conditioned sum.
+exp(-2 pi^2 Re(1/lam) k^2).  For q in (0, 1) the dual form, over |k| <= 6,
+is used once -log q < 0.7; it stays accurate as q -> 1, where the direct
+sum suffers catastrophic float cancellation for complex Q.  For
+-log q >= 0.7 the direct sum keeps only the terms within e^-45 of the
+largest, at most 24.  Both are plain loops: NumPy's per-call overhead would
+exceed the work on sums this short.  For complex q the sum with the faster
+decay is taken, and the dual step is repeated while it decays faster (a
+modular reduction, see _log_theta_reduced), so that q near any root of
+unity, including q -> -1, ends in a short, well-conditioned sum.
 All ratio-type functions work on log values so that magnitudes of order
 exp(1/(1-q)) never materialize.
 
@@ -319,51 +322,41 @@ def qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
 # ---------------------------------------------------------------- theta
 
 
-def _log_theta_direct(lq: complex, lQ: complex):
-    """Window sum of the defining series at q = e^lq, Q = e^lQ;
-    returns (log_value, log_max_term, qlog ratio)."""
-    center = 0.5 - lQ.real / lq.real
-    half = max(40.0, math.sqrt(90.0 / abs(lq.real)))
-    d = np.arange(math.floor(center - half), math.ceil(center + half) + 1, dtype=float)
-    expo = (d * (d - 1) / 2) * lq + d * lQ
-    pivot = expo.real.max()
-    weights = np.exp(expo - pivot)
-    s = complex(weights.sum())
-    ds = complex((d * weights).sum())
-    return pivot + cmath.log(s), pivot, -ds / s if s != 0 else complex("nan")
+def _pivoted_sums(ks, expos):
+    """(pivot, sum_k w_k, sum_k k w_k) with w_k = exp(expo_k - pivot) and
+    pivot the largest real part, so no weight overflows."""
+    pivot = max(e.real for e in expos)
+    s = ksum = 0j
+    for k, e in zip(ks, expos):
+        w = cmath.exp(e - pivot)
+        s += w
+        ksum += k * w
+    return pivot, s, ksum
 
 
-def _log_theta_modular(q: complex, Q: complex):
-    """Poisson-dual sum for q in (0, 1); returns (log_value, log_max_term, qlog ratio)."""
-    lam = -cmath.log(q)
-    b = cmath.log(Q) + lam / 2
-    ks = np.arange(-6, 7, dtype=float)
-    expo = -(TWO_PI * math.pi) * ks * ks / lam - (TWO_PI * 1j) * ks * b / lam
-    pivot = expo.real.max()
-    weights = np.exp(expo - pivot)
-    s = complex(weights.sum())
-    ks_sum = complex((ks * weights).sum())
-    log_value = 0.5 * cmath.log(TWO_PI / lam) + b * b / (2 * lam) + pivot + cmath.log(s)
+def _log_theta_modular(lam: complex, lQ: complex):
+    """Poisson-dual sum at q = e^-lam in (0, 1), Q = e^lQ, over the 13 dual
+    terms |k| <= 6; returns (log_value, log_max_term, qlog ratio).  The
+    terms decay like e^(-2 pi^2 k^2/lam), faster than e^(-28 k^2) for
+    lam < 0.7, so |k| <= 6 is ample."""
+    b = lQ + lam / 2
+    ks = range(-6, 7)
+    pivot, s, ks_sum = _pivoted_sums(
+        ks, [-(TWO_PI * math.pi) * k * k / lam - (TWO_PI * 1j) * k * b / lam for k in ks])
+    prefactor = 0.5 * cmath.log(TWO_PI / lam) + b * b / (2 * lam)
     # -Q theta'/theta = -(b/lam) + (2 pi i/lam) * <k>
     ratio = -(b / lam) + (TWO_PI * 1j / lam) * (ks_sum / s)
-    scale = (0.5 * cmath.log(TWO_PI / lam) + b * b / (2 * lam)).real + pivot
-    return log_value, scale, ratio
+    return prefactor + pivot + cmath.log(s), prefactor.real + pivot, ratio
 
 
 def _log_theta_short(lq: complex, lQ: complex):
-    """The defining series when -Re lq >= pi, as _log_theta_direct: the terms
-    within e^-45 of the largest are at most 13, so a loop costs less than
-    NumPy's per-call overhead."""
+    """The defining series at q = e^lq, Q = e^lQ when -Re lq >= 0.7; returns
+    (log_value, log_max_term, qlog ratio).  Only the terms within e^-45 of
+    the largest are summed: at most 24, and at most 13 once -Re lq >= pi."""
     center = 0.5 - lQ.real / lq.real
     half = math.sqrt(90.0 / -lq.real)
     ds = range(math.floor(center - half), math.ceil(center + half) + 1)
-    expos = [(d * (d - 1) / 2) * lq + d * lQ for d in ds]
-    pivot = max(e.real for e in expos)
-    s = dsum = 0j
-    for d, e in zip(ds, expos):
-        w = cmath.exp(e - pivot)
-        s += w
-        dsum += d * w
+    pivot, s, dsum = _pivoted_sums(ds, [(d * (d - 1) / 2) * lq + d * lQ for d in ds])
     return pivot + cmath.log(s), pivot, -dsum / s
 
 
@@ -395,11 +388,12 @@ def _log_theta_reduced(lam: complex, lQ: complex):
 
 
 def _theta_parts(q: complex, Q: complex):
+    lq, lQ = cmath.log(q), cmath.log(Q)
     if q.imag == 0 and q.real > 0:
-        if (-cmath.log(q)).real < _MODULAR_THRESHOLD:
-            return _log_theta_modular(q, Q)
-        return _log_theta_direct(cmath.log(q), cmath.log(Q))
-    return _log_theta_reduced(-cmath.log(q), cmath.log(Q))
+        if -lq.real < _MODULAR_THRESHOLD:
+            return _log_theta_modular(-lq, lQ)
+        return _log_theta_short(lq, lQ)
+    return _log_theta_reduced(-lq, lQ)
 
 
 def log_theta(q, Q: complex) -> complex:

@@ -810,14 +810,6 @@ class NilpotentElement:
         z = zero_like(s)
         return cls(order, (s,) + (z,) * order)
 
-    @classmethod
-    def eps(cls, order: int, one) -> "NilpotentElement":
-        """The nilpotent generator, expressed with the given ring unit."""
-        z = zero_like(one)
-        if order == 0:
-            return cls(0, (z,))
-        return cls(order, (z, one) + (z,) * (order - 1))
-
     def _check(self, other):
         if self.order != other.order:
             raise OrderMismatchError(f"orders {self.order} != {other.order}")

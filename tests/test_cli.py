@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -240,6 +241,13 @@ class TestJfn:
         from qonf.gw import jk_modified
 
         assert doc == {"kind": "kth-modified", **series_to_json(jk_modified(1, 2))}
+
+    def test_equivariant_table_is_pinned(self, capsys):
+        # every printed bit of the restrictions' denominator tables
+        code, out = run(capsys, "jfn", "--kind", "equivariant", "--N", "2", "--D", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3154a4d41098958c8fc653efbb0a368480249741df0297bd3fef06a9acf5a088")
 
     def test_equivariant_resonant_exits_2(self, capsys):
         # resonant weights are an input error (2), not a failed verification (1)

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qonf import qdiff
 from qonf.confluence import (
@@ -321,6 +323,73 @@ class TestAsymptoticRatios:
             asymptotic_qpoch_ratio(2.0, 0, 1, Q0)  # on q0^R
         with pytest.raises(DomainError):
             asymptotic_theta_ratio(-2.0, 0, 1, Q0)  # on -q0^R
+
+
+FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+PAIRS = st.tuples(FRACTIONS, FRACTIONS)
+
+
+def pair_ops(x, y):
+    """+, -, * and / of complex rationals kept as (re, im) Fraction pairs."""
+    (a, b), (c, d) = x, y
+    out = [(a + c, b + d), (a - c, b - d), (a * c - b * d, a * d + b * c)]
+    n = c * c + d * d
+    out.append(((a * c + b * d) / n, (b * c - a * d) / n) if n else None)
+    return out
+
+
+def check_against_pair(got, want):
+    re, im = want
+    assert (got.re, got.im) == want
+    assert got == GaussianRational(re, im)
+    assert hash(got) == hash(want)
+    m = math.lcm(re.denominator, im.denominator)
+    assert (got.a, got.b, got.m) == (re * m, im * m, m)
+    assert math.gcd(got.a, got.b, got.m) == 1 and got.m > 0
+    assert complex(got) == complex(float(re), float(im))
+    assert repr(got) == f"({re}{'+' if im >= 0 else ''}{im}i)"
+
+
+class TestGaussianRational:
+    @given(PAIRS, PAIRS)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction_pairs(self, x, y):
+        gx = GaussianRational(*x)
+        # y as a GaussianRational, and when it is real as a Fraction and an int
+        others = [GaussianRational(*y)]
+        if y[1] == 0:
+            others.append(y[0])
+            if y[0].denominator == 1:
+                others.append(int(y[0]))
+        for other in others:
+            got = [gx + other, gx - other, gx * other]
+            if y != (0, 0):
+                got.append(gx / other)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    gx / other
+            for g, want in zip(got, pair_ops(x, y)):
+                check_against_pair(g, want)
+        for other in others[1:]:  # reflected: the Fraction or int on the left
+            got = [other + gx, other - gx, other * gx]
+            if x != (0, 0):
+                got.append(other / gx)
+            for g, want in zip(got, pair_ops(y, x)):
+                check_against_pair(g, want)
+
+    @given(PAIRS)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_division_and_equality(self, x):
+        gx = GaussianRational(*x)
+        for zero in (0, F(0), GaussianRational(0, 0), gx - gx):
+            with pytest.raises(ZeroDivisionError):
+                gx / zero
+        if x == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                1 / gx
+        assert gx == GaussianRational(*x) and not gx != GaussianRational(*x)
+        assert (gx == x[0]) == (x[1] == 0)
+        assert gx != complex(gx) and gx != 1.5
 
 
 class TestRootTaylor:

@@ -457,6 +457,32 @@ class TestEquivariant:
                 prod *= spec.lambdas[i] - spec.lambdas[j] + r
         assert abs(rich - 1 / prod) < 1e-8
 
+    @pytest.mark.parametrize("q", [0.5, 0.3 + 0.2j, 0.8 ** (2.0**-7)])
+    def test_denominator_table_is_the_per_weight_loop(self, q):
+        # the reference raises q to the d-th power once per weight
+        def reference(ev, q):
+            n = ev.spec.N + 1
+            Lam = [ev.spec.Lambda(j, q) for j in range(n)]
+            ratios = [Lam[j] / Lam[ev.index] for j in range(n)]
+            dens = [1.0 + 0j]
+            acc = 1.0 + 0j
+            for d in range(1, ev.truncation + 1):
+                for j in range(n):
+                    acc *= 1.0 - q**d * ratios[j]
+                dens.append(acc)
+            return dens
+
+        def bits(values):
+            return [(z.real.hex(), z.imag.hex()) for z in values]
+
+        spec = EquivariantSpec((0.0, 0.45, 0.8 + 0.1j), z=1 + 0.3j)
+        other = 0.8 ** (2.0**-5)
+        for ev in jk_equivariant(spec, q, 60):
+            assert bits(ev.denominators) == bits(reference(ev, q))
+            assert bits(ev.denominators_at(other)) == bits(reference(ev, other))
+            Q = 0.2 + 0.1j
+            assert ev.eval(Q, q=q) == ev.eval(Q)
+
 
 class TestQuantumRings:
     def test_relation_degree(self):

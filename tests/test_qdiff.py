@@ -15,6 +15,7 @@ from qonf.polyq import (
     mat_inv,
     mat_mul,
     mat_scale,
+    mat_zero,
     parse_bivariate,
 )
 from qonf.qdiff import (
@@ -149,7 +150,8 @@ class TestNormalize:
     def test_constant_matrix_gives_identity_gauge(self):
         sys = QDifferenceSystem(((rf("2"), rf("0")), (rf("0"), rf("q"))), Q_SYM)
         Fser, A0 = normalize_to_constant(sys, 4)
-        assert Fser.sub(MatrixSeries.identity(2, 4, ONE)).is_zero()
+        identity = MatrixSeries([mat_eye(2, ONE)] + [mat_zero(2, ONE) for _ in range(4)], ONE)
+        assert Fser.sub(identity).is_zero()
 
     def test_two_by_two_sylvester_degree_one(self):
         # A = diag(1, mu) + Q * offdiag: F_1 solves q F_1 D - D F_1 = -A_1, uniquely
@@ -426,7 +428,8 @@ class TestGaugeIsInverseOfNormalization:
         sys = make()
         G = frobenius_solution(sys, D).gauge
         F_ser, _ = normalize_to_constant(sys, D)
-        assert G.mul(F_ser).sub(MatrixSeries.identity(sys.n, D, ONE)).is_zero()
+        identity = MatrixSeries([mat_eye(sys.n, ONE)] + [mat_zero(sys.n, ONE) for _ in range(D)], ONE)
+        assert G.mul(F_ser).sub(identity).is_zero()
 
 
 # ---------------------------------------------------------------- scalar series solutions

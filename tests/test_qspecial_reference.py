@@ -2,10 +2,11 @@
 
 theta, q_log and q_character are checked on a grid of complex q reaching
 |q| = 0.999 and arg q = pi - 0.05, including q next to the roots of unity
-i, e^(2 pi i/3) and -1, against the defining bilateral sum summed in high
-precision.  log_qpoch_infinite is checked against the sum of principal logs
-of its factors, the package dilogarithm against mpmath.polylog, and the
-Euler-Maclaurin evaluation near q = 1 against the direct sum.
+i, e^(2 pi i/3) and -1, and at real q in (0, 1) and (-1, 0), against the
+defining bilateral sum summed in high precision.  log_qpoch_infinite is
+checked against the sum of principal logs of its factors, the package
+dilogarithm against mpmath.polylog, and the Euler-Maclaurin evaluation near
+q = 1 against the direct sum.
 """
 
 import cmath
@@ -93,17 +94,20 @@ def rel(value, ref):
     return abs(value - ref) / abs(ref)
 
 
+def check_theta_qlog_character(q):
+    for Q in POINTS:
+        th, ql = theta_reference(q, Q)
+        th_lam, _ = theta_reference(q, LAM * Q)
+        assert rel(theta(q, Q), th) < grid_tolerance(q)
+        assert abs(q_log(q, Q) - ql) / max(1.0, abs(ql)) < grid_tolerance(q)
+        assert rel(q_character(LAM, q, Q), th / th_lam) < grid_tolerance(q)
+
+
 @pytest.mark.parametrize("arg", ARG_Q)
 @pytest.mark.parametrize("r", ABS_Q)
 class TestComplexQGrid:
     def test_theta_qlog_character(self, r, arg):
-        q = cmath.rect(r, arg)
-        for Q in POINTS:
-            th, ql = theta_reference(q, Q)
-            th_lam, _ = theta_reference(q, LAM * Q)
-            assert rel(theta(q, Q), th) < grid_tolerance(q)
-            assert abs(q_log(q, Q) - ql) / max(1.0, abs(ql)) < grid_tolerance(q)
-            assert rel(q_character(LAM, q, Q), th / th_lam) < grid_tolerance(q)
+        check_theta_qlog_character(cmath.rect(r, arg))
 
     def test_log_qpoch_infinite(self, r, arg):
         q = cmath.rect(r, arg)
@@ -111,6 +115,13 @@ class TestComplexQGrid:
         ref = log_qpoch_reference(a, q)
         # tol bounds the truncation; rounding r log q in the float sum adds about eps/(1 - |q|)
         assert abs(log_qpoch_infinite(a, q) - ref) < 1e-12 + 1e-13 / (1 - r)
+
+
+# on both sides of e^-0.7, where real q switches from the defining sum to its
+# Poisson dual, and of e^-pi, above which the defining sum needs more than 13 terms
+@pytest.mark.parametrize("q", [0.03, 0.1, 0.3, 0.49, 0.5, 0.7, 0.9, 0.99])
+def test_theta_qlog_character_at_positive_real_q(q):
+    check_theta_qlog_character(q)
 
 
 @pytest.mark.parametrize("q", [-0.5, -0.9, -0.99])

@@ -540,7 +540,7 @@ class TestNilpotentProperties:
     def test_binomial_power_at_integers(self, n, m):
         bp = nil_binomial_power(n, F(1))
         at_m = bp.map_coeffs(lambda lp: lp.evaluate(F(m)))
-        one_minus_eps = NilpotentElement.from_scalar(n, F(1)) - NilpotentElement.eps(n, F(1))
+        one_minus_eps = NilpotentElement.from_scalar(n, F(1)) - NilpotentElement(n, [F(int(k == 1)) for k in range(n + 1)])
         assert at_m == one_minus_eps**m
 
 
