@@ -38,10 +38,10 @@ from .verification import SUITES, run_suites
 
 
 # Every size limit of the CLI: (size, commands it applies to, largest
-# accepted value).  The flags are checked before any work starts; the two
-# exponents cap the powers inside the entries of a --file system (see
-# qonf.polyq.parse_bivariate).  Each lies well above the sizes the tests,
-# README, scripts and benchmark use.
+# accepted value).  The flags are checked before any work starts, and each
+# must also be at least 0; the two exponents cap the powers inside the
+# entries of a --file system (see qonf.polyq.parse_bivariate).  Each lies
+# well above the sizes the tests, README, scripts and benchmark use.
 SIZE_LIMITS = (
     ("--D", ("solve", "jfn", "compare"), 100),
     ("--D", ("qhg",), 10_000),
@@ -63,10 +63,12 @@ def _limits_epilog() -> str:
 
 
 def _check_limits(args) -> str | None:
-    """The one-line message for the first flag over its limit, or None."""
+    """The one-line message for the first flag below 0 or over its limit, or None."""
     for name, cmds, cap in SIZE_LIMITS:
         if name.startswith("--") and args.command in cmds:
             value = getattr(args, name[2:])
+            if value < 0:
+                return f"{name} {value} must be at least 0 for {args.command}"
             if value > cap:
                 return f"{name} {value} exceeds the limit {cap} for {args.command}"
     return None
@@ -381,9 +383,6 @@ def cmd_confluence(args, cfg) -> int:
 
 def cmd_jfn(args, cfg) -> int:
     N, D = args.N, args.D
-    if N < 0 or D < 0:
-        print("error: need N >= 0 and D >= 0", file=sys.stderr)
-        return 2
     if args.kind == "kth":
         jk = gw.jk_series(N, D)
         rows = [

@@ -60,9 +60,6 @@ from .rings import (
     RationalFunctionQ,
     _divide_q_minus_one,
     format_poly,
-    ipoly_gcd,
-    ipoly_mul,
-    ipoly_quo,
     scalar_is_zero,
     zero_like,
 )
@@ -73,44 +70,35 @@ DEFAULT_T_SCHEDULE = tuple(2.0**-j for j in range(4, 17))
 # ---------------------------------------------------------------- exact q -> 1 limits
 
 
-def _leading_at_one(polys):
-    """(k, values): k is the least multiplicity of the root q = 1 among the
-    nonzero polys, and values[i] is (polys[i] / (q - 1)^k) at q = 1; (None,
-    None) when every poly is zero."""
-    # the multiplicity of q = 1 is below len(p), so e = len(p) never binds
-    split = [_divide_q_minus_one(p, len(p)) if p else None for p in polys]
-    ks = [s[1] for s in split if s]
-    if not ks:
-        return None, None
-    k = min(ks)
-    return k, [Fraction(sum(s[0])) if s and s[1] == k else Fraction(0) for s in split]
-
-
 def limit_entry_q_to_1(entry: RatFunc) -> RatFunc:
     """Exact q -> 1 limit of a rational function of Q with coefficients in Q(q).
 
-    The entry is rewritten as a ratio of bivariate polynomials with integer
-    coefficients (clearing the lcm of the q-denominators), the shared power of
-    (q - 1) is cancelled, and the result is evaluated at q = 1.  Raises
+    Each nonzero coefficient n(q)/d(q), a coprime integer pair, is
+    (q - 1)^v (u + O(q - 1)) with u = n~(1)/d~(1) != 0, where n~ and d~ are n
+    and d with their roots at q = 1 divided out.  The entry is then
+    (q - 1)^(v_num - v_den) times the ratio of the parts with the least v in
+    numerator and denominator, and the limit is that ratio at q = 1.  Raises
     :class:`LimitUndefinedError` when the entry diverges.
     """
 
-    def pair(c):
+    def order_at_one(c):
         if not isinstance(c, RationalFunctionQ):
             c = RationalFunctionQ.from_fraction(Fraction(c))
-        return c.integer_pair()
+        n, d = c.integer_pair()
+        if not n:
+            return None
+        # the multiplicity of q = 1 is below len(p), so e = len(p) never binds
+        n, vn = _divide_q_minus_one(n, len(n))
+        d, vd = _divide_q_minus_one(d, len(d))
+        return vn - vd, Fraction(sum(n), sum(d))
 
-    num_c = [pair(c) for c in entry.num.coeffs]
-    den_c = [pair(c) for c in entry.den.coeffs]
-    lcm_den = [1]
-    for _, d in num_c + den_c:
-        lcm_den = ipoly_mul(lcm_den, ipoly_gcd(lcm_den, d)[2])
+    def leading(coeffs):
+        split = [order_at_one(c) for c in coeffs]
+        k = min((s[0] for s in split if s), default=None)
+        return k, [s[1] if s and s[0] == k else Fraction(0) for s in split]
 
-    def cleared(c):
-        return ipoly_mul(c[0], ipoly_quo(lcm_den, c[1]))
-
-    k_num, nvals = _leading_at_one([cleared(c) for c in num_c])
-    k_den, dvals = _leading_at_one([cleared(c) for c in den_c])
+    k_num, nvals = leading(entry.num.coeffs)
+    k_den, dvals = leading(entry.den.coeffs)
     one = Fraction(1)
     if k_num is None:  # zero entry
         return RatFunc.const(Fraction(0), one)

@@ -46,6 +46,7 @@ from .qspecial import (
     PoleProximityError,
     log_qpoch_infinite,
     log_theta,
+    on_q_lattice,
     q_character,
     q_log,
 )
@@ -653,19 +654,6 @@ class QHypergeometricSpec:
         return len(self.lower)
 
 
-def in_discrete_spiral(x: complex, q: complex) -> bool:
-    """Whether x = q^k for some integer k, within tolerance 1e-9."""
-    tol = 1e-9
-    if x == 0:
-        return False
-    k = cmath.log(x) / cmath.log(q)
-    if abs(k.imag) > tol * 10:
-        # allow phase wraps: compare against the nearest integer exponent
-        kr = round(k.real)
-        return abs(x - q**kr) < tol * abs(q**kr)
-    return abs(k.real - round(k.real)) < tol and abs(x - q ** round(k.real)) < tol * abs(x)
-
-
 def qhg_coefficients(spec: QHypergeometricSpec, q: complex, D: int) -> list[complex]:
     """Taylor coefficients via the term ratio
 
@@ -673,7 +661,7 @@ def qhg_coefficients(spec: QHypergeometricSpec, q: complex, D: int) -> list[comp
     """
     e = 1 + spec.s - spec.r
     for b in spec.lower:
-        if in_discrete_spiral(b, q) and abs(b) >= 1 - 1e-12:
+        if on_q_lattice(b, q, 1e-9) and abs(b) >= 1 - 1e-12:
             raise PoleProximityError(f"lower parameter {b} lies in q^(Z<=0)")
     out = [1.0 + 0j]
     qd = 1.0 + 0j
@@ -770,10 +758,10 @@ def qhg_bases(spec: QHypergeometricSpec, q: complex, D: int):
     for name, params in (("upper", spec.upper), ("lower", spec.lower)):
         for i, x in enumerate(params):
             for y in params[i + 1 :]:
-                if in_discrete_spiral(x / y, q):
+                if on_q_lattice(x / y, q, 1e-9):
                     raise ResonanceError(f"{name} parameter ratio {x / y} lies in q^Z")
     for b in spec.lower:
-        if in_discrete_spiral(b, q):
+        if on_q_lattice(b, q, 1e-9):
             raise ResonanceError(f"lower parameter {b} lies in q^Z")
 
     basis0 = [QHGSolution(spec, q, D, None, None, "series")]

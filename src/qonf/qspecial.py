@@ -9,22 +9,21 @@ solving f(qQ) = lam f(Q), the additive q-logarithm
 qlog(Q) = -Q theta'_q(Q)/theta_q(Q) solving f(qQ) = f(Q) + 1, and geometric
 predicates for q-spirals.
 
-theta is evaluated through one of two convergent representations: the
-defining bilateral sum (fast once |q| is moderate), or its Poisson-dual
-form
+theta has one evaluator for every q, a modular reduction (see
+_log_theta_reduced).  With lam = -log q, reduced modulo 2 pi i to
+|Im lam| <= pi, and b = log Q + lam/2, the terms of the defining bilateral
+sum decay like exp(-Re lam d^2/2), and those of its Poisson-dual form
 
-    theta_q(Q) = sqrt(2 pi / lam) * sum_k exp((b - 2 pi i k)^2 / (2 lam)),
+    theta_q(Q) = sqrt(2 pi / lam) * sum_k exp((b - 2 pi i k)^2 / (2 lam))
 
-with lam = -log q and b = log Q + lam/2, whose dual terms decay like
-exp(-2 pi^2 Re(1/lam) k^2).  For q in (0, 1) the dual form, over |k| <= 6,
-is used once -log q < 0.7; it stays accurate as q -> 1, where the direct
-sum suffers catastrophic float cancellation for complex Q.  For
--log q >= 0.7 the direct sum keeps only the terms within e^-45 of the
-largest, at most 24.  Both are plain loops: NumPy's per-call overhead would
-exceed the work on sums this short.  For complex q the sum with the faster
-decay is taken, and the dual step is repeated while it decays faster (a
-modular reduction, see _log_theta_reduced), so that q near any root of
-unity, including q -> -1, ends in a short, well-conditioned sum.
+like exp(-2 pi^2 Re(1/lam) k^2).  While |lam|^2 < 2 pi^2 the dual decays
+faster and the dual step is taken, repeatedly if need be; the defining sum
+is summed once |lam|^2 >= 2 pi^2 (for q in (0, 1), once q <= e^(-pi sqrt 2),
+about 0.0118).  That sum has Re lam >= pi, so at most 13 terms lie within
+e^-45 of the largest, and a plain loop sums them: NumPy's per-call overhead
+would exceed the work.  So q -> 1, where the direct sum suffers
+catastrophic float cancellation for complex Q, and q near any other root of
+unity, including q -> -1, all end in a short, well-conditioned sum.
 All ratio-type functions work on log values so that magnitudes of order
 exp(1/(1-q)) never materialize.
 
@@ -63,7 +62,6 @@ import numpy as np
 from .rings import QonfError
 
 TWO_PI = 2.0 * math.pi
-_MODULAR_THRESHOLD = 0.7  # q in (0, 1): use the Poisson-dual theta sum for -log q below this
 _EPS = sys.float_info.epsilon
 _ZERO_FACTOR_ULPS = 16.0  # bounds the rounding of r log q + log a, in eps times its size
 _PI2_6 = math.pi**2 / 6
@@ -322,41 +320,20 @@ def qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
 # ---------------------------------------------------------------- theta
 
 
-def _pivoted_sums(ks, expos):
-    """(pivot, sum_k w_k, sum_k k w_k) with w_k = exp(expo_k - pivot) and
-    pivot the largest real part, so no weight overflows."""
-    pivot = max(e.real for e in expos)
-    s = ksum = 0j
-    for k, e in zip(ks, expos):
-        w = cmath.exp(e - pivot)
-        s += w
-        ksum += k * w
-    return pivot, s, ksum
-
-
-def _log_theta_modular(lam: complex, lQ: complex):
-    """Poisson-dual sum at q = e^-lam in (0, 1), Q = e^lQ, over the 13 dual
-    terms |k| <= 6; returns (log_value, log_max_term, qlog ratio).  The
-    terms decay like e^(-2 pi^2 k^2/lam), faster than e^(-28 k^2) for
-    lam < 0.7, so |k| <= 6 is ample."""
-    b = lQ + lam / 2
-    ks = range(-6, 7)
-    pivot, s, ks_sum = _pivoted_sums(
-        ks, [-(TWO_PI * math.pi) * k * k / lam - (TWO_PI * 1j) * k * b / lam for k in ks])
-    prefactor = 0.5 * cmath.log(TWO_PI / lam) + b * b / (2 * lam)
-    # -Q theta'/theta = -(b/lam) + (2 pi i/lam) * <k>
-    ratio = -(b / lam) + (TWO_PI * 1j / lam) * (ks_sum / s)
-    return prefactor + pivot + cmath.log(s), prefactor.real + pivot, ratio
-
-
 def _log_theta_short(lq: complex, lQ: complex):
-    """The defining series at q = e^lq, Q = e^lQ when -Re lq >= 0.7; returns
-    (log_value, log_max_term, qlog ratio).  Only the terms within e^-45 of
-    the largest are summed: at most 24, and at most 13 once -Re lq >= pi."""
+    """The defining series at q = e^lq, Q = e^lQ when -Re lq >= pi, as the
+    modular reduction leaves it; returns (log_value, log_max_term, qlog
+    ratio).  Only the terms within e^-45 of the largest are summed, at most 13."""
     center = 0.5 - lQ.real / lq.real
     half = math.sqrt(90.0 / -lq.real)
     ds = range(math.floor(center - half), math.ceil(center + half) + 1)
-    pivot, s, dsum = _pivoted_sums(ds, [(d * (d - 1) / 2) * lq + d * lQ for d in ds])
+    expos = [(d * (d - 1) / 2) * lq + d * lQ for d in ds]
+    pivot = max(e.real for e in expos)  # the largest real part: no weight overflows
+    s = dsum = 0j
+    for d, e in zip(ds, expos):
+        w = cmath.exp(e - pivot)
+        s += w
+        dsum += d * w
     return pivot + cmath.log(s), pivot, -dsum / s
 
 
@@ -372,10 +349,12 @@ def _log_theta_reduced(lam: complex, lQ: complex):
         lam~ = 4 pi^2/lam,   log Q~ = -(2 pi i b + 2 pi^2)/lam,   b = log Q + lam/2,
 
     replaces the problem by one whose Im(log q/(2 pi i)) is more than twice as
-    large.  The direct sum that ends the recursion has Re lam >= pi, so a few
-    terms carry it and it cancels only near the zeros of theta; this covers
-    q near every root of unity, where neither the direct nor the plain dual
-    sum can be summed in double precision.
+    large.  For q in (0, 1) one such step is the whole reduction, and the
+    defining sum of lam~ is the plain dual sum.  The direct sum that ends the
+    recursion has Re lam >= pi, so a few terms carry it and it cancels only
+    near the zeros of theta; this covers q near every root of unity, where
+    neither the direct nor the plain dual sum can be summed in double
+    precision.
     """
     lam = complex(lam.real, lam.imag - TWO_PI * round(lam.imag / TWO_PI))
     if abs(lam) ** 2 >= 2 * math.pi**2:
@@ -388,28 +367,19 @@ def _log_theta_reduced(lam: complex, lQ: complex):
 
 
 def _theta_parts(q: complex, Q: complex):
-    lq, lQ = cmath.log(q), cmath.log(Q)
-    if q.imag == 0 and q.real > 0:
-        if -lq.real < _MODULAR_THRESHOLD:
-            return _log_theta_modular(-lq, lQ)
-        return _log_theta_short(lq, lQ)
-    return _log_theta_reduced(-lq, lQ)
+    if Q == 0:
+        raise DomainError("theta has an essential singularity at Q = 0")
+    return _log_theta_reduced(-cmath.log(q), cmath.log(Q))
 
 
 def log_theta(q, Q: complex) -> complex:
     """A complex logarithm of theta_q(Q); exponentials of differences are exact."""
-    q = _as_q(q)
-    if Q == 0:
-        raise DomainError("theta has an essential singularity at Q = 0")
-    return _theta_parts(q, Q)[0]
+    return _theta_parts(_as_q(q), Q)[0]
 
 
 def theta(q, Q: complex) -> complex:
     """theta_q(Q) = sum_{d in Z} q^(d(d-1)/2) Q^d."""
-    q = _as_q(q)
-    if Q == 0:
-        raise DomainError("theta has an essential singularity at Q = 0")
-    log_value, _, _ = _theta_parts(q, Q)
+    log_value, _, _ = _theta_parts(_as_q(q), Q)
     if log_value.real > 700:
         raise QonfError("theta magnitude overflows double precision; use log_theta")
     return cmath.exp(log_value)
@@ -425,8 +395,6 @@ def theta_residual_scale(q, Q: complex) -> float:
 def jacobi_triple_product_check(q, Q: complex, tol: float = 1e-12) -> float:
     """Relative residual of theta_q(Q) = (q;q)_inf (-Q;q)_inf (-q/Q;q)_inf."""
     q = _as_q(q)
-    if Q == 0:
-        raise DomainError("Q must be nonzero")
     log_value, scale, _ = _theta_parts(q, Q)
     lhs = cmath.exp(log_value - scale)
     rhs_log = (
@@ -446,14 +414,19 @@ def jacobi_triple_product_check(q, Q: complex, tol: float = 1e-12) -> float:
 _POLE_TOL = 1e-8  # relative distance to -q^Z below which characters and q-logs refuse
 
 
-def _near_pole(q: complex, x: complex, tol: float) -> bool:
-    """True when x is within relative tol of the zero set -q^Z of theta."""
+def on_q_lattice(x: complex, q: complex, tol: float) -> bool:
+    """Whether x is within relative tol of q^k for some integer k; False at x = 0.
+
+    Only the k next to log|x|/log|q| can be that close, so five are tried.
+    """
+    if abs(q) == 1:
+        raise DomainError(f"the lattice q^Z needs |q| != 1, got q = {q}")
     if x == 0:
-        return True
-    k0 = (math.log(abs(x)) / math.log(abs(q)))
-    for k in range(math.floor(k0) - 2, math.floor(k0) + 3):
+        return False
+    k0 = math.floor(math.log(abs(x)) / math.log(abs(q)))
+    for k in range(k0 - 2, k0 + 3):
         p = q**k
-        if abs(x + p) < tol * abs(p):
+        if abs(x - p) < tol * abs(p):
             return True
     return False
 
@@ -463,7 +436,7 @@ def q_character(lam: complex, q, Q: complex) -> complex:
     q = _as_q(q)
     if lam == 0 or Q == 0:
         raise DomainError("lam and Q must be nonzero")
-    if _near_pole(q, lam * Q, _POLE_TOL):
+    if on_q_lattice(-lam * Q, q, _POLE_TOL):
         raise PoleProximityError(f"lam*Q = {lam * Q} is within {_POLE_TOL} of the pole spiral")
     return cmath.exp(log_theta(q, Q) - log_theta(q, lam * Q))
 
@@ -473,7 +446,7 @@ def q_log(q, Q: complex) -> complex:
     q = _as_q(q)
     if Q == 0:
         raise DomainError("Q must be nonzero")
-    if _near_pole(q, Q, _POLE_TOL):
+    if on_q_lattice(-Q, q, _POLE_TOL):
         raise PoleProximityError(f"Q = {Q} is within {_POLE_TOL} of the pole spiral")
     return _theta_parts(q, Q)[2]
 

@@ -61,6 +61,19 @@ class TestSpecialFunctionCommands:
         assert code == 0
         assert doc["coefficients"][1][0] == pytest.approx(1 / (1 - 0.5))
 
+    @pytest.mark.parametrize("q", ["1", "-1"])
+    def test_qhg_q_on_unit_circle_is_usage_error(self, capsys, q):
+        assert main(["qhg", "--q", q, "--upper", "0.3", "--lower", "0.6", "--D", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_qhg_zero_lower_parameter_is_pinned(self, capsys):
+        # 0 is off the lattice q^Z: a zero lower parameter is accepted
+        code, out = run(capsys, "qhg", "--q", "0.5", "--upper", "0.3", "--lower", "0", "--D", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3161fe30866ab90db3761118bc8a7b364d40105578f6c2adc24c4ef2a4a815de")
+
 
 class TestSystems:
     def test_solve_builtin(self, capsys):
@@ -156,8 +169,11 @@ class TestSystems:
             ("solve", "--builtin", "irregular-limit", "--D", "-2"),
             ("solve", "--builtin", "pn-j", "--N", "-1", "--D", "3"),
             ("confluence", "--builtin", "pn-j", "--N", "-1"),
+            ("qhg", "--q", "0.5", "--upper", "0.3", "--lower", "0.6", "--D", "-3"),
+            ("jfn", "--kind", "coh", "--N", "-1", "--D", "2"),
         ],
-        ids=["negative-D", "negative-D-rank-1", "negative-N", "negative-N-confluence"],
+        ids=["negative-D", "negative-D-rank-1", "negative-N", "negative-N-confluence",
+             "negative-D-qhg", "negative-N-jfn"],
     )
     def test_negative_size_is_one_line_usage_error(self, capsys, argv):
         assert main(list(argv)) == 2

@@ -101,6 +101,40 @@ class TestLimitEntry:
         want = RatFunc(Poly(num0, F(1)), Poly(den0, F(1)))
         assert lim == want
 
+    # a coefficient (q-1)^v (a + b q)/(c + d q), as (v, a, b, c, d), or None for
+    # zero; with a + b != 0 and c + d != 0 its order at q = 1 is exactly v
+    planted = st.one_of(
+        st.none(),
+        st.tuples(st.integers(-2, 3), *[st.integers(-4, 4)] * 4).filter(
+            lambda t: t[1] + t[2] != 0 and t[3] + t[4] != 0),
+    )
+
+    @given(st.lists(planted, min_size=1, max_size=3), st.lists(planted, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_multiplicities(self, num, den):
+        if not any(den):
+            return
+        q = R.q()
+
+        def lift(cs):
+            return Poly([R.zero() if c is None
+                         else (q - 1) ** c[0] * (c[1] + c[2] * q) / (c[3] + c[4] * q)
+                         for c in cs], R.one())
+
+        def leading(cs):
+            v = min((c[0] for c in cs if c), default=None)
+            return v, [F(c[1] + c[2], c[3] + c[4]) if c and c[0] == v else F(0) for c in cs]
+
+        (v_num, num1), (v_den, den1) = leading(num), leading(den)
+        f = RatFunc(lift(num), lift(den))
+        if v_num is not None and v_num < v_den:
+            with pytest.raises(LimitUndefinedError):
+                limit_entry_q_to_1(f)
+        elif v_num is None or v_num > v_den:
+            assert limit_entry_q_to_1(f).is_zero
+        else:
+            assert limit_entry_q_to_1(f) == RatFunc(Poly(num1, F(1)), Poly(den1, F(1)))
+
     def test_divergent(self):
         with pytest.raises(LimitUndefinedError):
             limit_entry_q_to_1(rf("Q/(q-1)"))

@@ -602,6 +602,13 @@ class TestQHypergeometric:
         with pytest.raises(ResonanceError):
             qhg_bases(QHypergeometricSpec((0.3, 0.3 * q**2), (0.9,)), q, 10)
 
+    def test_resonant_parameters_rejected_at_complex_q(self):
+        # the ratio q^3 wraps past the principal branch of log q
+        q = 0.5 * np.exp(2j)
+        a = 0.3 + 0.1j
+        with pytest.raises(ResonanceError):
+            qhg_bases(QHypergeometricSpec((a, a * q**3), (0.9,)), q, 10)
+
     def test_lower_parameter_on_lattice_rejected(self):
         q = 0.35
         with pytest.raises(PoleProximityError):

@@ -12,6 +12,7 @@ from qonf.qspecial import (
     char_power,
     jacobi_triple_product_check,
     log_qpoch_infinite,
+    on_q_lattice,
     q_character,
     q_log,
     qpoch_finite,
@@ -91,11 +92,35 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(0.5, 0.0)
 
+    def test_residual_scale_and_triple_product_reject_zero_Q(self):
+        with pytest.raises(DomainError):
+            theta_residual_scale(0.5, 0)
+        with pytest.raises(DomainError):
+            jacobi_triple_product_check(0.5, 0)
+
     def test_modular_and_direct_agree_across_threshold(self):
-        # -log q straddles the internal switch near 0.7
+        # -log q near 0.7: each takes one Poisson-dual step of the reduction
         for q in (0.49, 0.50, 0.51, 0.52):
             for Q in QPOINTS:
                 assert theta(q, Q) == pytest.approx(theta_oracle(q, Q), rel=1e-9)
+
+
+def lattice_scan(x, q, tol):
+    return any(abs(x - q**k) < tol * abs(q**k) for k in range(-8, 9))
+
+
+class TestQLattice:
+    @pytest.mark.parametrize("q", [0.35, 0.9, 0.5 * cmath.exp(2j), -0.6])
+    def test_agrees_with_scan(self, q):
+        for k in range(-5, 6):
+            x = q**k
+            assert on_q_lattice(x, q, 1e-9)
+            assert not on_q_lattice(x * (1 + 1e-7), q, 1e-9)
+            for y in (x, -x, x * (1 + 1e-7), x * (1 + 1e-7j)):
+                assert on_q_lattice(y, q, 1e-9) == lattice_scan(y, q, 1e-9)
+
+    def test_zero_is_off_the_lattice(self):
+        assert not on_q_lattice(0, 0.5, 1e-9)
 
 
 class TestTripleProduct:

@@ -117,9 +117,10 @@ class TestComplexQGrid:
         assert abs(log_qpoch_infinite(a, q) - ref) < 1e-12 + 1e-13 / (1 - r)
 
 
-# on both sides of e^-0.7, where real q switches from the defining sum to its
-# Poisson dual, and of e^-pi, above which the defining sum needs more than 13 terms
-@pytest.mark.parametrize("q", [0.03, 0.1, 0.3, 0.49, 0.5, 0.7, 0.9, 0.99])
+# across (0, 1), and on both sides of e^(-pi sqrt 2) ~ 0.0118, where real q
+# switches from the Poisson dual to the defining sum
+@pytest.mark.parametrize("q", [0.0106, 0.0117, 0.0118, 0.0129,
+                               0.03, 0.1, 0.3, 0.49, 0.5, 0.7, 0.9, 0.99])
 def test_theta_qlog_character_at_positive_real_q(q):
     check_theta_qlog_character(q)
 
