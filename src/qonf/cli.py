@@ -28,6 +28,7 @@ from .qdiff import (
 from .qspecial import (
     DomainError,
     PoleProximityError,
+    _as_q,
     jacobi_triple_product_check,
     q_character,
     q_log,
@@ -312,6 +313,7 @@ def cmd_qlog(args, cfg) -> int:
 
 
 def cmd_qhg(args, cfg) -> int:
+    _as_q(args.q)  # 0 < |q| < 1, as for theta, qchar and qlog
     spec = QHypergeometricSpec(args.upper, args.lower)
     coeffs = qhg_coefficients(spec, args.q, args.D)
     doc = {

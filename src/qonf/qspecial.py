@@ -38,8 +38,10 @@ Euler-Maclaurin expansion
 microseconds per call however close q is to 1.  Li_2 is :func:`li2`, and the
 Li_(2-2k) are rational functions built from Eulerian numbers.  Otherwise
 (complex q, a on or near the cut [1, inf) compared with lam, or q far from 1)
-it is the direct sum of log(1 - q^r a).  Both give the sum of the principal
-logs of the factors.
+it is the direct sum: the principal logs of the factors 1 - q^r a while
+|q^r a| > 1/4, then the series -sum_n b^n/(n (1 - q^n)) for the rest,
+b = q^R a (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed. (2004),
+sec. 1.3).  Both give the sum of the principal logs of the factors.
 
 Sign convention for the q -> 1 limits: with theta as above, the limit laws
 hold with plain arguments on the right half of the cut plane,
@@ -56,8 +58,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .rings import QonfError
 
@@ -189,38 +189,60 @@ def qpoch_finite(a: complex, q, d: int) -> complex:
     return out
 
 
-def _qpoch_tail_length(a: complex, q: complex, tol: float) -> int:
-    # smallest R with |q^(R+1) a| < tol (1 - |q|); the remaining log-tail is < tol
-    if a == 0:
-        return 0
-    bound = tol * (1.0 - abs(q))
-    if abs(a) < bound:
-        return 0
-    return int(math.ceil((math.log(bound) - math.log(abs(a))) / math.log(abs(q))))
-
-
 def _log_qpoch_direct(a: complex, q: complex, tol: float) -> complex:
-    R = _qpoch_tail_length(a, q, tol)
-    total = 0j
+    """log (a;q)_inf as the sum of the principal logs of its factors 1 - x_r,
+    x_r = q^r a, within truncation error tol.
+
+    Head: while |x_r| > 1/4 each factor's log is taken, with
+    x_r = exp(r log q + log a).  A factor within the rounding of that
+    exponent, 16 eps (1 + r |log q| + |log a|), counts as zero, and the sum
+    is -inf.  Tail: from the first R with |b| <= 1/4, b = x_R, every factor
+    left has |x_r| <= 1/4, and the sum of their principal logs is
+
+        -sum_{n>=1} b^n / (n (1 - q^n)),
+
+    stopped after M terms once |b|^(M+1) / ((M+1) (1 - |q|) (1 - |b|)) <= tol.
+    That bounds the terms left out, since |1 - q^n| >= 1 - |q|.  The series
+    converges like 4^-n however close |q| is to 1, where the factors near 1
+    do so only like |q|^r.  A head term costs an exp and a log, a tail term a
+    few products; the cut at 1/4 keeps M near 20 at tol = 1e-12, while
+    moving it to 1/8 would save about 7 tail terms at the price of
+    log 2/(-log |q|) more head terms (7 at |q| = 0.9, 690 at 0.999).
+    1 - q^n comes from s_1 = 1 - q, s_(n+1) = q s_n + s_1; 1 - q itself is
+    exact in floating point when Re q >= 1/2, so q near 1 loses no digits.
+
+    Rounding, to first order in eps: the exponent of every x_r rounds by at
+    most about eps L, L = 1 + R |log q| + |log a|, which moves log(1 - x_r)
+    by eps L |x_r|/|1 - x_r| and the tail by eps L |b|/((1 - |b|)(1 - |q|));
+    the plain sum of R + M terms adds at most (R + M) eps times the sum of
+    their moduli.  In all, the rounding is at most
+
+        4 eps (L + R + M) (sum_{r<R} (|log(1 - x_r)| + |x_r|/|1 - x_r|)
+                           + |b|/((1 - |b|)(1 - |q|))).
+    """
     log_q, log_a = cmath.log(q), cmath.log(a)
-    chunk = 1 << 21
-    for r0 in range(0, R + 1, chunk):
-        r = np.arange(r0, min(r0 + chunk, R + 1), dtype=float)
-        x = -np.exp(r * log_q + log_a)
-        small = np.abs(x) < 1e-4
-        vals = np.empty_like(x)
-        xs = x[small]
-        vals[small] = xs - xs * xs / 2 + xs**3 / 3
-        big = 1.0 + x[~small]
-        # a factor within the rounding of its exponent r log q + log a is zero;
-        # the rounding at the largest r bounds all, so one min() screens the chunk
-        size = np.abs(big)
-        noise = _ZERO_FACTOR_ULPS * _EPS * (1.0 + r[-1] * abs(log_q) + abs(log_a))
-        if size.size and size.min() <= noise:
-            if np.any(size <= _ZERO_FACTOR_ULPS * _EPS * (1.0 + r[~small] * abs(log_q) + abs(log_a))):
-                return complex("-inf")
-        vals[~small] = np.log(big)
-        total += complex(vals.sum())
+    noise = _ZERO_FACTOR_ULPS * _EPS * (1.0 + abs(log_a))
+    noise_step = _ZERO_FACTOR_ULPS * _EPS * abs(log_q)
+    total = 0j
+    b = cmath.exp(log_a)
+    r = 0
+    while abs(b) > 0.25:
+        factor = 1.0 - b
+        if abs(factor) <= noise + r * noise_step:
+            return complex("-inf")
+        total += cmath.log(factor)
+        r += 1
+        b = cmath.exp(r * log_q + log_a)
+    size = abs(b)
+    bound = 1.0 / ((1.0 - abs(q)) * (1.0 - size))
+    u = s = 1.0 - q
+    power = b
+    n = 1
+    while size**n * bound > n * tol:
+        total -= power / (n * s)
+        n += 1
+        power *= b
+        s = q * s + u
     return total
 
 
@@ -276,19 +298,26 @@ def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
     """log of (a;q)_infinity, within absolute truncation error tol.
 
     ``tol`` bounds the truncation only: the remainder of the expansion, or
-    the tail of the sum.  Rounding comes on top of it, and it can exceed tol
-    when tol is near machine precision eps.  Two evaluations, chosen by the
-    truncation bound:
+    the tail of the series.  Rounding comes on top of it, and it can exceed
+    tol when tol is near machine precision eps; each evaluation states its
+    rounding bound next to its truncation bound.  Two evaluations, chosen by
+    the truncation bound:
 
     - for q in (0, 1), the Euler-Maclaurin expansion in lam = -log q (see
       :func:`_log_qpoch_euler_maclaurin`) whenever its remainder bound is at
       most tol.  It costs a few microseconds however close q is to 1, and it
       holds when a is far from the cut [1, inf) compared with lam.  Its
       rounding is about eps |Li_2(a)| / lam, from the leading term;
-    - otherwise (complex q, a on or near [1, inf), q not close to 1) the sum
-      of log(1 - q^r a) with a geometric tail bound.  Term r rounds by
-      about eps r |log q|, from its exponent r log q + log a, so the error
-      grows with the number of terms (about 2e-11 over 30000 terms).
+    - otherwise (complex q, a on or near [1, inf), q not close to 1) the
+      direct sum of :func:`_log_qpoch_direct`: a head of principal logs
+      log(1 - q^r a) for r < R, the first R with |q^R a| <= 1/4, then the
+      tail series -sum_{n<=M} b^n/(n (1 - q^n)), b = q^R a, with M the first
+      count whose bound |b|^(M+1)/((M+1)(1 - |q|)(1 - |b|)) on the rest is
+      at most tol.  Its rounding is at most 4 eps (L + R + M) times the sum
+      of the moduli of the head logs, the head's |x|/|1 - x| and the tail
+      bound |b|/((1 - |b|)(1 - |q|)), L = 1 + R |log q| + |log a|.  It
+      grows with the head: at |q| = 0.999, a = 40 e^(0.2i) the error
+      measured 5e-10 against a bound of 2e-7.
 
     Returns -inf when some factor vanishes to machine precision.  The branch
     is the sum of principal logs of the factors.  For q in (0, 1) the

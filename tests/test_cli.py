@@ -67,6 +67,17 @@ class TestSpecialFunctionCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["qhg", "--q", "0", "--upper", "0.3", "--lower", "0.5", "--D", "3"],
+        ["qhg", "--q", "0", "--upper", "0.3", "--D", "3", "--bases"],
+    ], ids=["lower", "bases"])
+    def test_qhg_q_zero_is_usage_error(self, capsys, argv):
+        # rejected before any work, with the message theta gives for the same q
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert main(["theta", "--q", "0", "--Q", "1"]) == 2
+        assert err == capsys.readouterr().err == "error: need 0 < |q| < 1, got 0j\n"
+
     def test_qhg_zero_lower_parameter_is_pinned(self, capsys):
         # 0 is off the lattice q^Z: a zero lower parameter is accepted
         code, out = run(capsys, "qhg", "--q", "0.5", "--upper", "0.3", "--lower", "0", "--D", "3")

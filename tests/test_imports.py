@@ -1,7 +1,8 @@
 """Every name a module of the package, a test module or a script imports is
 used by that module, every module-level function or class of the package,
 and every method or property of its classes other than a dunder, is used
-somewhere, and the exact scalar kernel imports only the standard library.
+somewhere, the exact scalar kernel imports only the standard library, and
+the numeric layer only the standard library and its sibling modules.
 
 The package's ``__init__.py`` is skipped by the import check: its imports are
 the public re-exports.
@@ -155,6 +156,12 @@ def test_the_exact_kernel_imports_only_the_standard_library():
     # rings is the bottom of the package: no numpy, no sibling module
     source = (ROOT / "src" / "qonf" / "rings.py").read_text()
     assert imported_modules(source) - sys.stdlib_module_names == set()
+
+
+def test_the_numeric_layer_imports_only_the_standard_library():
+    # qspecial sums its series in plain loops: no numpy, only its siblings
+    source = (ROOT / "src" / "qonf" / "qspecial.py").read_text()
+    assert imported_modules(source) - sys.stdlib_module_names == {"."}
 
 
 def test_detects_a_non_standard_import():

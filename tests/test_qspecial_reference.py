@@ -11,6 +11,7 @@ q = 1 against the direct sum.
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -115,6 +116,37 @@ class TestComplexQGrid:
         ref = log_qpoch_reference(a, q)
         # tol bounds the truncation; rounding r log q in the float sum adds about eps/(1 - |q|)
         assert abs(log_qpoch_infinite(a, q) - ref) < 1e-12 + 1e-13 / (1 - r)
+
+
+def direct_sum_bound(a, q, tol):
+    """tol plus the rounding bound stated by _log_qpoch_direct: its head
+    length R, head factors x_r, tail start b and tail length M recomputed."""
+    x, R, head = complex(a), 0, 0.0
+    while abs(x) > 0.25:
+        head += abs(cmath.log(1 - x)) + abs(x) / abs(1 - x)
+        R += 1
+        x = a * q**R
+    tail = abs(x) / ((1 - abs(x)) * (1 - abs(q)))
+    M = 0
+    while abs(x) ** (M + 1) / ((M + 1) * (1 - abs(q)) * (1 - abs(x))) > tol:
+        M += 1
+    L = 1 + R * abs(cmath.log(q)) + abs(cmath.log(a))
+    return tol + 4 * sys.float_info.epsilon * (L + R + M) * (head + tail)
+
+
+# an empty head (|a| <= 1/4), short and long heads, a on both sides of the
+# unit circle, and a = q for (q;q)_inf
+@pytest.mark.parametrize("a", [0.1, 0.9 * cmath.exp(0.7j), -3 + 0.5j, 40 * cmath.exp(0.2j), "q"],
+                         ids=["0.1", "0.9e^0.7i", "-3+0.5i", "40e^0.2i", "q"])
+@pytest.mark.parametrize("arg", [0.6, 2.5])
+@pytest.mark.parametrize("r", [0.3, 0.8, 0.95, 0.999])
+def test_direct_sum_is_the_principal_log_sum(r, arg, a):
+    # the logs themselves are compared, so a sum off by 2 pi i fails
+    q = cmath.rect(r, arg)
+    a = q if a == "q" else a
+    ref = log_qpoch_reference(a, q, dps=30)
+    for tol in (1e-6, 1e-12):
+        assert abs(log_qpoch_infinite(a, q, tol) - ref) <= direct_sum_bound(a, q, tol)
 
 
 # across (0, 1), and on both sides of e^(-pi sqrt 2) ~ 0.0118, where real q
