@@ -41,8 +41,10 @@ from .verification import SUITES, run_suites
 # Every size limit of the CLI: (size, commands it applies to, largest
 # accepted value).  The flags are checked before any work starts, and each
 # must also be at least 0; the two exponents cap the powers inside the
-# entries of a --file system (see qonf.polyq.parse_bivariate).  Each lies
-# well above the sizes the tests, README, scripts and benchmark use.
+# entries of a --file system (see qonf.polyq.parse_bivariate), and n caps
+# its size, checked before its n x n matrix is built.  Each lies well above
+# the sizes the tests, README, scripts and benchmark use; n = 21 is the
+# largest builtin system (pn-j at --N 20).
 SIZE_LIMITS = (
     ("--D", ("solve", "jfn", "compare"), 100),
     ("--D", ("qhg",), 10_000),
@@ -51,6 +53,7 @@ SIZE_LIMITS = (
     ("--order", ("potential", "wdvv"), 50),
     ("q-exponent", ("solve", "confluence"), 1000),
     ("Q-exponent", ("solve", "confluence"), 1000),
+    ("n", ("solve", "confluence"), 21),
 )
 
 
@@ -341,7 +344,7 @@ def _load_system(args):
             text = fh.read()
         caps = (_limit("q-exponent", args.command), _limit("Q-exponent", args.command))
         try:  # json.JSONDecodeError is a ValueError
-            return system_from_json(json.loads(text), caps)
+            return system_from_json(json.loads(text), caps, _limit("n", args.command))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             print(f"error: malformed system JSON: {exc}", file=sys.stderr)
             raise SystemExit(2) from exc

@@ -661,12 +661,14 @@ def equivariant_operator_residual(spec: EquivariantSpec, f, Q: complex, q: compl
     acc = 0j
     scale = 0.0
     arg = complex(Q)
-    for k, c in enumerate(poly):
+    values = []
+    for c in poly:
         v = f(arg)
+        values.append(v)
         acc += c * v
         scale = max(scale, abs(c) * abs(v))
         arg *= q
-    fQ = f(Q)
+    fQ = values[0]  # f(Q), the k = 0 term
     acc -= Q * fQ
     scale = max(scale, abs(Q) * abs(fQ))
     return abs(acc) / max(scale, 1e-300)

@@ -77,13 +77,37 @@ class RatFunc:
             return RatFunc(other)
         return RatFunc.const(other * self.one, self.one)
 
+    def _exact_scalar(self, other):
+        """other as a scalar of this exact ring when it is an exact constant
+        (an int, Fraction, RationalFunctionQ or constant RatFunc), else None.
+
+        Adding such a c, or multiplying or dividing by a nonzero one, keeps
+        gcd(num, den) = 1 and the monic denominator, so the result is
+        written as its canonical pair with no gcd.  Floating rings keep the
+        general path, whose products fix the signs of their zeros.
+        """
+        if not _is_exact(self.one):
+            return None
+        if isinstance(other, RatFunc):
+            # a constant canonical RatFunc has the denominator 1
+            return other.num.coeff(0) if other.num.degree < 1 and not other.den.degree else None
+        if isinstance(other, (int, Fraction, RationalFunctionQ)):
+            return other * self.one
+        return None
+
     def __add__(self, other):
+        c = self._exact_scalar(other)
+        if c is not None:
+            return RatFunc(self.num + self.den * c, self.den, _canonical=True)
         other = self._coerce(other)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        c = self._exact_scalar(other)
+        if c is not None:
+            return RatFunc(self.num - self.den * c, self.den, _canonical=True)
         other = self._coerce(other)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
@@ -94,12 +118,18 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
+        c = self._exact_scalar(other)
+        if c is not None and not scalar_is_zero(c):
+            return RatFunc(self.num * c, self.den, _canonical=True)
         other = self._coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        c = self._exact_scalar(other)
+        if c is not None and not scalar_is_zero(c):
+            return RatFunc(self.num * (one_like(c) / c), self.den, _canonical=True)
         other = self._coerce(other)
         if other.num.is_zero:
             raise ZeroDivisionError(_ZERO_DIVISOR)
@@ -422,23 +452,17 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
     Q-degree of b) exceeds cQ, raises ValueError before it is formed.  A
     constant b counts as q-degree 1, since its integers grow with k.
 
-    A node free of Q stays a :class:`RationalFunctionQ`; it becomes a
-    constant RatFunc only when combined with a node in Q, or at the end.
-    Both forms are canonical, so the result is the one every node built as
-    a RatFunc gives, and a zero divisor raises RatFunc's error either way.
+    A node free of Q stays a :class:`RationalFunctionQ`, which RatFunc's
+    operators take as a scalar when it meets a node in Q; it becomes a
+    constant RatFunc only at the end.  Both forms are canonical, so the
+    result is the one every node built as a RatFunc gives, and a zero
+    divisor raises RatFunc's error either way.
     """
     one = RationalFunctionQ.one()
     toks = _Tokens(text)
 
     def combine(a, op, b):
-        fa, fb = isinstance(a, RatFunc), isinstance(b, RatFunc)
-        if fa != fb:
-            out = _with_scalar(a, op, b) if fa else _with_scalar(b, op, a, scalar_first=True)
-            if out is not None:
-                return out
-        if fa or fb:
-            a, b = _lift(a, one), _lift(b, one)
-        elif op == "/" and b.is_zero:
+        if op == "/" and not isinstance(b, RatFunc) and b.is_zero:
             raise ZeroDivisionError(_ZERO_DIVISOR)
         return _OPS[op](a, b)
 
@@ -510,24 +534,6 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
     if toks.pos != len(toks.text):
         raise ValueError(f"trailing input in {text!r}")
     return _lift(node, one)
-
-
-def _with_scalar(f: RatFunc, op: str, c, scalar_first=False):
-    """f op c (c op f with ``scalar_first``) for a reduced f with a monic
-    denominator and a scalar c, or None where a reduction is needed.
-    Adding c, or multiplying by a nonzero c, leaves gcd(num, den) = 1 and
-    the denominator as they are."""
-    if op == "+":
-        num = f.num + f.den * c
-    elif op == "-":
-        num = f.den * c - f.num if scalar_first else f.num - f.den * c
-    elif op == "*" and not c.is_zero:
-        num = f.num * c
-    elif op == "/" and not scalar_first and not c.is_zero:
-        num = f.num * (1 / c)
-    else:
-        return None
-    return RatFunc(num, f.den, _canonical=True)
 
 
 def _lift(node, one) -> RatFunc:

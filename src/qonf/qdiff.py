@@ -872,12 +872,16 @@ def _json_index(value, what: str) -> int:
     return value
 
 
-def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None) -> QDifferenceSystem:
+def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None,
+                     max_n: int | None = None) -> QDifferenceSystem:
     """The system of a JSON document; ``max_exponents`` caps the powers in
-    its entries as in :func:`qonf.polyq.parse_bivariate`."""
+    its entries as in :func:`qonf.polyq.parse_bivariate`, and ``max_n`` caps
+    the size n before the n x n matrix is built."""
     n = _json_index(doc["n"], "system size n")
     if n < 1:
         raise ValueError(f"system size n = {n} must be at least 1")
+    if max_n is not None and n > max_n:
+        raise ValueError(f"system size n = {n} exceeds the limit {max_n}")
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     A = [[zero for _ in range(n)] for _ in range(n)]

@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from qonf.cli import main
 from qonf.rings import series_to_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -241,6 +247,34 @@ class TestSystems:
         doc = json.loads(out)
         assert code == 0
         assert doc["q_constancy_residual"] < 1e-8
+
+    @pytest.mark.parametrize("q", ["1.5", "0.5696406933619815+0.9605225582665823j"],
+                             ids=["1.5", "double-root"])
+    def test_birkhoff_q_outside_the_disk_is_usage_error(self, capsys, q):
+        # the second q is a double root of the example's cubic
+        assert main(["birkhoff", "--q", q, "--Q", "1+2j"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 < |q| < 1, got ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "confluence"])
+    def test_file_system_size_is_capped_before_any_allocation(self, tmp_path, command):
+        # under a 1 GB address-space limit, building the 10^6 x 10^6 matrix fails
+        # at once instead of exhausting the host, so a missing check cannot pass
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"n": 1_000_000, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1"}]}))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qonf.cli import main\n"
+            f"sys.exit(main([{command!r}, '--file', {str(path)!r}]))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: malformed system JSON: system size n = 1000000 exceeds the limit 21\n"
 
 
 class TestJfn:

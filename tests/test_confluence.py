@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -504,6 +505,54 @@ class TestMonodromyExample:
         a = ex.birkhoff_limit_closed_form(1 + 2j)
         b = ex.birkhoff_limit_closed_form(2 + 1j)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def cubic_roots_reference(q):
+    """The roots of the worked example's cubic nearest 1, i, -1, by np.roots."""
+    rs = np.roots(np.array([1, -1j, q - 2, 1j], dtype=complex))
+    return [complex(rs[np.argmin(np.abs(rs - b))]) for b in (1, 1j, -1)]
+
+
+class TestCubicRoots:
+    def check(self, q):
+        got = MonodromyCubicExample().roots_at(q)
+        want = cubic_roots_reference(q)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13, q
+
+    @pytest.mark.parametrize("q1", [0.8, 0.5])
+    def test_real_path_to_one(self, q1):
+        for j in range(15):
+            self.check(q1 ** (2.0**-j))
+
+    def test_complex_q_near_one(self):
+        for r in (1 - 1e-3, 1 - 1e-6, 1 - 1e-10):
+            for arg in (1e-6, 1e-3, -0.01, 0.2):
+                self.check(cmath.rect(r, arg))
+
+    def test_random_q_in_the_disk(self):
+        rng = np.random.default_rng(21)
+        radii = np.sqrt(rng.uniform(0, 1, 1200))
+        for r, arg in zip(radii, rng.uniform(-math.pi, math.pi, 1200)):
+            self.check(cmath.rect(r, arg))
+
+    def test_the_double_root_side_of_the_disk(self):
+        # the nearest double root is at q ~ 0.5696 + 0.9605i, |q| ~ 1.117
+        arg = math.atan2(0.9605225582665823, 0.5696406933619815)
+        for r in (0.9, 0.99, 1 - 1e-9):
+            for d in (-0.01, 0.0, 0.01):
+                self.check(cmath.rect(r, arg + d))
+
+    @pytest.mark.parametrize("q", [0, 1, 1.5, 0.5696406933619815 + 0.9605225582665823j, 4.61],
+                             ids=["0", "1", "1.5", "double-root", "4.61"])
+    def test_q_outside_the_disk_is_rejected(self, q):
+        with pytest.raises(DomainError, match="need 0 < \\|q\\| < 1"):
+            MonodromyCubicExample().roots_at(q)
+
+    def test_no_numpy_call(self, monkeypatch):
+        import qonf.confluence as cfl
+
+        monkeypatch.setattr(cfl, "np", None)
+        assert len(MonodromyCubicExample().roots_at(0.8 ** (2.0**-10))) == 3
 
 
 class TestFundamentalSolutionConfluence:

@@ -1,8 +1,9 @@
 """polyq against the constructions it replaced.
 
-The parser keeps a Q-free node as a RationalFunctionQ and the float paths
-sum without intermediate matrices; each must give what the old
-construction gives: the same canonical RatFunc (under == and repr), the
+The parser keeps a Q-free node as a RationalFunctionQ, RatFunc's
+operators skip the gcd against an exact scalar, and the float paths sum
+without intermediate matrices; each must give what the old construction
+gives: the same canonical RatFunc (under == and repr), the
 same error, or the same float bits (compared by repr, so signed zeros
 show).
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from qonf.polyq import (
     MatrixSeries,
@@ -221,6 +222,63 @@ class TestScalarFirstParser:
                               ("#", "unexpected character '#' in '#'")]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 parse_bivariate(text)
+
+
+def rfq(a, b, c, d):
+    q = RationalFunctionQ.q()
+    return (a + b * q) / (c + d * q)
+
+
+small_ints = st.integers(-3, 3)
+exact_scalars = st.one_of(
+    small_ints,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.tuples(small_ints, small_ints, st.integers(1, 3), small_ints).map(lambda t: rfq(*t)),
+    st.tuples(small_ints, small_ints, st.integers(1, 3), small_ints)
+    .map(lambda t: RatFunc.const(rfq(*t), ONE)),
+)
+
+
+def outcome_of(fn):
+    try:
+        return repr(fn())
+    except ZeroDivisionError as exc:
+        return "ZeroDivisionError", str(exc)
+
+
+class TestScalarOperands:
+    """RatFunc op scalar skips the gcd; it must give the general path's pair."""
+
+    @staticmethod
+    def as_ratfunc(c):
+        return c if isinstance(c, RatFunc) else ref_const(c * ONE)
+
+    @given(expressions, exact_scalars, st.sampled_from("+-*/"))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_general_path(self, text, c, op):
+        try:
+            f = ref_parse(text)
+        except ZeroDivisionError:
+            assume(False)
+        ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+        cf = self.as_ratfunc(c)
+        assert outcome_of(lambda: ops[op](f, c)) == outcome_of(lambda: ref_op(f, op, cf))
+        if not isinstance(c, RatFunc):  # a RatFunc scalar on the left is the plain f op g
+            assert outcome_of(lambda: ops[op](c, f)) == outcome_of(lambda: ref_op(cf, op, f))
+
+    @pytest.mark.parametrize("c", [0, Fraction(0), RationalFunctionQ.zero(),
+                                   RatFunc.const(RationalFunctionQ.zero(), ONE)],
+                             ids=["int", "Fraction", "RationalFunctionQ", "RatFunc"])
+    def test_zero_scalars(self, c):
+        for text in ("(1 + q*Q)/(2 - Q)", "Q", "q", "Q - Q"):
+            f = parse_bivariate(text)
+            cf = self.as_ratfunc(c)
+            for op, fn in (("+", f.__add__), ("-", f.__sub__), ("*", f.__mul__),
+                           ("/", f.__truediv__)):
+                assert outcome_of(lambda: fn(c)) == outcome_of(lambda: ref_op(f, op, cf))
+            assert repr(c * f) == repr(ref_op(cf, "*", f))
+            assert repr(c - f) == repr(ref_op(cf, "-", f))
 
 
 class TestBinaryPowering:

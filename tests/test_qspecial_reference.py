@@ -4,7 +4,8 @@ theta, q_log and q_character are checked on a grid of complex q reaching
 |q| = 0.999 and arg q = pi - 0.05, including q next to the roots of unity
 i, e^(2 pi i/3) and -1, and at real q in (0, 1) and (-1, 0), against the
 defining bilateral sum summed in high precision.  log_qpoch_infinite is
-checked against the sum of principal logs of its factors, the package
+checked against the sum of principal logs of its factors, (q;q)_inf on its
+eta path also against mpmath.qp and an Euler-Maclaurin sum, the package
 dilogarithm against mpmath.polylog, and the Euler-Maclaurin evaluation near
 q = 1 against the direct sum.
 """
@@ -147,6 +148,52 @@ def test_direct_sum_is_the_principal_log_sum(r, arg, a):
     ref = log_qpoch_reference(a, q, dps=30)
     for tol in (1e-6, 1e-12):
         assert abs(log_qpoch_infinite(a, q, tol) - ref) <= direct_sum_bound(a, q, tol)
+
+
+def eta_bound(q, tol):
+    """tol plus the rounding bound stated by _log_qpoch_eta, with that of the
+    dual's direct sum at q~ = exp(-4 pi^2/lam)."""
+    lam = -cmath.log(q)
+    q_dual = cmath.exp(-4 * math.pi**2 / lam)
+    x = abs(q_dual)
+    closed = 4 * sys.float_info.epsilon * (
+        math.pi**2 / (6 * abs(lam)) + abs(cmath.log(2 * math.pi / lam)) + 1
+        + 4 * math.pi**2 / abs(lam) * x / ((1 - x) * (1 - math.sqrt(x))))
+    return closed + (direct_sum_bound(q_dual, q_dual, tol) if q_dual else tol)
+
+
+@pytest.mark.parametrize("arg", [0, 0.6, 2.5, 3.1])
+@pytest.mark.parametrize("r", [0.3, 0.8, 0.95, 0.99, 0.999])
+def test_eta_path_against_the_product(r, arg):
+    # mpmath.qp is the product, so its log is the principal-log sum up to 2 pi i k
+    q = cmath.rect(r, arg)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.log(mpmath.qp(mpmath.mpc(q), mpmath.mpc(q))))
+    for tol in (1e-6, 1e-12):
+        d = log_qpoch_infinite(q, q, tol) - ref
+        d -= 2j * math.pi * round(d.imag / (2 * math.pi))
+        assert abs(d) <= eta_bound(q, tol)
+
+
+@pytest.mark.parametrize("q", [0.999, 0.8 ** (2.0**-10), 0.8 ** (2.0**-14),
+                               0.9999 * cmath.exp(0.001j)],
+                         ids=["0.999", "0.8^(2^-10)", "0.8^(2^-14)", "0.9999e^0.001i"])
+def test_eta_path_is_the_principal_log_sum(q):
+    # Euler-Maclaurin from n = 100 on, after 99 explicit logs, with the exact
+    # integral Li_2(q^100)/log q: nsum's own quadrature of it loses digits to
+    # the oscillation at complex q, and mpmath.qp fails for real q beyond 0.9998
+    with mpmath.workdps(30):
+        lq = mpmath.log(mpmath.mpc(q))
+
+        def f(n):
+            return mpmath.log(1 - mpmath.exp(n * lq))
+
+        head = mpmath.fsum(f(n) for n in range(1, 100))
+        tail = mpmath.sumem(f, [100, mpmath.inf],
+                            integral=mpmath.polylog(2, mpmath.exp(100 * lq)) / lq)
+        ref = complex(head + tail)
+    for tol in (1e-6, 1e-12):
+        assert abs(log_qpoch_infinite(q, q, tol) - ref) <= eta_bound(q, tol)
 
 
 # across (0, 1), and on both sides of e^(-pi sqrt 2) ~ 0.0118, where real q
