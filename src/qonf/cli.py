@@ -9,9 +9,9 @@ confluence, jfn, compare, verify.  Long-form flags only.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import confluence as cfl
@@ -26,8 +26,6 @@ from .qdiff import (
     system_from_json,
 )
 from .qspecial import (
-    DomainError,
-    PoleProximityError,
     _as_q,
     jacobi_triple_product_check,
     q_character,
@@ -39,12 +37,11 @@ from .verification import SUITES, run_suites
 
 
 # Every size limit of the CLI: (size, commands it applies to, largest
-# accepted value).  The flags are checked before any work starts, and each
-# must also be at least 0; the two exponents cap the powers inside the
-# entries of a --file system (see qonf.polyq.parse_bivariate), and n caps
-# its size, checked before its n x n matrix is built.  Each lies well above
-# the sizes the tests, README, scripts and benchmark use; n = 21 is the
-# largest builtin system (pn-j at --N 20).
+# accepted value).  A size flag must also be at least its SIZE_MINIMA entry,
+# else 0.  The two exponents cap the powers inside the entries of a --file
+# system (see qonf.polyq.parse_bivariate), and n caps its size before its
+# n x n matrix is built.  Each lies well above the sizes the tests, README,
+# scripts and benchmark use; n = 21 is the largest builtin (pn-j at --N 20).
 SIZE_LIMITS = (
     ("--D", ("solve", "jfn", "compare"), 100),
     ("--D", ("qhg",), 10_000),
@@ -55,6 +52,7 @@ SIZE_LIMITS = (
     ("Q-exponent", ("solve", "confluence"), 1000),
     ("n", ("solve", "confluence"), 21),
 )
+SIZE_MINIMA = {"--dmax": 1, "--order": 1}
 
 
 def _limit(size: str, command: str) -> int:
@@ -66,42 +64,56 @@ def _limits_epilog() -> str:
         f"  {name} <= {cap} for {', '.join(cmds)}\n" for name, cmds, cap in SIZE_LIMITS)
 
 
-def _check_limits(args) -> str | None:
-    """The one-line message for the first flag below 0 or over its limit, or None."""
+def _check_limits(args) -> None:
+    """Raise ValueError for the first flag outside the values it accepts,
+    before any work and whether or not the command then uses the flag."""
+    command, flags = args.command, vars(args)
     for name, cmds, cap in SIZE_LIMITS:
-        if name.startswith("--") and args.command in cmds:
-            value = getattr(args, name[2:])
-            if value < 0:
-                return f"{name} {value} must be at least 0 for {args.command}"
+        if name.startswith("--") and command in cmds:
+            value, low = flags[name[2:]], SIZE_MINIMA.get(name, 0)
+            if value < low:
+                raise ValueError(f"{name} {value} must be at least {low} for {command}")
             if value > cap:
-                return f"{name} {value} exceeds the limit {cap} for {args.command}"
-    return None
+                raise ValueError(f"{name} {value} exceeds the limit {cap} for {command}")
+    if flags.get("z") == 0:
+        raise ValueError(f"--z 0 must be nonzero for {command}")
+    if not flags.get("tol", 1) > 0:
+        raise ValueError(f"--tol {args.tol} must be positive for {command}")
+    for name in ("q", "q0"):
+        if name in flags:
+            _as_q(flags[name])
 
 
-@dataclass
-class CommandConfig:
-    """Validated per-invocation parameters, filled from the parsed flags."""
+def _emit(args, payload, text_renderer=None) -> None:
+    """Write payload to --output or stdout: as JSON, or in the text and csv
+    formats through text_renderer when there is one."""
+    if args.format == "json" or text_renderer is None:
+        body = json.dumps(payload, indent=2, default=str) + "\n"
+    else:
+        body = text_renderer(payload)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
-    fmt: str = "text"
-    output: str | None = None
 
-    def emit(self, payload, text_renderer=None):
-        if self.fmt == "json" or text_renderer is None:
-            body = json.dumps(payload, indent=2, default=str) + "\n"
-        else:
-            body = text_renderer(payload)
-        if self.output:
-            with open(self.output, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach main as ValueError, to be
+    reported in one line like every other input error."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+        value = complex(text.replace(" ", "").replace("i", "j"))
+        if cmath.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -111,13 +123,21 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _perturbation(text: str) -> tuple:
+    try:
+        d, value = map(int, text.split("="))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects d=VALUE") from None
+    return d, value
+
+
 def _complex_list(text: str):
     return tuple(_complex(x) for x in text.split(",") if x)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qonf", description=__doc__, epilog=_limits_epilog(),
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="qonf", description=__doc__, epilog=_limits_epilog(),
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_size(sp, command, flag, **kw):
@@ -138,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wdvv", help="reduced associativity residual")
     add_size(sp, "wdvv", "--order", required=True)
-    sp.add_argument("--perturb", default=None, metavar="d=VALUE")
+    sp.add_argument("--perturb", type=_perturbation, default=None, metavar="d=VALUE")
     add_output(sp, "json", ("json", "text"))
 
     sp = sub.add_parser("theta", help="evaluate theta_q(Q)")
@@ -225,51 +245,31 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- handlers
 
 
-def cmd_nd(args, cfg: CommandConfig) -> int:
-    if args.dmax < 1:
-        print("error: --dmax must be >= 1", file=sys.stderr)
-        return 2
+def cmd_nd(args) -> int:
     table = gw.nd_recursion(args.dmax)
-    if cfg.fmt == "csv":
-        cfg.emit(None, lambda _: table.to_csv())
-    elif cfg.fmt == "json":
-        cfg.emit({"d": list(range(1, table.dmax + 1)),
-                  "N_d": [str(v) for v in table.values]})
-    else:
-        cfg.emit(None, lambda _: "".join(
-            f"N_{d} = {table[d]}\n" for d in range(1, table.dmax + 1)))
+    ds = range(1, table.dmax + 1)
+    text = table.to_csv() if args.format == "csv" else "".join(f"N_{d} = {table[d]}\n" for d in ds)
+    _emit(args, {"d": list(ds), "N_d": [str(v) for v in table.values]}, lambda _: text)
     return 0
 
 
-def cmd_potential(args, cfg) -> int:
-    if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
+def cmd_potential(args) -> int:
     F = gw.gw_potential_p2(args.order)
     rows = [
         {"t0": k[0], "t1": k[1], "E": k[2], "t2": k[3], "coefficient": str(v)}
         for k, v in sorted(F.terms.items())
     ]
-    cfg.emit({"order": args.order, "monomials": rows},
-             lambda doc: "".join(
-                 "t0^%(t0)d t1^%(t1)d E^%(E)d t2^%(t2)d : %(coefficient)s\n" % r
-                 for r in doc["monomials"]))
+    _emit(args, {"order": args.order, "monomials": rows},
+          lambda doc: "".join(
+              "t0^%(t0)d t1^%(t1)d E^%(E)d t2^%(t2)d : %(coefficient)s\n" % r
+              for r in doc["monomials"]))
     return 0
 
 
-def cmd_wdvv(args, cfg) -> int:
-    if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
+def cmd_wdvv(args) -> int:
     nd = gw.nd_recursion(args.order)
     if args.perturb:
-        try:
-            d_str, value = args.perturb.split("=")
-            d, value = int(d_str), int(value)
-        except ValueError:
-            print("error: --perturb expects d=VALUE", file=sys.stderr)
-            return 2
-        nd = gw.perturbed_nd(nd, d, value)  # ValueError (exit 2) for d outside 1..order
+        nd = gw.perturbed_nd(nd, *args.perturb)  # ValueError (exit 2) for d outside 1..order
     res = gw.wdvv_residual_p2(args.order, nd)
     doc = {
         "order": args.order,
@@ -280,7 +280,7 @@ def cmd_wdvv(args, cfg) -> int:
             for k, v in sorted(res.terms.items())[:10]
         ],
     }
-    cfg.emit(doc, lambda d: f"WDVV residual identically zero: {d['identically_zero']}\n")
+    _emit(args, doc, lambda d: f"WDVV residual identically zero: {d['identically_zero']}\n")
     return 0
 
 
@@ -288,35 +288,36 @@ def _cx(z: complex):
     return [z.real, z.imag]
 
 
-def cmd_theta(args, cfg) -> int:
+def cmd_theta(args) -> int:
     value = theta(args.q, args.Q)
     doc = {
         "q": _cx(args.q), "Q": _cx(args.Q), "value": _cx(value),
         "triple_product_residual": jacobi_triple_product_check(args.q, args.Q, args.tol),
     }
-    cfg.emit(doc, lambda d: f"theta = {value}\n")
+    _emit(args, doc, lambda d: f"theta = {value}\n")
     return 0
 
 
-def cmd_qchar(args, cfg) -> int:
+def cmd_qchar(args) -> int:
     value = q_character(args.lam, args.q, args.Q)
     shift = q_character(args.lam, args.q, args.q * args.Q)
-    doc = {"value": _cx(value),
-           "shift_law_residual": abs(shift - args.lam * value) / abs(args.lam * value)}
-    cfg.emit(doc, lambda d: f"e_(q,lam)(Q) = {value}\n")
+    scale = abs(args.lam * value)
+    if not scale:
+        raise QonfError(f"lam e_(q,lam)(Q) = {args.lam * value} underflows double precision")
+    doc = {"value": _cx(value), "shift_law_residual": abs(shift - args.lam * value) / scale}
+    _emit(args, doc, lambda d: f"e_(q,lam)(Q) = {value}\n")
     return 0
 
 
-def cmd_qlog(args, cfg) -> int:
+def cmd_qlog(args) -> int:
     value = q_log(args.q, args.Q)
     doc = {"value": _cx(value),
            "shift_law_residual": abs(q_log(args.q, args.q * args.Q) - value - 1)}
-    cfg.emit(doc, lambda d: f"qlog(Q) = {value}\n")
+    _emit(args, doc, lambda d: f"qlog(Q) = {value}\n")
     return 0
 
 
-def cmd_qhg(args, cfg) -> int:
-    _as_q(args.q)  # 0 < |q| < 1, as for theta, qchar and qlog
+def cmd_qhg(args) -> int:
     spec = QHypergeometricSpec(args.upper, args.lower)
     coeffs = qhg_coefficients(spec, args.q, args.D)
     doc = {
@@ -334,39 +335,35 @@ def cmd_qhg(args, cfg) -> int:
         if args.at is not None:
             doc["basis_at_0_values"] = [_cx(y.eval(args.at)) for y in base0]
             doc["residuals_at_0"] = [operator_residual(op, y, args.at) for y in base0]
-    cfg.emit(doc, lambda d: f"coefficients: {d['coefficients']}\n")
+    _emit(args, doc, lambda d: f"coefficients: {d['coefficients']}\n")
     return 0
 
 
 def _load_system(args):
-    if args.file:
-        with open(args.file) as fh:
-            text = fh.read()
-        caps = (_limit("q-exponent", args.command), _limit("Q-exponent", args.command))
-        try:  # json.JSONDecodeError is a ValueError
-            return system_from_json(json.loads(text), caps, _limit("n", args.command))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            print(f"error: malformed system JSON: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
-    return cfl.builtin_system(args.builtin, N=args.N, z=args.z)
+    if args.builtin:
+        return cfl.builtin_system(args.builtin, N=args.N, z=args.z)
+    with open(args.file) as fh:
+        text = fh.read()
+    caps = (_limit("q-exponent", args.command), _limit("Q-exponent", args.command))
+    try:  # a ValueError of system_from_json names its field, a cap too: it passes as is
+        return system_from_json(json.loads(text), caps, _limit("n", args.command))
+    except (json.JSONDecodeError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
+        raise ValueError(f"malformed system JSON: {exc}") from exc
 
 
-def cmd_solve(args, cfg) -> int:
+def cmd_solve(args) -> int:
     sys_ = _load_system(args)
     sol = frobenius_solution(sys_, args.D)
     q_num = args.q0 if sys_.is_exact else None
-    doc = {
-        "n": sys_.n,
-        "kind": sol.kind,
-        "truncation": args.D,
-        "shift_residual": sol.shift_residual(args.at, q_num=q_num),
-        "sample_point": _cx(args.at),
-    }
-    cfg.emit(doc, lambda d: f"{d['kind']} solution, shift residual {d['shift_residual']:.3e}\n")
+    doc = {"n": sys_.n, "kind": sol.kind, "truncation": args.D,
+           "shift_residual": sol.shift_residual(args.at, q_num=q_num),
+           "sample_point": _cx(args.at)}
+    _emit(args, doc,
+          lambda d: f"{d['kind']} solution, shift residual {d['shift_residual']:.3e}\n")
     return 0
 
 
-def cmd_birkhoff(args, cfg) -> int:
+def cmd_birkhoff(args) -> int:
     ex = cfl.MonodromyCubicExample()
     value = ex.birkhoff_theta_form(args.q, args.Q)
     shifted = ex.birkhoff_theta_form(args.q, args.q * args.Q)
@@ -375,18 +372,18 @@ def cmd_birkhoff(args, cfg) -> int:
         "q_constancy_residual": abs(shifted - value) / abs(value),
         "component_limit_closed_form": _cx(ex.birkhoff_limit_closed_form(args.Q)),
     }
-    cfg.emit(doc, lambda d: f"P(Q) = {value}\n")
+    _emit(args, doc, lambda d: f"P(Q) = {value}\n")
     return 0
 
 
-def cmd_confluence(args, cfg) -> int:
+def cmd_confluence(args) -> int:
     sys_ = _load_system(args)
     rep = cfl.check_confluent(sys_, args.q0)
-    cfg.emit(rep.to_json())
+    _emit(args, rep.to_json())
     return 0
 
 
-def cmd_jfn(args, cfg) -> int:
+def cmd_jfn(args) -> int:
     N, D = args.N, args.D
     if args.kind == "kth":
         jk = gw.jk_series(N, D)
@@ -396,9 +393,9 @@ def cmd_jfn(args, cfg) -> int:
             for i in range(N + 1)
             if not jk.coefficient(d, i).is_zero
         ]
-        cfg.emit({"kind": "kth", "N": N, "D": D, "basis": jk.basis, "coeffs": rows})
+        _emit(args, {"kind": "kth", "N": N, "D": D, "basis": jk.basis, "coeffs": rows})
     elif args.kind == "kth-modified":
-        cfg.emit({"kind": "kth-modified", **series_to_json(gw.jk_modified(N, D))})
+        _emit(args, {"kind": "kth-modified", **series_to_json(gw.jk_modified(N, D))})
     elif args.kind == "coh":
         jc = gw.jcoh_series(N, D)
         rows = [
@@ -408,35 +405,30 @@ def cmd_jfn(args, cfg) -> int:
             for i in range(N + 1)
             if jc.coefficient(d, i) != 0
         ]
-        cfg.emit({"kind": "coh", "N": N, "D": D, "basis": jc.basis, "coeffs": rows})
+        _emit(args, {"kind": "coh", "N": N, "D": D, "basis": jc.basis, "coeffs": rows})
     else:
         lambdas = args.lambdas or tuple(i / (N + 2) for i in range(N + 1))
         spec = gw.EquivariantSpec(lambdas, z=args.z)  # resonant weights: DomainError, exit 2
         evs = gw.jk_equivariant(spec, args.q, D)
         rows = [{"index": i, "coefficients": [_cx(1 / x) for x in ev.denominators]}
                 for i, ev in enumerate(evs)]
-        cfg.emit({"kind": "equivariant", "N": N, "D": D,
-                  "lambdas": [_cx(complex(x)) for x in lambdas], "z": _cx(complex(args.z)),
-                  "q": _cx(args.q), "restrictions": rows})
+        _emit(args, {"kind": "equivariant", "N": N, "D": D,
+                     "lambdas": [_cx(complex(x)) for x in lambdas], "z": _cx(complex(args.z)),
+                     "q": _cx(args.q), "restrictions": rows})
     return 0
 
 
-def cmd_compare(args, cfg) -> int:
+def cmd_compare(args) -> int:
     rep = gw.confluence_compare(args.N, args.D)
-    doc = {
-        "N": args.N,
-        "D": args.D,
-        "exact_match": rep.all_equal,
-        "coefficients_compared": len(rep.rows),
-        "failures": [list(f) for f in rep.failures],
-    }
+    doc = {"N": args.N, "D": args.D, "exact_match": rep.all_equal,
+           "coefficients_compared": len(rep.rows), "failures": [list(f) for f in rep.failures]}
     if args.table:
         doc["p2_correspondence_table"] = rep.p2_table()
-    cfg.emit(doc)
+    _emit(args, doc)
     return 0 if rep.all_equal else 1
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     results = run_suites([args.suite], seed=args.seed)
     doc = {
         "suite": args.suite,
@@ -456,7 +448,7 @@ def cmd_verify(args, cfg) -> int:
                      f"in {d['total_seconds']:.3f}s")
         return "\n".join(lines) + "\n"
 
-    cfg.emit(doc, render)
+    _emit(args, doc, render)
     if not doc["passed"]:
         first = next(c["name"] for c in doc["checks"] if not c["passed"])
         print(f"first failing check: {first}", file=sys.stderr)
@@ -482,22 +474,18 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    over = _check_limits(args)
-    if over:
-        print(f"error: {over}", file=sys.stderr)
-        return 2
-    cfg = CommandConfig(fmt=args.format, output=args.output)
+    """Run one command.  Any input error exits 2 with one line "error: ..." on
+    stderr, printed here and nowhere else."""
     try:
-        return HANDLERS[args.command](args, cfg)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (DomainError, PoleProximityError, QonfError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        _check_limits(args)
+        return HANDLERS[args.command](args)
+    except (QonfError, ValueError, OSError) as exc:
+        message = str(exc)
+    except OverflowError as exc:  # the input drives a value past double precision
+        message = f"a value overflows double precision ({exc})"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ closed-form Pochhammer/theta ratio asymptotics, first-order Taylor data of
 moving roots, and the rank-1 cubic worked example with its connection-matrix
 degeneration.
 
-Exact mode decides conditions 2 and 3 by exact rational-function limits at
-q = 1; numeric path evaluation is used only for theta-bearing quantities.
+Exact mode decides condition 2, and the regular singularity of condition 3,
+by exact rational-function limits at q = 1.  The non-resonance half of
+condition 3 is numeric: the eigenvalues of B(0) come from np.linalg.eigvals
+and count as resonant when they differ by an integer within 1e-10.
+Numeric path evaluation is otherwise used only for theta-bearing quantities.
 """
 
 from __future__ import annotations

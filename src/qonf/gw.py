@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .confluence import limit_solution_along_path
 from .polyq import RatFunc
-from .qdiff import ScalarQOperator
+from .qdiff import ScalarQOperator, operator_residual
 from .qspecial import DomainError, q_log, spiral_log
 from .rings import (
     LimitUndefinedError,
@@ -647,31 +647,19 @@ def jk_equivariant(spec: EquivariantSpec, q: complex, D: int) -> list[Equivarian
     return [EquivariantJEvaluator(spec, i, q, D) for i in range(spec.N + 1)]
 
 
+def equivariant_operator(spec: EquivariantSpec, q: complex) -> ScalarQOperator:
+    """prod_j (1 - Lambda_j sigma) - Q, the operator each restriction solves."""
+    one = 1.0 + 0j
+    t = Poly([one], one)
+    for j in range(spec.N + 1):
+        t = t * Poly([one, -spec.Lambda(j, q)], one)
+    return ScalarQOperator((RatFunc(Poly([one, -one], one)),
+                            *(RatFunc.const(c, one) for c in t.coeffs[1:])), q)
+
+
 def equivariant_operator_residual(spec: EquivariantSpec, f, Q: complex, q: complex) -> float:
     """Relative residual of [prod_j (1 - Lambda_j sigma) - Q] f at a point."""
-    n = spec.N + 1
-    Lam = [spec.Lambda(j, q) for j in range(n)]
-    # expand prod_j (1 - Lambda_j x) into powers of x
-    poly = [1.0 + 0j]
-    for j in range(n):
-        new = poly + [0j]
-        for k in range(len(poly), 0, -1):
-            new[k] -= Lam[j] * poly[k - 1]
-        poly = new
-    acc = 0j
-    scale = 0.0
-    arg = complex(Q)
-    values = []
-    for c in poly:
-        v = f(arg)
-        values.append(v)
-        acc += c * v
-        scale = max(scale, abs(c) * abs(v))
-        arg *= q
-    fQ = values[0]  # f(Q), the k = 0 term
-    acc -= Q * fQ
-    scale = max(scale, abs(Q) * abs(fQ))
-    return abs(acc) / max(scale, 1e-300)
+    return operator_residual(equivariant_operator(spec, q), f, Q)
 
 
 def jcoh_equivariant_value(spec: EquivariantSpec, i: int, Q: complex, D: int,

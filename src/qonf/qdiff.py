@@ -125,6 +125,8 @@ class QDifferenceSystem:
 def _entry_at(entry: RatFunc, Q: complex, q_num) -> complex:
     num = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.num.coeffs))
     den = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.den.coeffs))
+    if not den:
+        raise PoleProximityError(f"Q = {Q} is a pole of an entry at q = {q_num}")
     return num / den
 
 
@@ -674,7 +676,11 @@ def qhg_coefficients(spec: QHypergeometricSpec, q: complex, D: int) -> list[comp
             den *= 1.0 - b * qd
         if den == 0:
             raise PoleProximityError(f"vanishing denominator at degree {d + 1}")
-        ratio = (-qd) ** e * num / den if e >= 0 else num / (den * (-qd) ** (-e))
+        if e < 0:
+            den *= (-qd) ** (-e)
+            if den == 0:  # q^d underflowed: the coefficient is past the largest float
+                raise OverflowError(f"the coefficient of degree {d + 1}")
+        ratio = (-qd) ** e * num / den if e >= 0 else num / den
         out.append(out[-1] * ratio)
         qd *= q
     return out
@@ -876,7 +882,9 @@ def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None,
                      max_n: int | None = None) -> QDifferenceSystem:
     """The system of a JSON document; ``max_exponents`` caps the powers in
     its entries as in :func:`qonf.polyq.parse_bivariate`, and ``max_n`` caps
-    the size n before the n x n matrix is built."""
+    the size n before the n x n matrix is built.  A ValueError names the
+    field at fault; a document of the wrong shape raises KeyError or
+    TypeError."""
     n = _json_index(doc["n"], "system size n")
     if n < 1:
         raise ValueError(f"system size n = {n} must be at least 1")
@@ -899,7 +907,10 @@ def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None,
     qdoc = doc["q"]
     if qdoc == "q":
         return QDifferenceSystem(tuple(tuple(r) for r in A), RationalFunctionQ.q())
-    q_num = complex(qdoc[0], qdoc[1]) if isinstance(qdoc, (list, tuple)) else complex(qdoc)
+    try:
+        q_num = complex(*qdoc) if isinstance(qdoc, list) and len(qdoc) == 2 else complex(qdoc)
+    except ValueError:
+        raise ValueError(f'"q" must be "q", a number or [re, im], got {qdoc!r}') from None
     B = mat_map(
         A, lambda f: f.map_coeffs(lambda c: c.evaluate_complex(q_num), 1 + 0j)
     )

@@ -48,8 +48,9 @@ the Dedekind eta function whenever its dual nome is the smaller,
     q~ = exp(-4 pi^2/lam),
 
 (Apostol, Modular Functions and Dirichlet Series in Number Theory, 2nd ed.
-(1990), Thm 3.1), with the short dual product from the direct sum.  All
-three give the sum of the principal logs of the factors.
+(1990), Thm 3.1), repeated while the reduced dual nome is the smaller, with
+the short last dual product from the direct sum.  All three give the sum of
+the principal logs of the factors.
 
 Sign convention for the q -> 1 limits: with theta as above, the limit laws
 hold with plain arguments on the right half of the cut plane,
@@ -302,17 +303,22 @@ def _log_qpoch_euler_maclaurin(a: complex, lam: float, tol: float):
     return total
 
 
-def _log_qpoch_eta(lam: complex, tol: float) -> complex:
-    """log (q;q)_inf at q = e^-lam, |lam| < 2 pi, Re lam > 0, by the modular
-    transformation of Dedekind eta, eta(-1/tau) = sqrt(-i tau) eta(tau) with
-    q = e^(2 pi i tau):
+def _log_qpoch_eta(lam: complex, tol: float):
+    """log (q;q)_inf at q = e^-lam, Re lam > 0, by the modular transformation
+    of Dedekind eta, eta(-1/tau) = sqrt(-i tau) eta(tau) with q = e^(2 pi i tau);
+    None when |lam| >= 2 pi once lam is reduced to |Im lam| <= pi:
 
         log (q;q)_inf = -pi^2/(6 lam) + log(2 pi/lam)/2 + lam/24 + log (q~;q~)_inf,
 
-    q~ = exp(-4 pi^2/lam), with principal logs throughout; the dual is the
-    direct sum of :func:`_log_qpoch_direct`.  |q~| < |q| exactly when
-    |lam| < 2 pi, and q~ -> 0 as q -> 1, so near 1 the dual is a few terms
-    or none: it underflows to 0 once Re(4 pi^2/lam) > 745.
+    q~ = exp(-4 pi^2/lam), with principal logs throughout.  |q~| < |q|
+    exactly when |lam| < 2 pi.  The dual lam~ = 4 pi^2/lam is reduced and
+    stepped again the same way, as theta's Poisson step is (this is Gauss's
+    reduction of tau to the fundamental domain, so it ends), and the last
+    dual is the direct sum of :func:`_log_qpoch_direct`.  That sum has
+    |Im lam| <= pi and |lam| >= 2 pi, so Re lam >= sqrt(3) pi and
+    |q| <= e^(-sqrt(3) pi) ~ 0.0043: no head logs.  It underflows to 0 once
+    Re lam > 745, as q -> 1 does after one step.  For q in (0, 1) one step is
+    the whole reduction.
 
     Branch: the sum of principal logs log(1 - e^(-n lam)) converges
     uniformly on compact subsets of Re lam > 0, where each factor has
@@ -320,24 +326,34 @@ def _log_qpoch_eta(lam: complex, tol: float) -> complex:
     2 pi/lam lies in the right half-plane, and Re(4 pi^2/lam) > 0 keeps
     |q~| < 1.  Both sides are real and equal for real lam > 0, the classical
     case of the theorem, so they agree on the whole connected half-plane.
+    The sum depends on lam only through q, so reducing lam modulo 2 pi i
+    changes neither side, and each repeated step holds for the same reason.
 
-    Truncation: that of the dual sum, at most tol.  Rounding: lam = -log q
-    carries a relative error of a few eps, which moves -pi^2/(6 lam) and
-    log q~ = -4 pi^2/lam by the same relative amount; log q~ moves the dual
-    by at most |d log q~| sum_n n |q~|^n/|1 - q~^n|, and
-    n x^n/(1 - x^n) <= x^((n+1)/2)/(1 - x) for x = |q~| bounds that sum.  In
-    all the rounding is at most
+    Truncation: that of the last dual sum, at most tol.  Rounding: lam =
+    -log q carries a relative error d of a few eps, which moves
+    -pi^2/(6 lam) and log q~ = -4 pi^2/lam by the same relative amount;
+    log q~ moves the dual by at most |d log q~| sum_n n |q~|^n/|1 - q~^n|,
+    and n x^n/(1 - x^n) <= x^((n+1)/2)/(1 - x) for x = |q~| bounds that sum.
+    One step rounds by at most
 
         4 eps (pi^2/(6 |lam|) + |log(2 pi/lam)| + 1
                + (4 pi^2/|lam|) |q~|/((1 - |q~|)(1 - |q~|^(1/2))))
 
     plus the rounding bound that :func:`_log_qpoch_direct` states for the
     dual.  At q = 0.8^(2^-14) that is about 1e-10 on a value of -1.2e5.
+    A repeated step adds its own such term, at its own lam, with d grown to
+    (d + 2 eps) |lam~|/|lam~ reduced|: the reduction subtracts a multiple of
+    2 pi i, rounded by a few ulps of lam~, from a lam~ that carries an
+    absolute error d |lam~|.
     """
+    lam = complex(lam.real, lam.imag - TWO_PI * round(lam.imag / TWO_PI))
+    if abs(lam) >= TWO_PI:
+        return None
     total = -_PI2_6 / lam + 0.5 * cmath.log(TWO_PI / lam) + lam / 24
     q_dual = cmath.exp(-4 * math.pi**2 / lam)
     if q_dual:
-        total += _log_qpoch_direct(q_dual, q_dual, tol)
+        dual = _log_qpoch_eta(4 * math.pi**2 / lam, tol)
+        total += _log_qpoch_direct(q_dual, q_dual, tol) if dual is None else dual
     return total
 
 
@@ -350,10 +366,12 @@ def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
     rounding bound next to its truncation bound.  Three evaluations:
 
     - for a = q and |lam| < 2 pi, lam = -log q, the modular transformation
-      of Dedekind eta (see :func:`_log_qpoch_eta`): a closed form plus the
-      direct sum at the dual nome q~ = exp(-4 pi^2/lam), |q~| < |q|.  It
-      costs O(1) as q -> 1.  Its rounding is about 4 eps pi^2/(6 |lam|)
-      plus the dual's; its truncation is the dual's;
+      of Dedekind eta (see :func:`_log_qpoch_eta`): a closed form plus
+      (q~;q~)_inf at the dual nome q~ = exp(-4 pi^2/lam), |q~| < |q|, itself
+      by the same step while it applies, then by a direct sum with
+      |q~| <= e^(-sqrt(3) pi).  It costs O(1) as q -> 1 and near every other
+      root of unity.  Its rounding is about 4 eps pi^2/(6 |lam|) per step
+      plus the last dual's; its truncation is the last dual's;
     - otherwise, for q in (0, 1), the Euler-Maclaurin expansion in lam (see
       :func:`_log_qpoch_euler_maclaurin`) whenever its remainder bound is at
       most tol.  It costs a few microseconds however close q is to 1, and it
@@ -384,9 +402,9 @@ def log_qpoch_infinite(a: complex, q, tol: float = 1e-12) -> complex:
     if a == 0:
         return 0j
     if a == q:
-        lam = -cmath.log(q)
-        if abs(lam) < TWO_PI:
-            return _log_qpoch_eta(lam, tol)
+        value = _log_qpoch_eta(-cmath.log(q), tol)
+        if value is not None:
+            return value
     if q.imag == 0 and q.real > 0:
         value = _log_qpoch_euler_maclaurin(complex(a), -math.log(q.real), tol)
         if value is not None:
@@ -502,7 +520,8 @@ _POLE_TOL = 1e-8  # relative distance to -q^Z below which characters and q-logs 
 def on_q_lattice(x: complex, q: complex, tol: float) -> bool:
     """Whether x is within relative tol of q^k for some integer k; False at x = 0.
 
-    Only the k next to log|x|/log|q| can be that close, so five are tried.
+    Only the k next to log|x|/log|q| can be that close, so five are tried;
+    a q^k beyond the floats is skipped, since no finite x lies near it.
     """
     if abs(q) == 1:
         raise DomainError(f"the lattice q^Z needs |q| != 1, got q = {q}")
@@ -510,7 +529,10 @@ def on_q_lattice(x: complex, q: complex, tol: float) -> bool:
         return False
     k0 = math.floor(math.log(abs(x)) / math.log(abs(q)))
     for k in range(k0 - 2, k0 + 3):
-        p = q**k
+        try:
+            p = q**k
+        except (OverflowError, ZeroDivisionError):  # |q^k| past the largest float
+            continue
         if abs(x - p) < tol * abs(p):
             return True
     return False
@@ -539,8 +561,8 @@ def q_log(q, Q: complex) -> complex:
 # ---------------------------------------------------------------- spirals and branches
 
 
-def spiral_contains(nu: complex, q0: complex, Q: complex, tol: float = 1e-8) -> bool:
-    """Whether Q lies on the continuous spiral nu * q0^R (within angular tol)."""
+def spiral_contains(nu: complex, q0: complex, Q: complex) -> bool:
+    """Whether Q lies on the continuous spiral nu * q0^R, within an angle of 1e-8."""
     if nu == 0 or Q == 0:
         raise DomainError("nu and Q must be nonzero")
     if not 0 < abs(q0) < 1:
@@ -549,7 +571,7 @@ def spiral_contains(nu: complex, q0: complex, Q: complex, tol: float = 1e-8) -> 
     s = math.log(abs(w)) / math.log(abs(q0))
     residual = cmath.phase(w) - s * cmath.phase(q0)
     residual = (residual + math.pi) % TWO_PI - math.pi
-    return abs(residual) < tol
+    return abs(residual) < 1e-8
 
 
 def spiral_log(w: complex, q0: complex) -> complex:

@@ -1041,32 +1041,17 @@ class Poly:
 
 def binom_l(k: int, one) -> Poly:
     """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as a polynomial in L."""
-    return _binom_of_poly(Poly.variable(one), k, one)
-
-
-def nil_binomial_power(order: int, one, exponent: Poly | None = None) -> NilpotentElement:
-    """(1 - eps)^E as sum_k (-1)^k binom(E, k) eps^k, with E a polynomial in L.
-
-    The default exponent is L itself.  The eps^k coefficient is a polynomial
-    of degree k*deg(E) in L, and the sum is finite since k <= order.
-    """
-    if exponent is None:
-        exponent = Poly.variable(one)
-    coeffs = []
-    for k in range(order + 1):
-        bk = _binom_of_poly(exponent, k, one)
-        coeffs.append(bk if k % 2 == 0 else -bk)
-    return NilpotentElement(order, coeffs)
-
-
-def _binom_of_poly(e: Poly, k: int, one) -> Poly:
     acc = Poly([one], one)
     for r in range(k):
-        acc = acc * (e - Poly.const(r * one, one))
-    fact = 1
-    for r in range(2, k + 1):
-        fact *= r
-    return acc / (fact * one)
+        acc = acc * Poly([-r * one, one], one)
+    return acc / (factorial(k) * one)
+
+
+def nil_binomial_power(order: int, one) -> NilpotentElement:
+    """(1 - eps)^L as sum_k (-1)^k binom(L, k) eps^k; the sum is finite since
+    k <= order."""
+    coeffs = (binom_l(k, one) for k in range(order + 1))
+    return NilpotentElement(order, [-b if k % 2 else b for k, b in enumerate(coeffs)])
 
 
 # -- truncated series in Q ----------------------------------------------------

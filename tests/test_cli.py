@@ -8,9 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qonf.cli import main
+from qonf.cli import SIZE_LIMITS, main
+from qonf.confluence import BUILTIN_SYSTEMS
 from qonf.rings import series_to_json
+from qonf.verification import SUITES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -236,7 +239,7 @@ class TestSystems:
         assert what in err and "exceeds the limit 1000" in err and err.count("\n") == 1
 
     def test_size_limits_in_help(self):
-        from qonf.cli import SIZE_LIMITS, build_parser
+        from qonf.cli import build_parser
 
         text = build_parser().format_help()
         for name, commands, cap in SIZE_LIMITS:
@@ -274,7 +277,7 @@ class TestSystems:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env=env)
         assert proc.returncode == 2
-        assert proc.stderr == "error: malformed system JSON: system size n = 1000000 exceeds the limit 21\n"
+        assert proc.stderr == "error: system size n = 1000000 exceeds the limit 21\n"
 
 
 class TestJfn:
@@ -395,3 +398,173 @@ class TestCompareAndVerify:
         code, _ = run(capsys, "nd", "--dmax", "2", "--output", str(path))
         assert code == 0
         assert path.read_text().splitlines()[2] == "2,1"
+
+
+# ---------------------------------------------------------------- the input contract
+
+
+def assert_contract(code, err):
+    """Exit 0, 1 or 2; exit 2 with exactly one stderr line "error: ...".  An
+    exception escaping main, the traceback of the console script, fails too."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("solve --builtin pn-j --N 2 --D 4 --z 0", 2),
+    ("confluence --builtin pn-j --N 2 --z 0", 2),
+    ("jfn --kind equivariant --N 2 --D 4 --z 0", 2),
+    ("jfn --kind equivariant --N 2 --D 4 --z 0 --q 1", 2),
+    ("jfn --kind equivariant --N 2 --D 4 --q 1", 2),
+    ("qchar --q 0.3 --lam 1e300 --Q 1", 2),
+    ("qlog --q 0.3 --Q 1e308+1e308j", 0),  # in the domain: a q^k past the floats is skipped
+    ("confluence --builtin pn-j --N 2 --q0 1", 2),
+    ("confluence --builtin pn-j --N 2 --q0 0", 2),
+    ("jfn --kind equivariant --N 2 --D 4 --q 0.5+0.9j", 2),
+    ("theta --q 0.3 --Q abc", 2),
+])
+def test_probed_argv_exits_without_a_traceback(capsys, argv, code):
+    # the first seven ended in a traceback, the next three exited 0, and the
+    # last printed argparse's usage in three lines
+    assert main(argv.split()) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_flag_is_checked_before_any_work(capsys, monkeypatch):
+    from qonf import cli
+
+    monkeypatch.setattr(cli.gw, "jk_equivariant", None)  # any work would raise TypeError
+    monkeypatch.setattr(cli.cfl, "builtin_system", None)
+    assert main(["jfn", "--kind", "equivariant", "--N", "2", "--D", "4", "--q", "1"]) == 2
+    assert main(["confluence", "--builtin", "pn-j", "--N", "2", "--q0", "1"]) == 2
+    assert main(["solve", "--builtin", "pn-j", "--N", "2", "--D", "4", "--z", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: need 0 < |q| < 1, got (1+0j)"] * 2 + [
+        "error: --z 0 must be nonzero for solve"]
+
+
+# Numbers of every size and sign, |q| >= 1 among them, and values that are no number
+NUMBER = st.sampled_from(["0.5", "0.3+0.4j", "0.15", "0.7-0.2j", "-0.4+0.1j", "0.99", "1j",
+                          "0", "-1", "2", "1e308", "-1e308", "1e-300"])
+JUNK = st.sampled_from(["nan", "inf", "abc", ""])
+
+
+def size(flag, command):
+    """Either small (at most 4) or beyond the cap, never in between."""
+    cap = next(c for name, cmds, c in SIZE_LIMITS if name == flag and command in cmds)
+    return st.sampled_from([-1, 0, 1, 2, 3, 4, cap + 1, 10 * cap]).map(str)
+
+
+def flag(name, values):
+    """One flag's argument: name for a switch (a value of None), else
+    name=value, so that a value such as -1e308 is not read as a flag."""
+    return values.map(lambda v: name if v is None else f"{name}={v}")
+
+
+def output_flags(*formats):
+    return [flag("--format", st.sampled_from(formats)), flag("--output", st.just("{tmp}/out.txt"))]
+
+
+def command_flags():
+    """Each subcommand with a strategy for the argument of each of its flags."""
+    numbers = st.lists(NUMBER, max_size=3).map(",".join)
+    system = flag("--builtin", st.sampled_from(BUILTIN_SYSTEMS)) | \
+        flag("--file", st.just("{tmp}/system.json"))
+    z = flag("--z", st.sampled_from(["1", "0", "-1/2"]))
+    return {
+        "nd": [flag("--dmax", size("--dmax", "nd")), *output_flags("csv", "text", "json")],
+        "potential": [flag("--order", size("--order", "potential")),
+                      *output_flags("json", "text")],
+        "wdvv": [flag("--order", size("--order", "wdvv")),
+                 flag("--perturb", st.sampled_from(["2=2", "x", "0=1", "9=1", "2=", "1=2=3"]))],
+        "theta": [flag("--q", NUMBER), flag("--Q", NUMBER),
+                  flag("--tol", st.sampled_from(["1e-12", "-1", "1e308"])),
+                  *output_flags("json", "text")],
+        "qchar": [flag("--q", NUMBER), flag("--lam", NUMBER), flag("--Q", NUMBER)],
+        "qlog": [flag("--q", NUMBER), flag("--Q", NUMBER)],
+        "qhg": [flag("--upper", numbers), flag("--lower", numbers), flag("--q", NUMBER),
+                flag("--D", size("--D", "qhg")), flag("--at", NUMBER), flag("--bases", st.none())],
+        "solve": [system, flag("--N", size("--N", "solve")), z, flag("--D", size("--D", "solve")),
+                  flag("--q0", NUMBER), flag("--at", NUMBER)],
+        "birkhoff": [flag("--q", NUMBER), flag("--Q", NUMBER)],
+        "confluence": [system, flag("--N", size("--N", "confluence")), z, flag("--q0", NUMBER)],
+        "jfn": [flag("--kind", st.sampled_from(["kth", "kth-modified", "coh", "equivariant"])),
+                flag("--N", size("--N", "jfn")), flag("--D", size("--D", "jfn")),
+                flag("--lambdas", numbers), flag("--z", NUMBER), flag("--q", NUMBER)],
+        "compare": [flag("--N", size("--N", "compare")), flag("--D", size("--D", "compare")),
+                    flag("--table", st.none())],
+        "verify": [flag("--suite", st.sampled_from(tuple(SUITES))),
+                   flag("--seed", st.sampled_from(["0", "-1"]))],
+    }
+
+
+FLAGS = command_flags()
+
+
+@st.composite
+def argvs(draw, commands=tuple(sorted(FLAGS))):
+    """A subcommand and its flags, with at most one flag left out (a required
+    one too) and at most one flag given a value that is no number."""
+    command = draw(st.sampled_from(commands))
+    missing, junk = (draw(st.none() | st.integers(0, len(FLAGS[command]) - 1))
+                     for _ in range(2))
+    argv = [command]
+    for k, args in enumerate(FLAGS[command]):
+        if k != missing:
+            arg = draw(args)
+            if k == junk and "=" in arg:
+                arg = arg.split("=")[0] + "=" + draw(JUNK)
+            argv.append(arg)
+    return argv
+
+
+# entries that parse, strings of the grammar's tokens, and hostile ones: too
+# deep, over a cap, or dividing by zero
+ENTRY = st.sampled_from(["1 - (1-q)*Q", "1 + Q", "q", "2", "(1 - q)/(1 - Q)", "1 + (q-1)*Q^2"]) | \
+    st.lists(st.sampled_from(["q", "Q", "1", "2", "0", "0.5", "+", "-", "*", "/", "^", "(", ")",
+                              "1001", "x"]), max_size=10).map("".join) | \
+    st.sampled_from(["(" * 5000 + "1" + ")" * 5000, "q^2000", "1/(Q-Q)"])
+INDEX = st.integers(0, 2) | st.sampled_from([-1, 3, 1.0, "0", None, True])
+SYSTEM_ENTRY = st.fixed_dictionaries({"i": INDEX, "j": INDEX, "entry": ENTRY}) | \
+    st.fixed_dictionaries({"i": INDEX, "j": INDEX, "num": ENTRY, "den": ENTRY}) | \
+    st.fixed_dictionaries({}, optional={"i": INDEX, "entry": ENTRY, "num": ENTRY})
+SYSTEM_DOC = st.fixed_dictionaries(
+    {"n": st.integers(1, 3) | st.sampled_from([0, -1, 22, 10**6, 1.5, "1", True, None]),
+     "q": st.sampled_from(["q", [0.5, 0], [0.5, 0.2], 0.5, [0, 0], [1e308, 0], [2, 0],
+                           "x", None, []]),
+     "entries": st.lists(SYSTEM_ENTRY, max_size=4) | st.sampled_from([5, None, {}])})
+SYSTEM_TEXT = SYSTEM_DOC.map(json.dumps) | st.sampled_from(
+    ["{not json", "[" * 100000, "", "null", "[]", '{"n": 1}'])
+
+FUZZ = settings(max_examples=150, deadline=10_000, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def run_contract(capsys, tmp_path, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert_contract(code, capsys.readouterr().err)
+
+
+@FUZZ
+@given(argv=argvs(), text=SYSTEM_TEXT)
+@example(argv="solve --builtin pn-j --N 2 --D 4 --z 0".split(), text="")
+@example(argv="confluence --builtin pn-j --N 2 --z 0".split(), text="")
+@example(argv="jfn --kind equivariant --N 2 --D 4 --z 0".split(), text="")
+@example(argv="jfn --kind equivariant --N 2 --D 4 --q 1".split(), text="")
+@example(argv="qchar --q 0.3 --lam 1e300 --Q 1".split(), text="")
+@example(argv="qlog --q 0.3 --Q 1e308+1e308j".split(), text="")
+@example(argv="theta --q 0.3 --Q abc".split(), text="")
+def test_fuzzed_argv_keeps_the_contract(capsys, tmp_path, argv, text):
+    (tmp_path / "system.json").write_text(text)
+    run_contract(capsys, tmp_path, argv)
+
+
+@FUZZ
+@given(command=st.sampled_from(["solve", "confluence"]), text=SYSTEM_TEXT)
+@example(command="solve", text="[" * 100000)
+def test_fuzzed_system_json_keeps_the_contract(capsys, tmp_path, command, text):
+    (tmp_path / "system.json").write_text(text)
+    argv = [command, "--file", "{tmp}/system.json"] + (["--D", "2"] if command == "solve" else [])
+    run_contract(capsys, tmp_path, argv)

@@ -24,6 +24,7 @@ from qonf.qspecial import (
 )
 
 QGRID = [0.15, 0.35, 0.55, 0.75, 0.9]
+TWO_PI_I = 2j * math.pi
 QPOINTS = [0.7 + 0.4j, 1.3 - 0.2j, -0.6 + 0.9j, 2.1 + 0.7j, 0.45 - 1.1j]
 
 
@@ -60,6 +61,27 @@ class TestPochhammer:
         q = 0.5
         assert qpoch_infinite(1.0, q) == 0
         assert log_qpoch_infinite(1.0, q) == complex("-inf")
+
+    @pytest.mark.parametrize("q", [0.999 * cmath.exp(2.5j), -0.999],
+                             ids=["0.999e^2.5i", "-0.999"])
+    def test_eta_steps_until_the_direct_sum_is_short(self, q, monkeypatch):
+        # the eta step is repeated as theta's Poisson step is, so the direct sum
+        # that ends it has |q| <= e^(-sqrt(3) pi) and no head logs, near -1 too
+        import qonf.qspecial as qs
+
+        nomes, direct = [], qs._log_qpoch_direct
+
+        def recorded(a, b, tol):
+            nomes.append(b)
+            return direct(a, b, tol)
+
+        monkeypatch.setattr(qs, "_log_qpoch_direct", recorded)
+        value = log_qpoch_infinite(q, q)
+        assert all(abs(b) <= math.exp(-math.sqrt(3) * math.pi) * (1 + 1e-12) for b in nomes)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.log(mpmath.qp(mpmath.mpc(q), mpmath.mpc(q))))
+        d = value - ref
+        assert abs(d - TWO_PI_I * round(d.imag / (2 * math.pi))) < 1e-12 * abs(ref)
 
 
 class TestTheta:
@@ -121,6 +143,11 @@ class TestQLattice:
 
     def test_zero_is_off_the_lattice(self):
         assert not on_q_lattice(0, 0.5, 1e-9)
+
+    @pytest.mark.parametrize("x, q", [(1e308 + 1e308j, 0.3), (0.99, 1e-300)])
+    def test_powers_past_the_floats_are_skipped(self, x, q):
+        # q^k overflows (or underflows before its inverse is taken) next to x
+        assert not on_q_lattice(x, q, 1e-9)
 
 
 class TestTripleProduct:
