@@ -14,8 +14,12 @@ degeneration.
 
 Exact mode decides condition 2, and the regular singularity of condition 3,
 by exact rational-function limits at q = 1.  The non-resonance half of
-condition 3 is numeric: the eigenvalues of B(0) come from np.linalg.eigvals
-and count as resonant when they differ by an integer within 1e-10.
+condition 3 is decided over the integers: with M = m B(0) an integer matrix
+and S the squarefree part of its characteristic polynomial, eigenvalues of
+B(0) differ by the integer k > 0 exactly when gcd(S(x), S(x + m k)) is not
+constant, so every reported resonance is exact.  The candidate k come from
+the floating roots of S, which are simple; a non-resonant verdict rests on
+each difference of two located roots being within 1/2 of the true one.
 Numeric path evaluation is otherwise used only for theta-bearing quantities.
 """
 
@@ -24,8 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -66,8 +71,8 @@ from .rings import (
     RationalFunctionQ,
     _divide_q_minus_one,
     format_poly,
+    ipoly_gcd,
     scalar_is_zero,
-    zero_like,
 )
 
 DEFAULT_T_SCHEDULE = tuple(2.0**-j for j in range(4, 17))
@@ -145,7 +150,6 @@ class DeltaForm:
 
 
 def delta_form(sys: QDifferenceSystem) -> DeltaForm:
-    n = sys.n
     one = sys.A[0][0].one
     if sys.is_exact:
         inv = 1 / (RationalFunctionQ.q() - 1)
@@ -153,14 +157,9 @@ def delta_form(sys: QDifferenceSystem) -> DeltaForm:
         if sys.q == 1:
             raise DomainError("delta form needs q != 1")
         inv = 1.0 / (sys.q - 1.0)
-    rows = []
-    for i in range(n):
-        row = []
-        for j, a in enumerate(sys.A[i]):
-            e = a - RatFunc.const(one, one) if i == j else a
-            row.append(e * inv)
-        rows.append(tuple(row))
-    return DeltaForm(sys, tuple(rows))
+    unit = RatFunc.const(one, one)
+    return DeltaForm(sys, tuple(tuple((a - unit if i == j else a) * inv for j, a in enumerate(row))
+                                for i, row in enumerate(sys.A)))
 
 
 # ---------------------------------------------------------------- ODE systems
@@ -178,14 +177,6 @@ class ODESystem:
 
     def matrix_at(self, Q: complex):
         return [[_entry_at(e, Q, None) for e in row] for row in self.B]
-
-
-def _ode_power(lam, q0: complex, Q: complex) -> complex:
-    return char_power(Q, lam, q0)
-
-
-def _ode_log(q0: complex, Q: complex) -> complex:
-    return spiral_log(Q, q0)
 
 
 def ode_gauge_residual(ode: ODESystem, P: MatrixSeries, B0) -> MatrixSeries:
@@ -228,21 +219,51 @@ def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> Fundame
         raise UnsupportedJordanError("exact mode supports a single eigenvalue (or rank 1)")
     P = solve_gauge(Bser, part, D, lambda m: (m * one, one), "integer eigenvalue difference")
     return FundamentalSolutionAt0(ode, P, "nilpotent", [part.lam] * ode.n, q=q0,
-                                  nilpotent_log=part.N, character=_ode_power,
-                                  logarithm=_ode_log)
+                                  nilpotent_log=part.N,
+                                  character=lambda lam, q, Q: char_power(Q, lam, q),
+                                  logarithm=lambda q, Q: spiral_log(Q, q))
 
 
-def _integer_differences(lams) -> list:
-    """(i, j, k) for each ordered pair of eigenvalues with lams[i] - lams[j]
-    within 1e-10 of the nonzero integer k."""
-    out = []
-    for i in range(len(lams)):
-        for j in range(len(lams)):
-            if i != j:
-                d = lams[i] - lams[j]
-                if abs(d.imag) < 1e-10 and abs(d.real - round(d.real)) < 1e-10 and round(d.real):
-                    out.append((i, j, round(d.real)))
-    return out
+def _charpoly(M) -> list:
+    """det(x I - M) for an integer matrix, descending coefficients.
+
+    Faddeev-LeVerrier: with M_1 = I and M_(k+1) = M M_k + c_k I, the
+    coefficient c_k of x^(n-k) is -tr(M M_k)/k, an exact integer division;
+    MM holds M M_k, so the next one is M MM + c_k M.
+    """
+    n = len(M)
+    coeffs, MM = [1], M
+    for k in range(1, n + 1):
+        c = -sum(MM[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        if k < n:
+            cols = list(zip(*MM))
+            MM = [[sum(map(mul, row, col)) + c * a for col, a in zip(cols, row)] for row in M]
+    return coeffs
+
+
+def _resonances(M, m) -> list:
+    """The integers k > 0 that are differences of two eigenvalues of M / m.
+
+    S = P / gcd(P, P'), P = det(x I - M), has each eigenvalue once; a
+    candidate k from its floating roots counts only when S(x) and S(x + m k)
+    have a common factor.
+    """
+    P = _charpoly(M)
+    S = ipoly_gcd(P, [c * (len(P) - 1 - i) for i, c in enumerate(P[:-1])])[1]
+    if len(S) < 3:  # a single distinct eigenvalue
+        return []
+    roots = np.roots(S) / m
+    candidates = set()
+    for r in roots:
+        for s in roots:
+            k = round((r - s).real)
+            if k >= 1 and abs(r - s - k) < 0.5:
+                candidates.add(k)
+    S_asc = Poly(S[::-1], 1)
+    # S(x + m k) by Horner's rule over Z[x]; its coefficients ascend
+    return [k for k in sorted(candidates)
+            if len(ipoly_gcd(S, S_asc.evaluate(Poly([m * k, 1], 1)).coeffs[::-1])[0]) > 1]
 
 
 # ---------------------------------------------------------------- the confluence check
@@ -258,8 +279,14 @@ class ConditionReport:
         return self.status == "pass"
 
 
+CONDITIONS = ("spiral_separation", "limit_exists", "limit_regular_singular",
+              "jordan_basis_converges")
+
+
 @dataclass
 class ConfluenceReport:
+    """The four conditions, in the order of :data:`CONDITIONS`."""
+
     spiral_separation: ConditionReport
     limit_exists: ConditionReport
     limit_regular_singular: ConditionReport
@@ -269,29 +296,11 @@ class ConfluenceReport:
 
     @property
     def confluent(self) -> bool:
-        return all(
-            c.passed
-            for c in (
-                self.spiral_separation,
-                self.limit_exists,
-                self.limit_regular_singular,
-                self.jordan_basis_converges,
-            )
-        )
+        return all(getattr(self, name).passed for name in CONDITIONS)
 
     def to_json(self) -> dict:
-        def cond(c):
-            return {"status": c.status, "detail": c.detail}
-
-        doc = {
-            "confluent": self.confluent,
-            "conditions": {
-                "spiral_separation": cond(self.spiral_separation),
-                "limit_exists": cond(self.limit_exists),
-                "limit_regular_singular": cond(self.limit_regular_singular),
-                "jordan_basis_converges": cond(self.jordan_basis_converges),
-            },
-        }
+        doc = {"confluent": self.confluent,
+               "conditions": {name: asdict(getattr(self, name)) for name in CONDITIONS}}
         if self.limit_system is not None:
             entries = []
             for i, row in enumerate(self.limit_system.B):
@@ -339,11 +348,9 @@ def check_confluent(sys: QDifferenceSystem, q0: complex) -> ConfluenceReport:
                 lrow.append(None)
         limit_entries.append(lrow)
     if failures:
-        cond2 = ConditionReport("fail", "; ".join(failures))
-        return ConfluenceReport(cond1, cond2,
-                                ConditionReport("skipped", "no limit system"),
-                                ConditionReport("skipped", "no limit system"),
-                                None, witnesses)
+        skipped = ConditionReport("skipped", "no limit system")
+        return ConfluenceReport(cond1, ConditionReport("fail", "; ".join(failures)),
+                                skipped, skipped, None, witnesses)
     cond2 = ConditionReport("pass", "entrywise limit exists")
     ode = ODESystem(tuple(tuple(r) for r in limit_entries))
 
@@ -358,40 +365,33 @@ def check_confluent(sys: QDifferenceSystem, q0: complex) -> ConfluenceReport:
         return ConfluenceReport(cond1, cond2, cond3,
                                 ConditionReport("skipped", "limit not regular singular"),
                                 ode, witnesses)
-    B0 = np.array([[complex(e.evaluate(Fraction(0))) for e in row] for row in ode.B])
-    resonant = _integer_differences(np.linalg.eigvals(B0))
+    B0 = [[Fraction(e.num.coeff(0) / e.den.coeff(0)) for e in row] for row in ode.B]
+    m = math.lcm(*(x.denominator for row in B0 for x in row))
+    M = [[x.numerator * (m // x.denominator) for x in row] for row in B0]  # m B(0)
+    resonant = _resonances(M, m)
     if resonant:
         cond3 = ConditionReport("fail", f"integer eigenvalue differences {resonant}")
     else:
         cond3 = ConditionReport("pass", "limit is regular singular and non-resonant")
 
-    cond4 = _jordan_basis_convergence(df, B0, q0)
+    cond4 = _jordan_basis_convergence(df, M, m, q0)
     return ConfluenceReport(cond1, cond2, cond3, cond4, ode, witnesses)
 
 
-def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) -> ConditionReport:
-    n = df.sys.n
+def _jordan_basis_convergence(df: DeltaForm, M, m: int, q0: complex) -> ConditionReport:
+    """Condition 4; the limit B(0) is M / m with M an integer matrix."""
+    try:
+        vals0 = [[e.num.coeff(0) / e.den.coeff(0) for e in row] for row in df.B]
+    except ZeroDivisionError:
+        return ConditionReport("fail", "B_q(0) has a pole at Q = 0")
     # exact shortcut: B_q(0) independent of q
-    constant_in_q = True
-    vals0 = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = df.B[i][j]
-            try:
-                v = e.evaluate(zero_like(e.one))
-            except ZeroDivisionError:
-                return ConditionReport("fail", "B_q(0) has a pole at Q = 0")
-            row.append(v)
-            if isinstance(v, RationalFunctionQ) and (len(v.num) > 1 or len(v.den) > 1):
-                constant_in_q = False
-        vals0.append(row)
-    if constant_in_q:
+    if not any(isinstance(v, RationalFunctionQ) and (len(v.num) > 1 or len(v.den) > 1)
+               for row in vals0 for v in row):
         return ConditionReport("pass", "B_q(0) is independent of q")
 
     path = [np.linalg.eig(np.array([[_to_complex(v, q0**t) for v in row] for row in vals0]))
             for t in (2.0**-6, 2.0**-9, 2.0**-12)]
-    if np.array_equal(B0_limit, B0_limit[0, 0] * np.eye(n)):
+    if all(x == (M[0][0] if i == j else 0) for i, row in enumerate(M) for j, x in enumerate(row)):
         # every basis is an eigenbasis of a scalar limit: the question is
         # whether the eigenbasis of B_q(0) settles along the path
         if any(numerically_defective(V) for _, V in path):
@@ -400,7 +400,8 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
             )
         refs, path, what = path[:-1], path[1:], "limit B(0) is scalar; eigenvector change along path"
     else:
-        lams_lim, V_lim = np.linalg.eig(B0_limit)
+        # x / m rounds once, as complex(Fraction(x, m)) does
+        lams_lim, V_lim = np.linalg.eig(np.array([[complex(x / m) for x in row] for row in M]))
         if numerically_defective(V_lim):
             return ConditionReport(
                 "skipped", "limit B(0) is defective; eigenvector comparison not performed"
@@ -415,27 +416,17 @@ def _jordan_basis_convergence(df: DeltaForm, B0_limit: np.ndarray, q0: complex) 
 def _basis_distance(lams, V, lams_ref, V_ref) -> float:
     """Largest entry of the difference of the two normalized eigenbases, the
     columns of V put in the order of the nearest eigenvalues of lams_ref."""
-    order = _match_order(lams, lams_ref)
+    order = []
+    for t in lams_ref:
+        order.append(min((i for i in range(len(lams)) if i not in order),
+                         key=lambda i: abs(lams[i] - t)))
     return float(np.abs(_normalize_eigvecs(V[:, order]) - _normalize_eigvecs(V_ref)).max())
 
 
 def _normalize_eigvecs(V: np.ndarray) -> np.ndarray:
-    W = V.copy()
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
-        W[:, j] = col / col[idx]
-    return W
-
-
-def _match_order(lams, target):
-    order = []
-    used = set()
-    for t in target:
-        k = min((i for i in range(len(lams)) if i not in used), key=lambda i: abs(lams[i] - t))
-        used.add(k)
-        order.append(k)
-    return order
+    """Each column divided by its first entry above 1e-12 of its largest."""
+    A = np.abs(V)
+    return V / V[np.argmax(A > 1e-12 * A.max(axis=0), axis=0), np.arange(V.shape[1])]
 
 
 # ---------------------------------------------------------------- path limits
@@ -508,12 +499,8 @@ def asymptotic_qpoch_ratio(Q0: complex, alpha1: complex, alpha2: complex,
 def asymptotic_qpoch_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14) -> float:
     """|closed form - direct path evaluation| at the given t, with the
     products summed to within 1e-13."""
-    tol = 1e-13
-    q = q0**t
-    Q1 = Q0 * q0 ** (alpha1 * t)
-    Q2 = Q0 * q0 ** (alpha2 * t)
-    direct = cmath.exp(log_qpoch_infinite(Q1, q, tol) - log_qpoch_infinite(Q2, q, tol))
-    return abs(direct - asymptotic_qpoch_ratio(Q0, alpha1, alpha2, q0))
+    return _ratio_check(lambda Q, q: log_qpoch_infinite(Q, q, 1e-13), asymptotic_qpoch_ratio,
+                        Q0, alpha1, alpha2, q0, t)
 
 
 def asymptotic_theta_ratio(Q0: complex, alpha1: complex, alpha2: complex,
@@ -531,11 +518,18 @@ def asymptotic_theta_ratio(Q0: complex, alpha1: complex, alpha2: complex,
 
 
 def asymptotic_theta_ratio_check(Q0, alpha1, alpha2, q0=0.5, t=2.0**-14) -> float:
+    return _ratio_check(lambda Q, q: log_theta(q, Q), asymptotic_theta_ratio,
+                        Q0, alpha1, alpha2, q0, t)
+
+
+def _ratio_check(log_f, closed_form, Q0, alpha1, alpha2, q0, t) -> float:
+    """|closed_form - exp(log f(Q1) - log f(Q2))| at q = q0^t, with the
+    arguments Q_i = Q0 q0^(alpha_i t)."""
     q = q0**t
     Q1 = Q0 * q0 ** (alpha1 * t)
     Q2 = Q0 * q0 ** (alpha2 * t)
-    direct = cmath.exp(log_theta(q, Q1) - log_theta(q, Q2))
-    return abs(direct - asymptotic_theta_ratio(Q0, alpha1, alpha2, q0))
+    direct = cmath.exp(log_f(Q1, q) - log_f(Q2, q))
+    return abs(direct - closed_form(Q0, alpha1, alpha2, q0))
 
 
 # ---------------------------------------------------------------- moving roots
@@ -595,10 +589,7 @@ class GaussianRational:
         return _gaussian(self.a * m - a * self.m, self.b * m - b * self.m, self.m * m)
 
     def __rsub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return _gaussian(*o) - self
+        return -self + other
 
     def __neg__(self):
         return _gaussian(-self.a, -self.b, self.m)
@@ -745,15 +736,7 @@ class MonodromyCubicExample:
 
     # solution at 0: (Q)_inf (-iQ)_inf (-Q)_inf / prod (alpha_i Q)_inf
     def solution_at_0(self, q: complex, Q: complex) -> complex:
-        alphas = self.alphas_at(q)
-        total = (
-            log_qpoch_infinite(Q, q)
-            + log_qpoch_infinite(-1j * Q, q)
-            + log_qpoch_infinite(-Q, q)
-        )
-        for a in alphas:
-            total -= log_qpoch_infinite(a * Q, q)
-        return cmath.exp(total)
+        return self._log_quotient(lambda x: log_qpoch_infinite(x, q), q, (Q, -1j * Q, -Q), Q)
 
     # solution at infinity, in W = 1/Q
     def solution_at_inf(self, q: complex, W: complex) -> complex:
@@ -766,10 +749,13 @@ class MonodromyCubicExample:
         return cmath.exp(total)
 
     def birkhoff_theta_form(self, q: complex, Q: complex) -> complex:
-        alphas = self.alphas_at(q)
-        total = log_theta(q, -Q) + log_theta(q, 1j * Q) + log_theta(q, Q)
-        for a in alphas:
-            total -= log_theta(q, -a * Q)
+        return self._log_quotient(lambda x: log_theta(q, x), q, (-Q, 1j * Q, Q), -Q)
+
+    def _log_quotient(self, log_f, q: complex, bases, scaled: complex) -> complex:
+        """exp(sum of log_f over the bases - sum of log_f(alpha_i scaled))."""
+        total = log_f(bases[0]) + log_f(bases[1]) + log_f(bases[2])
+        for a in self.alphas_at(q):
+            total -= log_f(a * scaled)
         return cmath.exp(total)
 
     @property
@@ -778,20 +764,16 @@ class MonodromyCubicExample:
 
     def solution_limit_closed_form(self, Q: complex) -> complex:
         """Product of the Pochhammer pair limits (the ratio asymptotics)."""
-        c1, c2, c3 = self.alpha_exponents()
-        bases = (Q, -1j * Q, -Q)
-        out = 1.0 + 0j
-        for base, c in zip(bases, (c1, c2, c3)):
-            out *= asymptotic_qpoch_ratio(base, 0.0, c, self.q0)
-        return out
+        return self._limit_product(asymptotic_qpoch_ratio, (Q, -1j * Q, -Q))
 
     def birkhoff_limit_closed_form(self, Q: complex) -> complex:
         """Product of the theta pair limits; locally constant on the components."""
-        c1, c2, c3 = self.alpha_exponents()
-        bases = (-Q, 1j * Q, Q)
+        return self._limit_product(asymptotic_theta_ratio, (-Q, 1j * Q, Q))
+
+    def _limit_product(self, ratio_limit, bases) -> complex:
         out = 1.0 + 0j
-        for base, c in zip(bases, (c1, c2, c3)):
-            out *= asymptotic_theta_ratio(base, 0.0, c, self.q0)
+        for base, c in zip(bases, self.alpha_exponents()):
+            out *= ratio_limit(base, 0.0, c, self.q0)
         return out
 
     def solution_limit_display_form(self, Q: complex) -> complex:

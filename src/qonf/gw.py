@@ -325,15 +325,12 @@ def jk_closed_formula(N: int, D: int) -> JFunctionK:
     term would divide by 1 - q^0).
     """
     one = R.one()
-    # elementary symmetric table e[l][d]
+    # elementary symmetric table e[l][d]; e[0][d] = 1, and e[l][d] = 0 for l > d
     e = [[one if l == 0 else R.zero() for _ in range(D + 1)] for l in range(N + 1)]
     for d in range(1, D + 1):
         x = R.q_power(d) / R.one_minus_q_pow(d)
         for l in range(min(N, d), 0, -1):
             e[l][d] = e[l][d - 1] + x * e[l - 1][d - 1]
-        for l in range(d + 1, N + 1):
-            e[l][d] = R.zero()
-        e[0][d] = one
     rows = []
     for d in range(D + 1):
         prefac = 1 / qpoch_exact(d) ** (N + 1)
@@ -647,14 +644,20 @@ def jk_equivariant(spec: EquivariantSpec, q: complex, D: int) -> list[Equivarian
     return [EquivariantJEvaluator(spec, i, q, D) for i in range(spec.N + 1)]
 
 
+_ONE = 1.0 + 0j
+_UNIT = Poly([_ONE], _ONE)  # the denominator of every coefficient below
+_ONE_MINUS_Q = RatFunc(Poly([_ONE, -_ONE], _ONE), _UNIT)
+
+
 def equivariant_operator(spec: EquivariantSpec, q: complex) -> ScalarQOperator:
     """prod_j (1 - Lambda_j sigma) - Q, the operator each restriction solves."""
-    one = 1.0 + 0j
-    t = Poly([one], one)
+    t = [_ONE]  # the coefficients of prod_j (1 - Lambda_j x), ascending
     for j in range(spec.N + 1):
-        t = t * Poly([one, -spec.Lambda(j, q)], one)
-    return ScalarQOperator((RatFunc(Poly([one, -one], one)),
-                            *(RatFunc.const(c, one) for c in t.coeffs[1:])), q)
+        lam = -spec.Lambda(j, q)
+        t.append(t[-1] * lam)
+        for k in range(len(t) - 2, 0, -1):  # as Poly products add: lam t_(k-1), then t_k
+            t[k] = t[k - 1] * lam + t[k]
+    return ScalarQOperator((_ONE_MINUS_Q, *(RatFunc(Poly([c], _ONE), _UNIT) for c in t[1:])), q)
 
 
 def equivariant_operator_residual(spec: EquivariantSpec, f, Q: complex, q: complex) -> float:

@@ -528,7 +528,7 @@ def parse_bivariate(text: str, max_exponents: tuple[int, int] | None = None) -> 
             while toks.peek().isdigit() or toks.peek() == ".":
                 digits += toks.take()
             return RationalFunctionQ.from_fraction(Fraction(digits))
-        raise ValueError(f"unexpected character {ch!r} in {text!r}")
+        raise ValueError(f"unexpected {f'character {ch!r}' if ch else 'end of input'} in {text!r}")
 
     node = expr()
     if toks.pos != len(toks.text):

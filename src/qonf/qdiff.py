@@ -123,11 +123,18 @@ class QDifferenceSystem:
 
 
 def _entry_at(entry: RatFunc, Q: complex, q_num) -> complex:
-    num = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.num.coeffs))
-    den = sum(_to_complex(c, q_num) * Q**k for k, c in enumerate(entry.den.coeffs))
+    den = _poly_at(entry.den, Q, q_num)
     if not den:
         raise PoleProximityError(f"Q = {Q} is a pole of an entry at q = {q_num}")
-    return num / den
+    return _poly_at(entry.num, Q, q_num) / den
+
+
+def _poly_at(p: Poly, Q: complex, q_num) -> complex:
+    """sum_k c_k Q^k, added left to right from the int 0 as sum() adds."""
+    acc = 0
+    for k, c in enumerate(p.coeffs):
+        acc += _to_complex(c, q_num) * Q**k
+    return acc
 
 
 def _to_complex(x, q_num) -> complex:
@@ -496,17 +503,14 @@ def frobenius_solution(sys: QDifferenceSystem, D: int) -> FundamentalSolutionAt0
         )
     G = solve_gauge(Aser, part, D, _q_coeffs(part, sys.q), "resonant exponent")
     solution = partial(FundamentalSolutionAt0, sys, G, q=sys.q)
-    if sys.is_exact:
-        if unipotent:
-            return solution("unipotent", [one_like(one)] * sys.n,
-                            nilpotent_log=_matrix_log_unipotent(A0, one))
-        return solution("diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]]))
-    A0c = np.array([[complex(x) for x in row] for row in A0], dtype=complex)
-    lams, V = np.linalg.eig(A0c)
-    scale = max(np.abs(lams).max(), 1.0)
-    if np.all(np.abs(lams - 1.0) < 1e-10 * scale):
-        return solution("unipotent", [1.0 + 0j] * sys.n,
+    if not sys.is_exact:
+        lams, V = np.linalg.eig(np.array([[complex(x) for x in row] for row in A0], dtype=complex))
+        unipotent = np.all(np.abs(lams - 1.0) < 1e-10 * max(np.abs(lams).max(), 1.0))
+    if unipotent:  # a numeric one is 1+0j
+        return solution("unipotent", [one_like(one)] * sys.n,
                         nilpotent_log=_matrix_log_unipotent(A0, one))
+    if sys.is_exact:  # rank 1
+        return solution("diagonalizable", [A0[0][0]], basis=np.array([[1.0 + 0j]]))
     _check_nonresonant_eigs(lams, sys.q)
     if numerically_defective(V):
         raise UnsupportedJordanError("A(0) is numerically defective")
@@ -893,16 +897,20 @@ def system_from_json(doc: dict, max_exponents: tuple[int, int] | None = None,
     one = RationalFunctionQ.one()
     zero = RatFunc.const(RationalFunctionQ.zero(), one)
     A = [[zero for _ in range(n)] for _ in range(n)]
-    for e in doc["entries"]:
-        if "entry" in e:
-            f = parse_bivariate(e["entry"], max_exponents)
-        else:
-            num = parse_bivariate(e["num"], max_exponents)
-            den = parse_bivariate(e["den"], max_exponents)
-            f = num / den
+    for k, e in enumerate(doc["entries"]):
         i, j = _json_index(e["i"], "entry index i"), _json_index(e["j"], "entry index j")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"entry index ({i}, {j}) outside 0..{n - 1}")
+        f = None
+        for name in ("entry",) if "entry" in e else ("num", "den"):
+            text = e.get(name)
+            try:
+                if not isinstance(text, str):
+                    raise ValueError(f"expected a string, got {text!r}" if name in e else "missing")
+                g = parse_bivariate(text, max_exponents)
+                f = g if f is None else f / g
+            except (ValueError, ZeroDivisionError, RecursionError) as exc:
+                raise ValueError(f'entry {k} (i = {i}, j = {j}), field "{name}": {exc}') from None
         A[i][j] = f
     qdoc = doc["q"]
     if qdoc == "q":

@@ -155,6 +155,51 @@ class TestSystems:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"i": 1, "j": 1, "entry": ""},
+             'entry 1 (i = 1, j = 1), field "entry": unexpected end of input'),
+            ({"i": 1, "j": 0},
+             'entry 1 (i = 1, j = 0), field "num": missing'),
+            ({"i": 1, "j": 0, "entry": 5},
+             'entry 1 (i = 1, j = 0), field "entry": expected a string, got 5'),
+            ({"i": 1, "j": 0, "num": "1", "den": "q^2000"},
+             'entry 1 (i = 1, j = 0), field "den": q-exponent 2000 exceeds the limit 1000'),
+        ],
+        ids=["empty-entry", "no-entry-no-num", "number-entry", "capped-den"],
+    )
+    def test_bad_entry_names_the_entry_and_the_field(self, tmp_path, capsys, entry, message):
+        doc = {"n": 2, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1"}, entry]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["confluence", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    # B = P (J_2(0) + J_2(1)) P^-1 and P (J_3(0) + J_3(1)) P^-1, with P the unit
+    # upper triangular matrix of ones plus P[n-1][0] = 1: eigenvalues 0 and 1
+    # in Jordan blocks, which floating eigenvalues scatter by eps^(1/2) and
+    # eps^(1/3), so only an exact test sees that they differ by 1
+    RESONANT_JORDAN = {
+        "J2+J2": [[-1, 2, 0, 1], [-1, 1, 1, 1], [-1, 1, 1, 1], [-1, 2, -1, 1]],
+        "J3+J3": [[0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0],
+                  [0, 0, 0, 1, 1, 0], [-1, 1, 0, 0, 1, 1], [-1, 2, -1, 0, 0, 1]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESONANT_JORDAN))
+    def test_defective_resonant_limit_fails_condition_3(self, tmp_path, capsys, name):
+        B = self.RESONANT_JORDAN[name]
+        entries = [{"i": i, "j": j, "entry": f"{int(i == j)} + ({b})*(q-1)"}
+                   for i, row in enumerate(B) for j, b in enumerate(row)]
+        path = tmp_path / "resonant.json"
+        path.write_text(json.dumps({"n": len(B), "q": "q", "entries": entries}))
+        code, out = run(capsys, "confluence", "--file", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["confluent"] is False
+        assert doc["conditions"]["limit_regular_singular"] == {
+            "status": "fail", "detail": "integer eigenvalue differences [1]"}
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"n": 1.5, "q": "q", "entries": [{"i": 0.9, "j": 0, "entry": "1+Q"}]},

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from qonf import qdiff
 from qonf.confluence import (
@@ -221,6 +221,52 @@ class TestVerdicts:
         rep = check_confluent(self.q_dependent_system([["1", "(q-1)^2"], ["0", "1"]]), Q0)
         assert rep.jordan_basis_converges.status == "skipped"
         assert "defective along the path" in rep.jordan_basis_converges.detail
+
+    # Jordan blocks (eigenvalue, size), eigenvalues in (1/2)Z, at most 6 rows
+    JORDAN = st.lists(st.tuples(st.integers(-4, 4).map(lambda k: F(k, 2)), st.integers(1, 3)),
+                      min_size=1, max_size=3).filter(lambda bs: sum(s for _, s in bs) <= 6)
+    # row operations (row r += c row s), whose product P has det 1
+    ROW_OPS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)),
+                       max_size=8)
+
+    @given(JORDAN, ROW_OPS)
+    @example([(F(0), 2), (F(1), 2)], [(3, 0, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    @settings(max_examples=60, deadline=5000)
+    def test_planted_jordan_form_resonance(self, blocks, ops):
+        # B(0) = P J P^-1 in A = I + (q - 1) B: condition 3 fails exactly when
+        # two planted eigenvalues differ by a positive integer, and names them
+        n = sum(s for _, s in blocks)
+        lams = [lam for lam, s in blocks for _ in range(s)]
+        J = [[lams[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+        start = 0
+        for _, s in blocks:
+            for i in range(start, start + s - 1):
+                J[i][i + 1] = F(1)
+            start += s
+        P = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        P_inv = [row[:] for row in P]
+        for r, s, c in ops:
+            r, s = r % n, s % n
+            if r != s:  # P <- E P and P^-1 <- P^-1 E^-1 for E = I + c e_r e_s^T
+                P[r] = [a + c * b for a, b in zip(P[r], P[s])]
+                for row in P_inv:
+                    row[s] -= c * row[r]
+
+        def mul(X, Y):
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+        B = mul(mul(P, J), P_inv)
+        qm1 = R.q() - 1
+        A = tuple(tuple(RatFunc.const(R.from_fraction(F(int(i == j))) + R.from_fraction(b) * qm1,
+                                      R.one())
+                        for j, b in enumerate(row)) for i, row in enumerate(B))
+        cond = check_confluent(QDifferenceSystem(A, R.q()), Q0).limit_regular_singular
+        want = sorted({int(a - b) for a in lams for b in lams if a > b and (a - b).denominator == 1})
+        if want:
+            assert cond.status == "fail"
+            assert cond.detail == f"integer eigenvalue differences {want}"
+        else:
+            assert cond.status == "pass"
 
     def test_report_serializes(self):
         import json
