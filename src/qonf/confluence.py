@@ -38,6 +38,7 @@ from .polyq import (
     MatrixSeries,
     Poly,
     RatFunc,
+    _is_exact,
     mat_add,
     mat_dot,
     mat_eye,
@@ -158,8 +159,8 @@ def delta_form(sys: QDifferenceSystem) -> DeltaForm:
             raise DomainError("delta form needs q != 1")
         inv = 1.0 / (sys.q - 1.0)
     unit = RatFunc.const(one, one)
-    return DeltaForm(sys, tuple(tuple((a - unit if i == j else a) * inv for j, a in enumerate(row))
-                                for i, row in enumerate(sys.A)))
+    B = [[a - unit if i == j else a for j, a in enumerate(row)] for i, row in enumerate(sys.A)]
+    return DeltaForm(sys, tuple(tuple(b if b.is_zero else b * inv for b in row) for row in B))
 
 
 # ---------------------------------------------------------------- ODE systems
@@ -212,7 +213,7 @@ def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> Fundame
     """
     Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
     one = Bser.one
-    if isinstance(one, (float, complex)):
+    if not _is_exact(one):
         raise DomainError("the ODE side needs exact entries")
     part = ConstantPart.of(Bser.terms[0], one)
     if not part.nilpotent:

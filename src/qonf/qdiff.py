@@ -9,6 +9,11 @@ and the q-logarithm, Taylor and log-series solutions of scalar operators,
 q-hypergeometric series with their solution bases at 0 and infinity, and
 rank-1 Birkhoff connection values.
 
+The series solutions of a scalar operator come from one recursion over
+R[eps]/(eps^n): the eps-deformation that makes the J-function the
+generating function of the Frobenius solutions
+(:func:`frobenius_log_solutions`).
+
 Two coefficient modes coexist: exact (entries rational in a symbolic q,
 scalars :class:`~qonf.rings.RationalFunctionQ`) for theorem-grade identities,
 and complex floats for special-function evaluation.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -28,6 +34,7 @@ from .polyq import (
     Poly,
     RatFunc,
     SingularMatrixError,
+    _is_exact,
     lin_solve,
     mat_add,
     mat_dot,
@@ -56,8 +63,8 @@ from .rings import (
     QonfError,
     RationalFunctionQ,
     one_like,
+    rfq_dot,
     scalar_is_zero,
-    sigma_weight,
     zero_like,
 )
 
@@ -213,7 +220,7 @@ class ConstantPart:
     @classmethod
     def of(cls, M0, one) -> "ConstantPart":
         n = len(M0)
-        if not isinstance(one, (float, complex)):
+        if _is_exact(one):
             trace = M0[0][0]
             for i in range(1, n):
                 trace = trace + M0[i][i]
@@ -256,15 +263,12 @@ def solve_sylvester(c, s, part: ConstantPart, R):
         raise SingularMatrixError("c = 0 with a nilpotent N")
     entries = [(a, b, v) for a, row in enumerate(part.N) for b, v in enumerate(row)
                if not scalar_is_zero(v)]
-    if not entries:
-        return [[r / c for r in row] for row in R]
-    inv = one_like(c) / c
     # -L/c as weighted moves: X[i][a] w -> [i][b] from s X N, and
     # w X[b][j] -> [a][j] from -N X
-    right = [(a, b, -(s * v) * inv) for a, b, v in entries]
-    left = [(a, b, v * inv) for a, b, v in entries]
-    zero = zero_like(inv)
-    term = [[r * inv for r in row] for row in R]
+    right = [(a, b, -(s * v) / c) for a, b, v in entries]
+    left = [(a, b, v / c) for a, b, v in entries]
+    zero = zero_like(c)
+    term = [[r / c for r in row] for row in R]
     X = term
     for _ in range(2 * n - 2):
         nxt = [[zero] * n for _ in range(n)]
@@ -474,7 +478,7 @@ def _matrix_log_unipotent(A0, one):
     power = mat_eye(n, one)
     for k in range(1, n):
         power = mat_mul(power, U)
-        coeff = one_like(one) / (k * one) if not isinstance(one, complex) else one / k
+        coeff = one / k
         sign = coeff if k % 2 == 1 else -coeff
         out = mat_add(out, mat_scale(power, sign))
     return out
@@ -545,26 +549,62 @@ def _operator_series(op: ScalarQOperator, D: int):
     return [a.series(D) for a in op.coeffs]
 
 
-def _indicial_values(op_series, q, d: int):
-    """sum_k a_k(0) q^(kd): the coefficient multiplying f_d in the recursion."""
-    acc = None
-    qd = q**d if d else one_like(q)
-    p = one_like(q)
-    for k, ak in enumerate(op_series):
-        term = ak[0] * p
-        acc = term if acc is None else acc + term
-        p = p * qd
-    return acc
+def _eps_solutions(op: ScalarQOperator, ser, D: int, n: int) -> list[LogSeries]:
+    """The solutions m! [eps^m] e^(eps L) F, m < n, of ``op`` (coefficient
+    series ``ser``; see :func:`frobenius_log_solutions`).
+
+    With P_i(x) = sum_k a_(k,i) x^k and z_j = q^j e^eps, the Q^d coefficient
+    of the twisted operator gives u_d = -(sum_(i>=1) P_i(z_(d-i)) u_(d-i)) /
+    P_0(z_d); each eps^s coefficient of P_i(z_j) is one dot product
+    sum_k a_(k,i) q^(kj) k^s/s!, and the division is solved for
+    eps^0, eps^1, ... in turn.  Where the constant term of P_0(z_d)
+    vanishes, :class:`ResonanceError` names the degree d.
+    """
+    one = op.one
+    powers = [one]  # q^0 .. q^(order D)
+    for _ in range(op.order * D):
+        powers.append(powers[-1] * op.q)
+    # a_(k,i) k^s/s!: the eps^s coefficients of a_(k,i) e^(k eps), a_(k,i) != 0
+    columns = [[(k, [ak[i] * Fraction(k**s, math.factorial(s)) for s in range(n)])
+                for k, ak in enumerate(ser) if not scalar_is_zero(ak[i])] for i in range(D + 1)]
+
+    def at(i, j):  # P_i(q^j e^eps)
+        return NilpotentElement(n - 1, [rfq_dot([(cs[s], powers[k * j]) for k, cs in columns[i]])
+                                        for s in range(n)])
+
+    u = [NilpotentElement.from_scalar(n - 1, one)]
+    for d in range(1, D + 1):
+        p = at(0, d).coeffs
+        if scalar_is_zero(p[0]):
+            raise ResonanceError(f"vanishing indicial factor at degree {d}", degree=d)
+        rhs = NilpotentElement.from_scalar(n - 1, zero_like(one))
+        for i in range(1, d + 1):
+            if columns[i]:
+                rhs = rhs + at(i, d - i) * u[d - i]
+        ud = []
+        for t in range(n):
+            pairs = [(one, rhs.coeffs[t])] + [(p[s], ud[t - s]) for s in range(1, t + 1)]
+            ud.append(-rfq_dot(pairs) / p[0])
+        u.append(NilpotentElement(n - 1, ud))
+    solutions = []
+    for m in range(n):
+        weights = [math.factorial(m) // math.factorial(j) for j in range(m + 1)]
+        solutions.append(LogSeries(D, [
+            NilpotentElement(0, [Poly([ud.coeffs[m - j] * w for j, w in enumerate(weights)], one)])
+            for ud in u]))
+    return solutions
 
 
 def solve_scalar_series(op: ScalarQOperator, D: int) -> LogSeries:
     """Unique Taylor solution with f_0 = 1 through order D, as a
     :class:`LogSeries` of nilpotent order 0 and L-degree 0.
 
+    It is the eps-recursion of :func:`frobenius_log_solutions` over
+    R[eps]/(eps): f_d = -(sum_(i>=1) P_i(q^(d-i)) f_(d-i)) / P_0(q^d).
     Raises :class:`ResonanceError` naming the degree if the indicial factor
-    vanishes at some 1 <= d <= D.
+    P_0(q^d) vanishes at some 1 <= d <= D.
     """
-    return _log_solution(op, _operator_series(op, D), D, 0)
+    return _eps_solutions(op, _operator_series(op, D), D, 1)[0]
 
 
 def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:
@@ -575,7 +615,7 @@ def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:
         return False
     for k, ik in enumerate(iota):
         want = c * (math.comb(order, k) * (-1) ** k)
-        if isinstance(one, complex):
+        if not _is_exact(one):
             if abs(ik - want) > 1e-10 * max(abs(c), 1.0):
                 return False
         elif ik != want:
@@ -586,59 +626,21 @@ def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:
 def frobenius_log_solutions(op: ScalarQOperator, D: int) -> list[LogSeries]:
     """The n log-series solutions of a maximal-unipotent scalar operator.
 
-    Solution m is sum_{j<=m} u_j(Q) L^m-ish with L-degree exactly m, leading
-    L-coefficient equal to the Taylor solution, and the degree-0 data
-    u_j(0) = delta_{jm}.  Mixed indicial roots are not handled here; use
-    :func:`frobenius_solution` on the companion system instead.
+    sigma sends e^(eps L) to e^eps e^(eps L), so when F = sum_d u_d(eps) Q^d,
+    u_0 = 1, solves the twisted operator sum_k a_k(Q) (e^eps sigma)^k over
+    R[eps]/(eps^n), one recursion in d, each eps-coefficient of e^(eps L) F
+    solves the operator.  Solution m is m! [eps^m] e^(eps L) F =
+    sum_(j<=m) (m!/j!) u_(m-j)(Q) L^j: L-degree m, Q^0 part L^m, and
+    leading L-coefficient u_0, the Taylor solution.  Mixed indicial roots
+    are not handled here; use :func:`frobenius_solution` on the companion
+    system instead.
     """
     ser = _operator_series(op, D)
     if not is_regular_singular_at_0(op):
         raise DomainError("operator is not regular singular at 0")
     if not _indicial_is_maximal_unipotent(ser, op.one, op.order):
         raise UnsupportedJordanError("indicial roots are not all equal to 1")
-    return [_log_solution(op, ser, D, m) for m in range(op.order)]
-
-
-def _log_solution(op: ScalarQOperator, ser, D: int, m: int) -> LogSeries:
-    """The solution sum_{j<=m} u_j(Q) L^j of ``op`` (coefficient series
-    ``ser``) with u_j(0) = delta_{jm}, solved degree by degree and, in each
-    degree, from the top L-level down.  The top level u_m is the Taylor
-    solution; m = 0 is :func:`solve_scalar_series`."""
-    one, q = op.one, op.q
-
-    def S(i, dprime, jprime, j):
-        # coefficient from a_{k,i} Q^i sigma^k acting on L^{j'} Q^{d'};
-        # note k^(j'-j) kills the k = 0 term unless j' = j
-        acc = zero_like(one)
-        for k, ak in enumerate(ser):
-            c = ak[i]
-            if scalar_is_zero(c):
-                continue
-            weight, e = sigma_weight(k, 0, dprime, jprime, j)
-            if weight == 0:
-                continue
-            acc = acc + c * weight * (q ** e)
-        return acc
-
-    u = [[zero_like(one) for _ in range(D + 1)] for _ in range(m + 1)]
-    u[m][0] = one
-    for d in range(1, D + 1):
-        ind = _indicial_values(ser, q, d)
-        if scalar_is_zero(ind):
-            raise ResonanceError(f"vanishing indicial factor at degree {d}", degree=d)
-        for j in range(m, -1, -1):
-            acc = zero_like(one)
-            for jp in range(j, m + 1):
-                for i in range(0, d + 1):
-                    if i == 0 and jp == j:
-                        continue  # the unknown term
-                    coeff = S(i, d - i, jp, j)
-                    if scalar_is_zero(coeff):
-                        continue
-                    acc = acc + coeff * u[jp][d - i]
-            u[j][d] = -acc / ind
-    return LogSeries(D, [NilpotentElement(0, [Poly([u[j][d] for j in range(m + 1)], one)])
-                         for d in range(D + 1)])
+    return _eps_solutions(op, ser, D, op.order) if op.order else []
 
 
 # ---------------------------------------------------------------- q-hypergeometric

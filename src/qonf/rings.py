@@ -350,15 +350,8 @@ class RationalFunctionQ:
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=None, *, _canonical=False):
-        """num / den from descending int or Fraction coefficients.
-
-        With ``_canonical`` the two lists must already be the canonical
-        integer pair and are stored as given.
-        """
-        if _canonical:
-            self._n, self._d = tuple(num), tuple(den) if den is not None else (1,)
-            return
+    def __init__(self, num, den=None):
+        """num / den from descending int or Fraction coefficients."""
         n, mn = _integer_pair(num)
         d, md = _integer_pair(den if den is not None else [1])
         if not d:

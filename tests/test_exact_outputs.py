@@ -1,12 +1,12 @@
 """Golden SHA-256 digests of exact outputs.
 
 Every exact output of the package (J-function coefficient tables, the P^2
-correspondence table, Frobenius gauge terms on both sides of the confluence)
-is a rational function of q or a rational number, so a refactor must leave
-it byte-identical.  The digests below pin that.  The floating paths of
-:mod:`qonf.polyq` promise the same rounding whatever their loops look like,
-so the parsed systems and one numeric gauge are pinned by their reprs too,
-signed zeros included.
+correspondence table, Frobenius gauge terms on both sides of the confluence,
+the series solutions of scalar operators) is a rational function of q or a
+rational number, so a refactor must leave it byte-identical.  The digests
+below pin that.  The floating paths of :mod:`qonf.polyq` promise the same
+rounding whatever their loops look like, so the parsed systems and one
+numeric gauge are pinned by their reprs too, signed zeros included.
 """
 
 import hashlib
@@ -15,8 +15,16 @@ import pytest
 
 from qonf.cli import main
 from qonf.confluence import check_confluent, ode_frobenius_solution, pn_j_system
-from qonf.gw import confluence_compare
-from qonf.qdiff import frobenius_solution, system_from_json
+from qonf.gw import confluence_compare, pn_operator
+from qonf.polyq import parse_bivariate
+from qonf.qdiff import (
+    ScalarQOperator,
+    frobenius_log_solutions,
+    frobenius_solution,
+    solve_scalar_series,
+    system_from_json,
+)
+from qonf.rings import RationalFunctionQ
 
 
 def digest(text: str) -> str:
@@ -93,3 +101,30 @@ def test_comparison_rows():
     assert rep.all_equal and len(rep.rows) == 195
     assert digest(repr(rep.rows)) == (
         "93c4c500b323260a3264ff7d7f4470cecaf46d208b1059f1035b1a9317339196")
+
+
+@pytest.mark.parametrize("N, want", [
+    (0, "a53d32e1051ca3f2ac46cd5552bbd953b0e129d39c9164d87b85ab8216a7e8fc"),
+    (1, "df07527608b19d59d3539eefd3e6848493b9f8c8ea351a7e25802c42c22a8dd8"),
+    (2, "b7711a15eeeed60731deaf0ade6454c1c871e81f735bde6a8099be4aa47b1eb4"),
+    (3, "dbd7f2121b9efde5b28c6b625bccfbfaa2bc74f6025e5f92b2c3a698bf74a654"),
+    (4, "6fe323e9dbe0a23983dffc6a511e3db81a87e026010c4bece70ab9f2b269f391"),
+])
+def test_frobenius_log_solutions(N, want):
+    """The N + 1 log-series solutions of (1 - sigma)^(N+1) - Q through Q^8,
+    every L-coefficient of every degree."""
+    sols = frobenius_log_solutions(pn_operator(N), 8)
+    assert digest(repr([s.coeffs for s in sols])) == want
+
+
+@pytest.mark.parametrize("texts, want", [
+    (("2 - Q", "-3", "1"),
+     "cd510aa6701782b8e116bbda4d347a9c5dc166938a8991d6d3b887f1d804da4a"),
+    (("1 - Q", "-3 + 2*Q/(1+Q)", "3 + q^2*Q", "-1 + Q^2/(3+q)"),
+     "3ab8a4288c9daddc4536d8e5cb32554042bee864011e17ac7fbb004cf4a72638"),
+])
+def test_taylor_solutions(texts, want):
+    """The Taylor solution through Q^8 of an operator with indicial roots 1
+    and 2, and of one of order 3 with Q-dependent rational coefficients."""
+    op = ScalarQOperator(tuple(parse_bivariate(t) for t in texts), RationalFunctionQ.q())
+    assert digest(repr(solve_scalar_series(op, 8).coeffs)) == want

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -45,7 +46,7 @@ from qonf.qdiff import (
     system_from_json,
 )
 from qonf.qspecial import PoleProximityError, q_character, q_log, qpoch_finite
-from qonf.rings import RationalFunctionQ as R, apply_operator, sigma_weight
+from qonf.rings import Poly, RationalFunctionQ as R, apply_operator, sigma_weight
 
 
 Q_SYM = R.q()
@@ -529,6 +530,43 @@ class TestLogSolutions:
         op = ScalarQOperator((rf("2 - Q"), rf("-3"), rf("1")), Q_SYM)
         with pytest.raises(UnsupportedJordanError):
             frobenius_log_solutions(op, 3)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_maximal_unipotent_operators(self, data):
+        # a_k(Q) = c (-1)^k C(n, k) + b_k1 Q + b_k2 Q^2 with q-dependent b_ki,
+        # so the indicial polynomial is c (1 - x)^n
+        n = data.draw(st.integers(min_value=0, max_value=3), label="order")
+        D = data.draw(st.integers(min_value=0, max_value=5), label="D")
+        c = data.draw(st.sampled_from(["1", "-2", "3/5"]), label="c")
+        extra = st.sampled_from(["0", "1", "-3", "q", "2*q^2 - 1", "1/(1 + q)", "q/(2 - q)"])
+        coeffs = []
+        for k in range(n + 1):
+            b1, b2 = data.draw(extra, label=f"b{k}1"), data.draw(extra, label=f"b{k}2")
+            coeffs.append(rf(f"({c})*({(-1) ** k * math.comb(n, k)}) + ({b1})*Q + ({b2})*Q^2"))
+        op = ScalarQOperator(tuple(coeffs), Q_SYM)
+        sols = frobenius_log_solutions(op, D)
+        taylor = solve_scalar_series(op, D)
+        ser = qdiff._operator_series(op, D)
+        assert len(sols) == n
+        for m, s in enumerate(sols):
+            assert apply_operator(ser, sigma_weight, op.q, s).is_zero_through(D)
+            assert s.coeffs[0].coeffs[0] == Poly([R.zero()] * m + [ONE], ONE)
+            assert s.logdegree == m
+            for d in range(D + 1):
+                assert s.coefficient(d, 0, m) == taylor.coefficient(d, 0, 0)
+
+    @pytest.mark.parametrize("one, q", [(1.0, 0.5), (1 + 0j, 0.5 + 0j)])
+    def test_float_and_complex_rings_classify_alike(self, one, q):
+        # (1 - Q) - (2 + 4e-16) sigma + sigma^2: maximal unipotent within the
+        # floating tolerance, whichever floating type carries the scalars
+        def poly(*cs):
+            return RatFunc(Poly([x * one for x in cs], one))
+
+        op = ScalarQOperator((poly(1, -1), poly(-(2 + 4e-16)), poly(1)), q)
+        sols = frobenius_log_solutions(op, 4)
+        assert [s.logdegree for s in sols] == [0, 1]
+        assert sols[1].coefficient(1, 0, 0) == pytest.approx(8.0)
 
 
 # ---------------------------------------------------------------- q-hypergeometric
