@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .confluence import limit_solution_along_path
 from .polyq import RatFunc
-from .qdiff import ScalarQOperator, operator_residual
+from .qdiff import ScalarQOperator, _residual
 from .qspecial import DomainError, q_log, spiral_log
 from .rings import (
     LimitUndefinedError,
@@ -123,9 +123,6 @@ class PotentialP2:
     def __init__(self, terms: dict):
         self.terms = {k: v for k, v in terms.items() if v != 0}
 
-    def coefficient(self, a0=0, a1=0, e=0, a2=0) -> Fraction:
-        return self.terms.get((a0, a1, e, a2), Fraction(0))
-
     def derivative(self, var: int) -> "PotentialP2":
         out: dict = {}
         for (a0, a1, e, a2), c in self.terms.items():
@@ -158,12 +155,6 @@ class PotentialP2:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return PotentialP2(out)
-
-    def subtract(self, other: "PotentialP2") -> "PotentialP2":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - v
         return PotentialP2(out)
 
     def truncate_e(self, e_max: int) -> "PotentialP2":
@@ -203,7 +194,8 @@ def wdvv_residual_p2(order: int, nd: NdTable | None = None) -> PotentialP2:
     f111 = d1.derivative(1).derivative(1)
     f122 = d2.derivative(2).derivative(1)
     f112 = d1.derivative(1).derivative(2)
-    residual = f222.add(f111.multiply(f122, order)).subtract(f112.multiply(f112, order))
+    neg112 = PotentialP2({k: -c for k, c in f112.terms.items()})
+    residual = f222.add(f111.multiply(f122, order)).add(neg112.multiply(f112, order))
     return residual.truncate_e(order)
 
 
@@ -644,25 +636,15 @@ def jk_equivariant(spec: EquivariantSpec, q: complex, D: int) -> list[Equivarian
     return [EquivariantJEvaluator(spec, i, q, D) for i in range(spec.N + 1)]
 
 
-_ONE = 1.0 + 0j
-_UNIT = Poly([_ONE], _ONE)  # the denominator of every coefficient below
-_ONE_MINUS_Q = RatFunc(Poly([_ONE, -_ONE], _ONE), _UNIT)
-
-
-def equivariant_operator(spec: EquivariantSpec, q: complex) -> ScalarQOperator:
-    """prod_j (1 - Lambda_j sigma) - Q, the operator each restriction solves."""
-    t = [_ONE]  # the coefficients of prod_j (1 - Lambda_j x), ascending
+def equivariant_operator_residual(spec: EquivariantSpec, f, Q: complex, q: complex) -> float:
+    """Relative residual of [prod_j (1 - Lambda_j sigma) - Q] f at a point."""
+    t = [1.0 + 0j]  # the coefficients of prod_j (1 - Lambda_j x), ascending
     for j in range(spec.N + 1):
         lam = -spec.Lambda(j, q)
         t.append(t[-1] * lam)
-        for k in range(len(t) - 2, 0, -1):  # as Poly products add: lam t_(k-1), then t_k
+        for k in range(len(t) - 2, 0, -1):  # lam t_(k-1) + t_k: the pinned bits rest on this order
             t[k] = t[k - 1] * lam + t[k]
-    return ScalarQOperator((_ONE_MINUS_Q, *(RatFunc(Poly([c], _ONE), _UNIT) for c in t[1:])), q)
-
-
-def equivariant_operator_residual(spec: EquivariantSpec, f, Q: complex, q: complex) -> float:
-    """Relative residual of [prod_j (1 - Lambda_j sigma) - Q] f at a point."""
-    return operator_residual(equivariant_operator(spec, q), f, Q)
+    return _residual([1 - Q, *t[1:]], f, Q, q)
 
 
 def jcoh_equivariant_value(spec: EquivariantSpec, i: int, Q: complex, D: int,

@@ -149,12 +149,6 @@ class RatFunc:
             return None
         return self.num.valuation - self.den.valuation
 
-    def evaluate(self, x):
-        d = self.den.evaluate(x)
-        if scalar_is_zero(d):
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.evaluate(x) / d
-
     def series(self, D: int) -> list:
         """Taylor coefficients at 0 through order D (needs den(0) != 0).
 
@@ -384,9 +378,6 @@ class MatrixSeries:
             out.append(mat_scale(t, p) if m else t)
             p = p * q
         return MatrixSeries(out, self.one)
-
-    def sub(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries([mat_sub(a, b) for a, b in zip(self.terms, other.terms)], self.one)
 
     def is_zero(self) -> bool:
         return all(mat_is_zero(t) for t in self.terms)

@@ -807,11 +807,16 @@ def qhg_bases(spec: QHypergeometricSpec, q: complex, D: int):
 def operator_residual(op: ScalarQOperator, f, Q: complex, q_num: complex | None = None) -> float:
     """Relative residual |sum a_k(Q) f(q^k Q)| at a sample point."""
     q = q_num if q_num is not None else op.q
+    return _residual([_entry_at(a, Q, q) for a in op.coeffs], f, Q, q)
+
+
+def _residual(values, f, Q: complex, q: complex) -> float:
+    """|sum_k c_k f(q^k Q)| over max_k |c_k f(q^k Q)|, for the values c_k of
+    an operator's coefficients at Q."""
     acc = 0j
     scale = 0.0
     arg = complex(Q)
-    for a in op.coeffs:
-        c = _entry_at(a, Q, q)
+    for c in values:
         v = f(arg)
         acc += c * v
         scale = max(scale, abs(c) * abs(v))

@@ -843,9 +843,6 @@ class NilpotentElement:
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs)
 
-    def map_coeffs(self, fn) -> "NilpotentElement":
-        return NilpotentElement(self.order, tuple(fn(c) for c in self.coeffs))
-
     def __pow__(self, k: int):
         result = NilpotentElement.from_scalar(self.order, one_like(self.coeffs[0]))
         for _ in range(k):
@@ -1094,9 +1091,6 @@ class LogSeries:
     def __sub__(self, other):
         return LogSeries(self.truncation, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, s) -> "LogSeries":
-        return LogSeries(self.truncation, tuple(c.scale(s) for c in self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, LogSeries)
@@ -1107,11 +1101,6 @@ class LogSeries:
     def sigma(self, q) -> "LogSeries":
         """Apply the dilation: Q^d -> q^d Q^d and L -> L + 1."""
         return apply_operator([[], [1]], sigma_weight, q, self)
-
-    def theta(self) -> "LogSeries":
-        """Apply the Euler operator Q d/dQ with L = log Q:
-        Q^d L^m -> d Q^d L^m + m Q^d L^(m-1)."""
-        return apply_operator([[], [1]], theta_weight, None, self)
 
     def is_zero_through(self, dmax: int) -> bool:
         return all(self.coeffs[d].is_zero for d in range(dmax + 1))

@@ -129,6 +129,20 @@ class TestSystems:
         assert code == 0
         assert json.loads(out)["confluent"] is True
 
+    @pytest.mark.parametrize("entry, confluent, cond1, cond3", [
+        ("1 + (q-1)*Q/(Q-2)^2", True, "1 pole(s), pairwise spiral-separated", "pass"),
+        ("1 + (q-1)/(Q*(Q-2))", False, "2 pole(s), pairwise spiral-separated", "fail"),
+    ])
+    def test_double_pole_and_pole_at_zero_from_file(self, tmp_path, capsys, entry, confluent,
+                                                    cond1, cond3):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": entry}]}))
+        code, out = run(capsys, "confluence", "--file", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["confluent"] is confluent
+        assert doc["conditions"]["spiral_separation"] == {"status": "pass", "detail": cond1}
+        assert doc["conditions"]["limit_regular_singular"]["status"] == cond3
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

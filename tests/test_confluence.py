@@ -29,7 +29,13 @@ from qonf.confluence import (
     root_taylor,
 )
 from qonf.polyq import MatrixSeries, Poly, RatFunc, parse_bivariate
-from qonf.qdiff import QDifferenceSystem, UnsupportedJordanError, frobenius_solution, q_pullback
+from qonf.qdiff import (
+    QDifferenceSystem,
+    UnsupportedJordanError,
+    frobenius_solution,
+    q_pullback,
+    rank1_product_solution,
+)
 from qonf.qspecial import DomainError, q_character, q_log, qpoch_infinite
 from qonf.rings import LimitUndefinedError, RationalFunctionQ as R, limit_q_to_1
 
@@ -268,6 +274,63 @@ class TestVerdicts:
         else:
             assert cond.status == "pass"
 
+    # a k-fold factor of a denominator is one pole, though its floating
+    # roots scatter by about eps^(1/k)
+    @pytest.mark.parametrize("entry, poles", [
+        ("1 + (q-1)*Q/(Q-2)^2", 1),
+        ("1 + (q-1)*Q/(Q-3)^3", 1),
+        ("1 + (q-1)*Q/((Q-2)^2*(Q+5))", 2),
+    ])
+    def test_a_multiple_pole_counts_once(self, entry, poles):
+        rep = check_confluent(self.q_dependent_system([[entry]]), Q0)
+        assert rep.spiral_separation.detail == f"{poles} pole(s), pairwise spiral-separated"
+        assert rep.confluent
+
+    def test_a_pole_at_zero_is_not_paired(self):
+        # no spiral passes through Q = 0; the pole there fails condition 3
+        rep = check_confluent(self.q_dependent_system([["1 + (q-1)/(Q*(Q-2))"]]), Q0)
+        assert rep.spiral_separation.detail == "2 pole(s), pairwise spiral-separated"
+        assert rep.limit_regular_singular.status == "fail"
+        assert "pole at Q = 0" in rep.limit_regular_singular.detail
+        assert not rep.confluent
+
+    @given(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 3)),
+                    min_size=1, max_size=3, unique_by=lambda rk: rk[0]))
+    @settings(max_examples=40, deadline=5000)
+    def test_multiplicities_give_the_squarefree_verdict(self, factors):
+        # 1 + (q-1) Q / prod (Q - r_i)^k_i has the poles and the condition-1
+        # verdict of its squarefree twin, every k_i = 1
+        def system(ks):
+            den = "*".join(f"(Q - ({r}))^{k}" for (r, _), k in zip(factors, ks))
+            return self.q_dependent_system([[f"1 + (q-1)*Q/({den})"]])
+
+        got, twin = system([k for _, k in factors]), system([1] * len(factors))
+        assert len(delta_form(got).poles_at(Q0)) == len(factors)
+        assert (check_confluent(got, Q0).spiral_separation
+                == check_confluent(twin, Q0).spiral_separation)
+
+    def test_a_squarefree_denominator_takes_no_gcd_over_q_of_q(self, monkeypatch):
+        # ten roots that move with q: the gcd of the denominator and its
+        # derivative over Q(q) would take over a minute
+        factors = ["(Q-3*q-1)", "(Q+2*q^2+1)", "(Q-5)", "(Q+7*q)", "(Q-11)", "(Q+q^3+4)",
+                   "(Q-2*q+13)", "(Q+q^2-17)", "(Q-19*q)", "(Q+q^4+23)"]
+        df = delta_form(self.q_dependent_system([[f"1 + (q-1)*Q/({'*'.join(factors)})"]]))
+        gcd = Poly.gcd
+
+        def exact_scalars_only(p, other):
+            assert not isinstance(p.one, R), "gcd over Q(q)"
+            return gcd(p, other)
+
+        monkeypatch.setattr(Poly, "gcd", exact_scalars_only)
+        assert len(df.poles_at(Q0)) == 10
+
+    @pytest.mark.parametrize("entry", ["1 + (q-1)*Q/((Q-1)*(Q - 1/(3*q-2)))",
+                                       "1 + (q-1)*Q/((Q-1)^2*(Q - 1/(3*q-2)))"])
+    def test_a_coefficient_pole_at_the_test_point_takes_the_gcd(self, entry):
+        # 1/(3q - 2) has its pole at q = 2/3: the poles are still 1 and 1/(3 q0 - 2)
+        poles = sorted(delta_form(self.q_dependent_system([[entry]])).poles_at(Q0), key=abs)
+        assert poles == [pytest.approx(1, abs=1e-12), pytest.approx(1 / (3 * Q0 - 2), abs=1e-12)]
+
     def test_report_serializes(self):
         import json
 
@@ -303,7 +366,7 @@ class TestOdeFrobenius:
         )
         # eigenvalues of B(0) are 0 and 0 -> nilpotent single-eigenvalue case
         ode = ODESystem(B)
-        B0 = [[e.evaluate(F(0)) for e in row] for row in B]
+        B0 = [[e.num.coeff(0) / e.den.coeff(0) for e in row] for row in B]
         assert ode_gauge_residual(ode, ode_frobenius_solution(ode, 8).gauge, B0).is_zero()
         sol = ode_frobenius_solution(ode, 25)
         assert sol.derivative_residual(0.08) < 1e-6
@@ -513,7 +576,9 @@ class TestMonodromyExample:
         ex = MonodromyCubicExample()
         q = 0.55
         for Qv in (0.7 + 1.1j, -0.4 - 0.9j):
-            direct = ex.solution_at_0(q, Qv) / ex.solution_at_inf(q, 1 / Qv)
+            at_inf = rank1_product_solution(1, [q * c for c in (1, 1j, -1)],
+                                            [q * r for r in ex.roots_at(q)], q)
+            direct = ex.solution_at_0(q, Qv) / at_inf.eval(1 / Qv)
             theta_form = ex.birkhoff_theta_form(q, Qv)
             assert direct == pytest.approx(theta_form, rel=1e-9)
 
