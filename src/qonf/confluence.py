@@ -35,15 +35,9 @@ from operator import mul
 import numpy as np
 
 from .polyq import (
-    MatrixSeries,
     Poly,
     RatFunc,
     _is_exact,
-    mat_add,
-    mat_dot,
-    mat_eye,
-    mat_map,
-    mat_scale,
     parse_bivariate,
     ratfunc_matrix_series,
 )
@@ -191,25 +185,6 @@ class ODESystem:
 
     def matrix_at(self, Q: complex):
         return [[_entry_at(e, Q, None) for e in row] for row in self.B]
-
-
-def ode_gauge_residual(ode: ODESystem, P: MatrixSeries, B0) -> MatrixSeries:
-    """Q P' + P B0 - B P as a series (zero through the truncation).
-
-    Degree m is one :func:`mat_dot`: P_m (B0 + m I), then the products
-    (-B_k) P_{m-k} over the nonzero B_k.
-    """
-    D = P.truncation
-    one = P.one
-    n = P.dim
-    Bser = ratfunc_matrix_series([list(r) for r in ode.B], D)
-    neg_B = {k: mat_map(Bser.terms[k], lambda x: -x) for k in Bser.nonzero_degrees()}
-    eye = mat_eye(n, one)
-    return MatrixSeries(
-        [mat_dot([(P.terms[m], mat_add(B0, mat_scale(eye, m * one)))]
-                 + [(neg_B[k], P.terms[m - k]) for k in neg_B if k <= m], n, one)
-         for m in range(D + 1)],
-        one)
 
 
 def ode_frobenius_solution(ode: ODESystem, D: int, q0: complex = 0.5) -> FundamentalSolutionAt0:
@@ -685,6 +660,7 @@ def root_taylor(family, base_root):
 
 
 _ROOT_SWEEPS = 16  # twice the most that MonodromyCubicExample.roots_at was seen to take
+_BASE_ROOTS = (QI_ONE, QI_I, -QI_ONE)  # the cubic's roots at q = 1, in roots_at's order
 
 
 @dataclass
@@ -697,17 +673,15 @@ class MonodromyCubicExample:
     """
 
     q0: complex = 0.8
-    base_roots: tuple = (QI_ONE, QI_I, -QI_ONE)
 
     def family(self):
-        one = QI_ONE
-        Qv = Poly.variable(one)
-        cubic = (Qv - Poly.const(one)) * (Qv - Poly.const(QI_I)) * (Qv + Poly.const(one))
-        return [cubic, Qv]
+        Qv = Poly.variable(QI_ONE)
+        x, y, z = (Qv - Poly.const(r) for r in _BASE_ROOTS)
+        return [x * y * z, Qv]
 
     def root_taylor_data(self):
         fam = self.family()
-        return [root_taylor(fam, r0) for r0 in self.base_roots]
+        return [root_taylor(fam, r0) for r0 in _BASE_ROOTS]
 
     def alpha_taylor_data(self):
         """First-order data of the inverse roots alpha_i = 1/root_i."""

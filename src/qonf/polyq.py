@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .rings import Poly, RationalFunctionQ, one_like, rfq_dot, scalar_is_zero, zero_like
+from .rings import Poly, QonfError, RationalFunctionQ, one_like, rfq_dot, scalar_is_zero, zero_like
 
 
 _ZERO_DIVISOR = "division by the zero rational function"
@@ -160,7 +160,7 @@ class RatFunc:
         zero, one = zero_like(self.one), one_like(self.one)
         d0 = self.den.evaluate(zero)
         if scalar_is_zero(d0):
-            raise ZeroDivisionError("not analytic at 0")
+            raise NotAnalyticError("not analytic at 0")
         inv = one / d0
         num = (list(self.num.coeffs) + [zero] * (D + 1))[:D + 1]
         if self.den.degree == 0:
@@ -274,6 +274,10 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
+class NotAnalyticError(QonfError, ZeroDivisionError):
+    """A series at Q = 0 of a function with a pole there."""
+
+
 def _pivot_index(col, start, exact):
     if exact:
         for i in range(start, len(col)):
@@ -362,7 +366,11 @@ class MatrixSeries:
 
     def inverse(self) -> "MatrixSeries":
         """G = T^{-1} degree by degree: G_m = sum_{k=1..m} H_k G_{m-k} with
-        H_k = -T_0^{-1} T_k formed once, so each degree is one :func:`mat_dot`."""
+        H_k = -T_0^{-1} T_k formed once, so each degree is one :func:`mat_dot`.
+
+        Its callers are perfbench's ``_gauge_identity`` and
+        ``tests/test_rings.py::TestFusedMatrixSums``; the package itself checks
+        gauges by :func:`qonf.qdiff.gauge_residual`."""
         g0 = mat_inv(self.terms[0])
         neg_g0 = mat_map(g0, lambda x: -x)
         H = {k: mat_mul(neg_g0, self.terms[k]) for k in self.nonzero_degrees() if k}

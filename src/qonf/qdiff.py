@@ -331,6 +331,26 @@ def solve_gauge(Mser: MatrixSeries, part: ConstantPart, D: int, coeffs,
     return MatrixSeries(X, one)
 
 
+def gauge_residual(Mser: MatrixSeries, X: MatrixSeries, right) -> MatrixSeries:
+    """sum_{k=0..m} M_k X_{m-k} - X_m W_m, W_m = right(m), for each degree m
+    of X: one :func:`mat_dot` each, zero when X solves its gauge equation.
+
+    The q side's A G = (sigma G) A0 has W_m = q^m A0, the ODE side's
+    B P = Q P' + P B0 has W_m = m I + B0; callers build W_m from M_0, not
+    from the solver's :class:`ConstantPart`.  No series inverse is needed:
+    modulo Q^(D+1), with G(0) = I and F = G^{-1}, R_G = A G - (sigma G) A0
+    and the F-form R_F = (sigma F) A - A0 F of :func:`gauge_residual_series`
+    satisfy R_G = (sigma G) R_F G and R_F = (sigma F) R_G F, so one is zero
+    exactly when the other is.
+    """
+    nonzero = Mser.nonzero_degrees()
+    return MatrixSeries(
+        [mat_dot([(Mser.terms[k], X.terms[m - k]) for k in nonzero if k <= m]
+                 + [(X.terms[m], mat_map(right(m), lambda x: -x))], X.dim, X.one)
+         for m in range(X.truncation + 1)],
+        X.one)
+
+
 def normalize_to_constant(sys: QDifferenceSystem, D: int):
     """Gauge F with F(0) = I and (sigma F) A F^{-1} = A(0) + O(Q^(D+1)).
 
@@ -339,8 +359,8 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
     q^m F_m A0 - A0 F_m = -sum_{k<m} q^k F_k A_{m-k} by
     :func:`solve_sylvester`; a singular solve means a resonant exponent and
     raises :class:`ResonanceError` naming the degree.
-    :func:`frobenius_solution` solves for F^{-1} on its own, so F serves the
-    gauge-residual checks as an independent computation.
+    :func:`frobenius_solution` solves for F^{-1} on its own, so F is the
+    tests' independent reference for that gauge.
     """
     n = sys.n
     one = sys.A[0][0].one
@@ -495,6 +515,7 @@ def frobenius_solution(sys: QDifferenceSystem, D: int) -> FundamentalSolutionAt0
     gives (sigma G) A0 = A G, so degree m of G solves
     q^m G_m A0 - A0 G_m = sum_{k=1..m} A_k G_{m-k} (F's operator, with a
     right-hand side free of q-powers), and G(0) = I makes it unique.
+    :func:`gauge_residual` checks G with no inverse either.
     """
     Aser, A0 = _series_at_0(sys, D)
     one = Aser.one

@@ -623,6 +623,7 @@ def test_fuzzed_argv_keeps_the_contract(capsys, tmp_path, argv, text):
 @FUZZ
 @given(command=st.sampled_from(["solve", "confluence"]), text=SYSTEM_TEXT)
 @example(command="solve", text="[" * 100000)
+@example(command="solve", text='{"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": "1 + (q-1)/Q"}]}')
 def test_fuzzed_system_json_keeps_the_contract(capsys, tmp_path, command, text):
     (tmp_path / "system.json").write_text(text)
     argv = [command, "--file", "{tmp}/system.json"] + (["--D", "2"] if command == "solve" else [])

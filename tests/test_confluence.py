@@ -24,15 +24,15 @@ from qonf.confluence import (
     limit_entry_q_to_1,
     limit_solution_along_path,
     ode_frobenius_solution,
-    ode_gauge_residual,
     pn_j_system,
     root_taylor,
 )
-from qonf.polyq import MatrixSeries, Poly, RatFunc, parse_bivariate
+from qonf.polyq import MatrixSeries, Poly, RatFunc, parse_bivariate, ratfunc_matrix_series
 from qonf.qdiff import (
     QDifferenceSystem,
     UnsupportedJordanError,
     frobenius_solution,
+    gauge_residual,
     q_pullback,
     rank1_product_solution,
 )
@@ -366,8 +366,10 @@ class TestOdeFrobenius:
         )
         # eigenvalues of B(0) are 0 and 0 -> nilpotent single-eigenvalue case
         ode = ODESystem(B)
-        B0 = [[e.num.coeff(0) / e.den.coeff(0) for e in row] for row in B]
-        assert ode_gauge_residual(ode, ode_frobenius_solution(ode, 8).gauge, B0).is_zero()
+        Bser = ratfunc_matrix_series([list(r) for r in B], 8)
+        B0 = Bser.terms[0]
+        right = lambda m: [[B0[i][j] + (m if i == j else 0) for j in range(2)] for i in range(2)]
+        assert gauge_residual(Bser, ode_frobenius_solution(ode, 8).gauge, right).is_zero()
         sol = ode_frobenius_solution(ode, 25)
         assert sol.derivative_residual(0.08) < 1e-6
 
