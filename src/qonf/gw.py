@@ -49,6 +49,7 @@ from .rings import (
     nil_binomial_power,
     nil_mul,
     one_like,
+    rfq_dot,
     sigma_weight,
     theta_weight,
     twisted_sigma_weight,
@@ -323,25 +324,24 @@ def jk_closed_formula(N: int, D: int) -> JFunctionK:
         x = R.q_power(d) / R.one_minus_q_pow(d)
         for l in range(min(N, d), 0, -1):
             e[l][d] = e[l][d - 1] + x * e[l - 1][d - 1]
+    # the multinomial weight of each multi-index j, for each eps-degree i
+    weights = [[(js, Fraction((-1) ** k * math.factorial(N + k),
+                              math.factorial(N) * math.prod(map(math.factorial, js))))
+                for k in range(N + 1) for js in _compositions(k, i, N)]
+               for i in range(N + 1)]
     rows = []
     for d in range(D + 1):
         prefac = 1 / qpoch_exact(d) ** (N + 1)
         row = []
-        for i in range(N + 1):
-            acc = R.zero()
-            for k in range(N + 1):
-                for js in _compositions(k, i, N):
-                    coeff = Fraction(
-                        (-1) ** k * math.factorial(N + k), math.factorial(N)
-                    )
-                    for j in js:
-                        coeff /= math.factorial(j)
-                    term = R.from_fraction(coeff)
-                    for l, j in enumerate(js, start=1):
-                        for _ in range(j):
-                            term = term * e[l][d]
-                    acc = acc + term
-            row.append(prefac * acc)
+        for by_js in weights:
+            pairs = []
+            for js, w in by_js:
+                monomial = one
+                for l, j in enumerate(js, start=1):
+                    if j:
+                        monomial = monomial * e[l][d] ** j
+                pairs.append((monomial, w))
+            row.append(prefac * rfq_dot(pairs))
         rows.append(tuple(row))
     return JFunctionK(N, D, tuple(rows))
 

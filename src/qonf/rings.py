@@ -1131,11 +1131,41 @@ def theta_weight(k: int, a: int, d: int, mp: int, m: int):
     return comb(k, t) * d ** (k - t) * (factorial(mp) // factorial(m)), 0
 
 
-def _constant_times_q_power(c: RationalFunctionQ, n: int, e: int) -> RationalFunctionQ:
-    """c n q^e for a nonzero constant c and n != 0, as its canonical pair."""
-    num, den = c._n[0] * n, c._d[0]
-    g = gcd(num, den)
-    return RationalFunctionQ._make((num // g,) + (0,) * e, (den // g,))
+def _constant_group_factor(ks, weight):
+    """The factor function of a group of constant c_k of Q(q) over the
+    generator: sum_k c_k n_k q^(e_k) is written as its canonical pair, the
+    integer coefficients over the lcm of the c_k denominators with their
+    content gcd removed."""
+    den = lcm(*(c._d[0] for _, c in ks))
+    scaled = [(k, c._n[0] * (den // c._d[0])) for k, c in ks]
+
+    def factor(a, d, mp, m):
+        terms = [(e, u * n) for k, u in scaled for n, e in (weight(k, a, d, mp, m),) if n]
+        if not terms:
+            return None
+        num = [0] * (1 + max(e for e, _ in terms))  # descending: q^e sits at -1 - e
+        for e, v in terms:
+            num[-1 - e] += v
+        num = _strip(num)
+        if not num:
+            return None
+        g = gcd(den, *num)
+        return RationalFunctionQ._make([v // g for v in num], (den // g,))
+    return factor
+
+
+def _group_factor(ks, weight, q):
+    """The factor function of any group: sum_k c_k (n_k q^(e_k)) in the
+    scalars' own arithmetic, term by term."""
+    def factor(a, d, mp, m):
+        f = None
+        for k, c in ks:
+            n, e = weight(k, a, d, mp, m)
+            if n:
+                t = c * (n * q ** e if e else n)
+                f = t if f is None else f + t
+        return f
+    return factor
 
 
 def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
@@ -1146,24 +1176,42 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     ``weight(k, a, d, mp, m)`` is the pair (n, e) with n q^e the coefficient
     of eps^(i+a) Q^d L^m in step^k(eps^i Q^d L^mp), for :func:`sigma_weight`,
     :func:`twisted_sigma_weight` or :func:`theta_weight` (whose e is 0, so q
-    is not read).  Each entry (d, i, m) of the result is one :func:`rfq_dot`
-    of the coefficients of s against the factors c_(k,j) n q^e.  When q is
-    the generator of Q(q) and c_(k,j) a constant of Q(q), the factor is
-    written as its canonical pair; otherwise it is ``c * (n * q ** e)``.
+    is not read).
+
+    The operator is applied through a factor table built once per call.  Its
+    entry (j, a, d, mp, m) is the single scalar sum_k c_(k,j) n q^e, and an
+    entry that sums to zero is dropped, so each coefficient x of eps^i Q^d
+    L^mp in s enters the entry (d + j, i + a, m) of the result once, as the
+    pair (x, factor) of one :func:`rfq_dot`.  Over exact scalars (int,
+    Fraction, :class:`RationalFunctionQ`) the grouping changes no canonical
+    result.  When q is the generator of Q(q) and every c_(k,j) of a Q-power
+    j is a constant of Q(q), each factor is written as its canonical pair;
+    otherwise the products ``c * (n * q ** e)`` are added.  Floating scalars
+    keep one entry per k, so that each x (c n q^e) is rounded in the order
+    of the term-by-term sum.
     """
     D, N, top = s.truncation, s.order, s.logdegree
     one = s.coeffs[0].coeffs[0].one
     zero = zero_like(one)
+    ops = [(k, j, c) for k, ck in enumerate(coeffs) for j, c in enumerate(ck)
+           if not scalar_is_zero(c)]
+    exact = all(_exact_parts(x)[0] is not None
+                for x in (one, 0 if q is None else q, *(c for _, _, c in ops)))
+    groups = {}  # the (k, c) of each Q-power j, or of each (k, j) for floating scalars
+    for k, j, c in ops:
+        groups.setdefault(j if exact else (k, j), (j, []))[1].append((k, c))
     generator = type(q) is RationalFunctionQ and q._n == (1, 0) and q._d == (1,)
-    ops = [(k, j, c, generator and type(c) is RationalFunctionQ and len(c._n) == len(c._d) == 1)
-           for k, ck in enumerate(coeffs) for j, c in enumerate(ck) if not scalar_is_zero(c)]
-    factors = {}
+    groups = [(j, _constant_group_factor(ks, weight)
+               if generator and all(type(c) is RationalFunctionQ and len(c._n) == len(c._d) == 1
+                                    for _, c in ks)
+               else _group_factor(ks, weight, q)) for j, ks in groups.values()]
+    table = {}  # (group, a, d, mp) -> the (m, factor) pairs with a nonzero factor
     out = []
     for dout in range(D + 1):
         entries = []
         for iout in range(N + 1):
             terms = [[] for _ in range(top + 1)]  # no step raises the L-degree
-            for k, j, c, direct in ops:
+            for g, (j, factor) in enumerate(groups):
                 d = dout - j
                 if d < 0:
                     continue
@@ -1171,14 +1219,14 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
                     for mp, x in enumerate(s.coeffs[d].coeffs[iout - a].coeffs):
                         if scalar_is_zero(x):
                             continue
-                        for m in range(mp + 1):
-                            n, e = weight(k, a, d, mp, m)
-                            if n:
-                                key = (k, j, n, e)
-                                if key not in factors:
-                                    factors[key] = (_constant_times_q_power(c, n, e) if direct
-                                                    else c * (n * q ** e if e else n))
-                                terms[m].append((x, factors[key]))
+                        row = table.get((g, a, d, mp))
+                        if row is None:
+                            row = table[g, a, d, mp] = [
+                                (m, f) for m in range(mp + 1)
+                                if (f := factor(a, d, mp, m)) is not None
+                                and not (exact and scalar_is_zero(f))]
+                        for m, f in row:
+                            terms[m].append((x, f))
             entries.append(Poly([rfq_dot(t) if t else zero for t in terms], one))
         out.append(NilpotentElement(N, entries))
     return LogSeries(D, out)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from qonf.gw import jk_series, pn_operator
 from qonf.rings import (
     LimitUndefinedError,
     LogSeries,
@@ -1026,3 +1027,47 @@ class TestApplyOperator:
         assert s.sigma(F(3)) == iterated_apply([[], [1]], ref_sigma, F(3), s)
         theta = apply_operator([[], [1]], theta_weight, None, s)
         assert theta == iterated_apply([[], [1]], ref_theta, None, s)
+
+    # each case exercises one branch of the factor table
+    TABLE_CASES = {
+        # at d = 0 every q^(kd) is 1 and sum_k c_k = 0: the factor of
+        # (j, a, d, m', m) = (0, 0, 0, 2, 2) cancels to exactly zero
+        "cancelling": ([[ONE], [-3 * ONE], [2 * ONE]], Q),
+        "rational": ([[F(3, 2) * ONE, F(-4, 3) * ONE], [F(-4, 3) * ONE], [F(5, 6) * ONE]], Q),
+        "exact q": ([[F(3, 2) * ONE], [F(-4, 3) * ONE, 2 * ONE], [F(7, 5) * ONE]], F(3)),
+        "q-dependent": ([[Q / (1 - Q), ONE], [F(-4, 3) * ONE], [F(2, 3) * Q**2]], Q),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    @pytest.mark.parametrize("name", ["sigma", "twisted sigma"])
+    def test_grouped_factors_equal_the_iterated_step(self, case, name):
+        weight, step, _ = STEPS[name]
+        coeffs, q = self.TABLE_CASES[case]
+        s = LogSeries(2, [NilpotentElement(1, [Poly([F(d + 1) * ONE, Q, F(-1, d + 2) * ONE], ONE),
+                                               Poly([Q / (1 - Q), ONE], ONE)])
+                          for d in range(3)])
+        got = apply_operator(coeffs, weight, q, s)
+        want = iterated_apply(coeffs, step, q, s)
+        assert got == want and series_to_json(got) == series_to_json(want)
+        if case == "cancelling" and name == "sigma":
+            assert scalar_is_zero(got.coefficient(0, 0, 2))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_planted_error_in_j_reaches_both_residuals(self, N):
+        # the J-function solves pn_operator(N) exactly; one changed
+        # coefficient must leave a nonzero residual, equal to the reference
+        D = 4
+        coeffs = [a.series(D) for a in pn_operator(N).coeffs]
+        binomial = nil_binomial_power(N, ONE)
+        rows = jk_series(N, D).coeffs
+        for d in range(D + 1):
+            for i in range(N + 1):
+                plain = LogSeries(D, [NilpotentElement(N, [
+                    Poly.const(c + ONE if (dd, ii) == (d, i) else c, ONE)
+                    for ii, c in enumerate(row)]) for dd, row in enumerate(rows)])
+                modified = LogSeries(D, [nil_mul(binomial, c) for c in plain.coeffs])
+                for weight, step, series in ((sigma_weight, ref_sigma, modified),
+                                             (twisted_sigma_weight, ref_twisted_sigma, plain)):
+                    got = apply_operator(coeffs, weight, Q, series)
+                    assert not got.is_zero_through(D)
+                    assert got == iterated_apply(coeffs, step, Q, series)
