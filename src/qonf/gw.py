@@ -354,13 +354,17 @@ def _lift(j) -> LogSeries:
                            for row in j.coeffs])
 
 
-def _times(prefactor: NilpotentElement, s: LogSeries) -> LogSeries:
-    return LogSeries(s.truncation, [nil_mul(prefactor, c) for c in s.coeffs])
-
-
 def jk_modified(N: int, D: int) -> LogSeries:
-    """(1 - eps)^L * J as a log-series; the eps^i column has L-degree <= i."""
-    return _times(nil_binomial_power(N, R.one()), _lift(jk_series(N, D)))
+    """(1 - eps)^L * J as a log-series; the eps^i column has L-degree <= i.
+
+    (1 - eps)^L = sum_a (-1)^a binom(L, a) eps^a, so the coefficient of Q^d
+    eps^i L^m, m >= 1, is one rfq_dot of c_(d,i-a), a = m..i, against the fixed
+    rational weights (-1)^a [L^m] binom(L, a); at m = 0 it is c_(d,i) itself."""
+    w = [lp.coeffs for lp in nil_binomial_power(N, Fraction(1)).coeffs]
+    return LogSeries(D, [NilpotentElement(N, [
+        Poly([rfq_dot([(row[i - a], w[a][m]) for a in range(m, i + 1)]) if m else row[i]
+              for m in range(i + 1)], R.one()) for i in range(N + 1)])
+        for row in jk_series(N, D).coeffs])
 
 
 def jk_qde_residual(N: int, D: int, modified: bool = True):
@@ -407,12 +411,12 @@ def jcoh_series(N: int, D: int) -> JFunctionCoh:
 
 
 def jcoh_modified(N: int, D: int) -> LogSeries:
-    """exp(H L) * Jcoh as a log-series in L = log Q: the coefficient of
-    Q^d H^i L^m is c_(d,i-m)/m!, with implied z-exponent -(d(N+1)+i)."""
+    """exp(H L) * Jcoh as a log-series in L = log Q: the coefficient of Q^d H^i
+    L^m is c_(d,i-m)/m! (from (H L)^m/m!), with implied z-exponent -(d(N+1)+i)."""
     one = Fraction(1)
-    prefactor = NilpotentElement(
-        N, [Poly([0] * a + [Fraction(1, math.factorial(a))], one) for a in range(N + 1)])
-    return _times(prefactor, _lift(jcoh_series(N, D)))
+    return LogSeries(D, [NilpotentElement(N, [
+        Poly([row[i - m] / math.factorial(m) for m in range(i + 1)], one) for i in range(N + 1)])
+        for row in jcoh_series(N, D).coeffs])
 
 
 def jcoh_ode_residual(N: int, D: int) -> LogSeries:

@@ -1030,11 +1030,12 @@ class Poly:
 
 
 def binom_l(k: int, one) -> Poly:
-    """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as a polynomial in L."""
-    acc = Poly([one], one)
+    """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as a polynomial in L, the product's
+    integer coefficients by the Stirling recurrence s(r + 1, m) = s(r, m - 1) - r s(r, m)."""
+    s = [1]
     for r in range(k):
-        acc = acc * Poly([-r * one, one], one)
-    return acc / (factorial(k) * one)
+        s = [u - r * v for u, v in zip([0, *s], [*s, 0])]
+    return Poly([c * one for c in s], one) / (factorial(k) * one)
 
 
 def nil_binomial_power(order: int, one) -> NilpotentElement:
@@ -1131,6 +1132,11 @@ def theta_weight(k: int, a: int, d: int, mp: int, m: int):
     return comb(k, t) * d ** (k - t) * (factorial(mp) // factorial(m)), 0
 
 
+# the largest eps-shift a of step^k, past which each weight above is zero
+sigma_weight.reach = theta_weight.reach = lambda k: 0
+twisted_sigma_weight.reach = lambda k: k
+
+
 def _constant_group_factor(ks, weight):
     """The factor function of a group of constant c_k of Q(q) over the
     generator: sum_k c_k n_k q^(e_k) is written as its canonical pair, the
@@ -1176,7 +1182,9 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     ``weight(k, a, d, mp, m)`` is the pair (n, e) with n q^e the coefficient
     of eps^(i+a) Q^d L^m in step^k(eps^i Q^d L^mp), for :func:`sigma_weight`,
     :func:`twisted_sigma_weight` or :func:`theta_weight` (whose e is 0, so q
-    is not read).
+    is not read).  Only the shifts a <= ``weight.reach(k)`` are visited, a = 0
+    for sigma and theta (n = 0 for a > 0) and a <= k for the twisted sigma
+    (C(k, a) = 0 for a > k): a skipped shift would add no pair to any sum.
 
     The operator is applied through a factor table built once per call.  Its
     entry (j, a, d, mp, m) is the single scalar sum_k c_(k,j) n q^e, and an
@@ -1201,7 +1209,7 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
     for k, j, c in ops:
         groups.setdefault(j if exact else (k, j), (j, []))[1].append((k, c))
     generator = type(q) is RationalFunctionQ and q._n == (1, 0) and q._d == (1,)
-    groups = [(j, _constant_group_factor(ks, weight)
+    groups = [(j, max(weight.reach(k) for k, _ in ks), _constant_group_factor(ks, weight)
                if generator and all(type(c) is RationalFunctionQ and len(c._n) == len(c._d) == 1
                                     for _, c in ks)
                else _group_factor(ks, weight, q)) for j, ks in groups.values()]
@@ -1211,11 +1219,11 @@ def apply_operator(coeffs, weight, q, s: LogSeries) -> LogSeries:
         entries = []
         for iout in range(N + 1):
             terms = [[] for _ in range(top + 1)]  # no step raises the L-degree
-            for g, (j, factor) in enumerate(groups):
+            for g, (j, reach, factor) in enumerate(groups):
                 d = dout - j
                 if d < 0:
                     continue
-                for a in range(iout + 1):
+                for a in range(min(iout, reach) + 1):
                     for mp, x in enumerate(s.coeffs[d].coeffs[iout - a].coeffs):
                         if scalar_is_zero(x):
                             continue

@@ -48,6 +48,9 @@ class CheckResult:
     detail: str = ""
     seconds: float = 0.0  # wall time of this check alone, set by run_suites
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # a NumPy comparison gives numpy.bool_, not a JSON boolean
+
     def as_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail,
                 "seconds": self.seconds}

@@ -439,6 +439,12 @@ class TestCompareAndVerify:
         assert isinstance(doc["total_seconds"], float)
         assert doc["total_seconds"] == pytest.approx(sum(seconds))
 
+    def test_verify_json_passed_is_a_boolean(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert code == 0 and len(checks) == 59
+        assert [c["name"] for c in checks if c["passed"] is not True] == []
+
     def test_verify_text_has_a_time_column(self, capsys):
         code, out = run(capsys, "verify", "--suite", "gw-equivariant")
         lines = out.splitlines()

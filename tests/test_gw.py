@@ -12,6 +12,7 @@ from qonf.gw import (
     EquivariantSpec,
     JFunctionK,
     _inverse_power,
+    _lift,
     _q_inverse_power,
     _times_one_minus_q_power,
     confluence_compare,
@@ -38,10 +39,13 @@ from qonf.qdiff import casoratian
 from qonf.rings import (
     LogSeries,
     NilpotentElement,
+    Poly,
     RationalFunctionQ as R,
     ipoly_mul,
+    nil_binomial_power,
     nil_inv,
     nil_mul,
+    series_to_json,
     zero_like,
 )
 
@@ -274,6 +278,28 @@ class TestModified:
                 lp = jm.coeffs[d].coeffs[i]
                 if not lp.is_zero:
                     assert lp.degree <= i
+
+    @pytest.mark.parametrize("N", range(5))
+    def test_equal_to_the_generic_prefactor_products(self, N):
+        # (1 - eps)^L and exp(H L) times the lifted series through nil_mul:
+        # equal values, equal JSON and equal scalar types, coefficient by
+        # coefficient
+        exp_hl = NilpotentElement(
+            N, [Poly([0] * a + [F(1, math.factorial(a))], F(1)) for a in range(N + 1)])
+        cases = ((jk_modified, nil_binomial_power(N, R.one()), jk_series),
+                 (jcoh_modified, exp_hl, jcoh_series))
+
+        def types(s):
+            return [(type(lp.one), [type(c) for c in lp.coeffs])
+                    for c in s.coeffs for lp in c.coeffs]
+
+        for build, prefactor, series in cases:
+            for D in range(7):
+                got = build(N, D)
+                want = LogSeries(D, [nil_mul(prefactor, c) for c in _lift(series(N, D)).coeffs])
+                assert got == want
+                assert series_to_json(got) == series_to_json(want)
+                assert types(got) == types(want)
 
 
 class TestFunctionalEquations:
