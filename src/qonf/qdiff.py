@@ -40,6 +40,7 @@ from .polyq import (
     mat_dot,
     mat_eye,
     mat_inv,
+    mat_is_zero,
     mat_map,
     mat_mul,
     mat_scale,
@@ -206,16 +207,28 @@ class ConstantPart:
     """The constant matrix M0 of a system, split once as lam I + N.
 
     ``nilpotent`` holds when the scalars are exact and N = M0 - lam I is
-    nilpotent, with lam = trace(M0)/n the single eigenvalue: every Sylvester
-    solve of the system then sums a terminating Neumann series.  Otherwise
-    (floating scalars, or several eigenvalues) lam = 0, N = M0, and the
-    solves go through Gauss-Jordan.  A 1 x 1 exact M0 is always nilpotent
-    with N = 0.
+    nilpotent, with lam = trace(M0)/n the single eigenvalue.  Every
+    Sylvester solve of the system is then a back-substitution over a
+    triangular form of N, found here once:
+
+    - ``order`` is an index order in which N is strictly upper triangular,
+      a topological order of N's nonzero pattern (the graph l -> j for
+      N[l][j] != 0).  It exists exactly when that pattern has no cycle,
+      which is so for every builtin system;
+    - otherwise ``basis`` is (U, U^-1, T) with T = U^-1 N U strictly upper
+      triangular and U exact (:func:`_triangularizing_basis`), and each
+      solve is conjugated by U.
+
+    Otherwise (floating scalars, or several eigenvalues) lam = 0, N = M0,
+    and the solves go through Gauss-Jordan.  A 1 x 1 exact M0 is always
+    nilpotent with N = 0.
     """
 
     lam: object
     N: list
     nilpotent: bool
+    order: tuple | None = None
+    basis: tuple | None = None
 
     @classmethod
     def of(cls, M0, one) -> "ConstantPart":
@@ -226,28 +239,104 @@ class ConstantPart:
                 trace = trace + M0[i][i]
             lam = trace / (n * one)
             N = mat_sub(M0, mat_scale(mat_eye(n, one), lam))
+            order = _triangular_order(N)
+            if order is not None:
+                return cls(lam, N, True, order=order)
             power = N
             for _ in range(n - 1):
                 power = mat_mul(power, N)
-            if all(scalar_is_zero(x) for row in power for x in row):
-                return cls(lam, N, True)
+            if mat_is_zero(power):
+                U = _triangularizing_basis(N, one)
+                Uinv = mat_inv(U)
+                return cls(lam, N, True, basis=(U, Uinv, mat_mul(mat_mul(Uinv, N), U)))
         return cls(zero_like(one), M0, False)
 
 
-def solve_sylvester(c, s, part: ConstantPart, R):
-    """The matrix X with c X + s X N - N X = R, for N = ``part.N``.
+def _triangular_order(N):
+    """A topological order of the graph l -> j, N[l][j] != 0 (each step takes
+    the first index with no edge from the indices left), or None when the
+    graph has a cycle."""
+    order, left = [], list(range(len(N)))
+    while left:
+        j = next((j for j in left if all(scalar_is_zero(N[l][j]) for l in left)), None)
+        if j is None:
+            return None
+        order.append(j)
+        left.remove(j)
+    return tuple(order)
+
+
+def _kernel_vector(B):
+    """A nonzero v with B v = 0 for a nilpotent B: a unit vector at a zero
+    column, or else a nonzero column of the last nonzero power of B."""
+    m = len(B)
+    one = one_like(B[0][0])
+    for j in range(m):
+        if all(scalar_is_zero(B[i][j]) for i in range(m)):
+            return [one if i == j else zero_like(one) for i in range(m)]
+    power = B
+    while not mat_is_zero(nxt := mat_mul(B, power)):
+        power = nxt
+    j = next(j for j in range(m) if any(not scalar_is_zero(row[j]) for row in power))
+    return [row[j] for row in power]
+
+
+def _triangularizing_basis(N, one):
+    """An exact U with U^-1 N U strictly upper triangular, for a nilpotent N.
+
+    Step t takes a kernel vector v of the trailing block M[t:, t:] of the
+    matrix M conjugated so far, and makes it basis vector t: column t of
+    the step's change of basis P is v (in rows t..n-1), and when the first
+    nonzero coordinate of v is in row t + r > t, column t + r takes the unit
+    vector e_t that v displaced, so P stays invertible.  M becomes
+    P^-1 M P, whose column t vanishes from row t down, and the trailing
+    block from t + 1 on stays nilpotent (it is the map N induces on the
+    quotient by the first t + 1 basis vectors).
+    """
+    n = len(N)
+    zero = zero_like(one)
+    U, M = mat_eye(n, one), N
+    for t in range(n - 1):
+        v = _kernel_vector([row[t:] for row in M[t:]])
+        r = next(k for k, x in enumerate(v) if not scalar_is_zero(x))
+        P = mat_eye(n, one)
+        for k, x in enumerate(v):
+            P[t + k][t] = x
+        if r:
+            P[t + r][t + r], P[t][t + r] = zero, one
+        M = mat_mul(mat_mul(mat_inv(P), M), P)
+        U = mat_mul(U, P)
+    return U
+
+
+def solve_sylvester(c, s, part: ConstantPart, pairs):
+    """The matrix X with c X + s X N - N X = R, for N = ``part.N`` and
+    R = sum_k A_k B_k over the matrix pairs (A_k, B_k), as in :func:`mat_dot`.
 
     Both normalizers solve one such equation per degree m: the q side's
     q^m X A0 - A0 X has c = lam (q^m - 1), s = q^m, and the ODE side's
-    m X + X B0 - B0 X has c = m, s = 1 (lam cancels there).  For a nilpotent
-    N the map L(X) = s X N - N X is nilpotent too, L^(2n-1) = 0, so
-    X = sum_k (-L/c)^k (R/c) terminates after at most 2n - 1 terms; L visits
-    only the nonzero entries of N, and N = 0 costs one division per entry.
-    Any other N goes through Gauss-Jordan on the vectorized n^2 x n^2
-    system.  A singular operator raises :class:`SingularMatrixError`.
+    m X + X B0 - B0 X has c = m, s = 1 (lam cancels there).
+
+    For a nilpotent N the solve is the triangular back-substitution of
+    Bartels and Stewart (*Comm. ACM* 15, 1972).  In ``part.order``, N is
+    strictly upper triangular, so entry (i, j) of the equation reads
+
+        c X_ij = R_ij - sum_{l before j} X_il (s N_lj) + sum_{l after i} N_il X_lj,
+
+    and taking the columns j in that order and, within a column, the rows i
+    in reverse order finds every X on the right already solved.  Each entry
+    is then one :func:`rfq_dot` over R's pairs and the nonzero N terms,
+    divided by c: one reduction, not one per ``+``.  The canonical pair is
+    unique, so the entry equals any other exact evaluation of the same
+    sum.  When N's pattern has a cycle, the solve runs on
+    T = U^-1 N U (``part.basis``) with the pairs (U^-1 A_k, B_k U), and
+    X = U Y U^-1.  Any other N goes through Gauss-Jordan on the vectorized
+    n^2 x n^2 system, with R formed by :func:`mat_dot`.  A singular
+    operator raises :class:`SingularMatrixError`.
     """
-    n = len(R)
+    n = len(part.N)
     if not part.nilpotent:
+        R = mat_dot(pairs, n, one_like(c))
         zero = zero_like(R[0][0])
         big = [[zero] * (n * n) for _ in range(n * n)]
         for i in range(n):
@@ -261,29 +350,34 @@ def solve_sylvester(c, s, part: ConstantPart, R):
         return [sol[i * n:(i + 1) * n] for i in range(n)]
     if scalar_is_zero(c):
         raise SingularMatrixError("c = 0 with a nilpotent N")
-    entries = [(a, b, v) for a, row in enumerate(part.N) for b, v in enumerate(row)
-               if not scalar_is_zero(v)]
-    # -L/c as weighted moves: X[i][a] w -> [i][b] from s X N, and
-    # w X[b][j] -> [a][j] from -N X
-    right = [(a, b, -(s * v) / c) for a, b, v in entries]
-    left = [(a, b, v / c) for a, b, v in entries]
+    if part.basis is None:
+        return _back_substitute(c, s, part.N, part.order, pairs)
+    U, Uinv, T = part.basis
+    Y = _back_substitute(c, s, T, range(n),
+                         [(mat_mul(Uinv, A), mat_mul(B, U)) for A, B in pairs])
+    return mat_mul(mat_mul(U, Y), Uinv)
+
+
+def _back_substitute(c, s, N, order, pairs):
+    """:func:`solve_sylvester` for an N strictly upper triangular in ``order``."""
+    n = len(N)
     zero = zero_like(c)
-    term = [[r / c for r in row] for row in R]
-    X = term
-    for _ in range(2 * n - 2):
-        nxt = [[zero] * n for _ in range(n)]
-        for a, b, w in right:
-            for i in range(n):
-                if not scalar_is_zero(term[i][a]):
-                    nxt[i][b] = nxt[i][b] + term[i][a] * w
-        for a, b, w in left:
-            for j in range(n):
-                if not scalar_is_zero(term[b][j]):
-                    nxt[a][j] = nxt[a][j] + w * term[b][j]
-        if all(scalar_is_zero(y) for row in nxt for y in row):
-            break
-        X = mat_add(X, nxt)
-        term = nxt
+    into = [[] for _ in range(n)]  # into[j]: (l, -s N_lj), l before j
+    out_of = [[] for _ in range(n)]  # out_of[i]: (l, N_il), l after i
+    for l, row in enumerate(N):
+        for j, v in enumerate(row):
+            if not scalar_is_zero(v):
+                into[j].append((l, -(s * v)))
+                out_of[l].append((j, v))
+    cols = [list(zip(*B)) for _, B in pairs]
+    X = [[zero] * n for _ in range(n)]
+    for j in order:
+        for i in reversed(order):
+            terms = [t for (A, _), cB in zip(pairs, cols) for t in zip(A[i], cB[j])]
+            terms += [(X[i][l], w) for l, w in into[j]]
+            terms += [(v, X[l][j]) for l, v in out_of[i]]
+            if terms:
+                X[i][j] = rfq_dot(terms) / c
     return X
 
 
@@ -313,19 +407,22 @@ def solve_gauge(Mser: MatrixSeries, part: ConstantPart, D: int, coeffs,
     """The series X with X(0) = I and, for m = 1..D,
     c X_m + s X_m N - N X_m = sum_{k=1..m} M_k X_{m-k}, (c, s) = coeffs(m).
 
-    ``part`` splits M_0; zero terms M_k are skipped.  The q side's inverse
-    gauge and the ODE side's gauge are both this recursion.  A singular
-    degree raises :class:`ResonanceError` ("<what> at degree m").
+    ``part`` splits M_0; zero terms M_k are skipped.  Degree m hands the
+    products (M_k, X_{m-k}) to :func:`solve_sylvester` unsummed, so each
+    entry of X_m is one reduced sum over them and the solved entries.  The
+    q side's inverse gauge and the ODE side's gauge are both this
+    recursion.  A singular degree raises :class:`ResonanceError`
+    ("<what> at degree m").
     """
     one = Mser.one
     n = Mser.dim
     nonzero = [k for k in Mser.nonzero_degrees() if 1 <= k <= D]
     X = [mat_eye(n, one)]
     for m in range(1, D + 1):
-        rhs = mat_dot([(Mser.terms[k], X[m - k]) for k in nonzero if k <= m], n, one)
         c, s = coeffs(m)
         try:
-            X.append(solve_sylvester(c, s, part, rhs))
+            X.append(solve_sylvester(c, s, part, [(Mser.terms[k], X[m - k])
+                                                  for k in nonzero if k <= m]))
         except SingularMatrixError as exc:
             raise ResonanceError(f"{what} at degree {m}", degree=m) from exc
     return MatrixSeries(X, one)
@@ -374,11 +471,10 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
     for m in range(1, D + 1):
         scaled.append(mat_scale(F[m - 1], qk))
         qk = qk * sys.q
-        rhs = mat_dot([(scaled[k], Aser.terms[m - k]) for k in range(m) if m - k in nonzero],
-                      n, one)
         c, s = coeffs(m)
         try:
-            F.append(solve_sylvester(c, s, part, rhs))
+            F.append(solve_sylvester(c, s, part, [(scaled[k], Aser.terms[m - k])
+                                                  for k in range(m) if m - k in nonzero]))
         except SingularMatrixError as exc:
             raise ResonanceError(f"resonant exponent at degree {m}", degree=m) from exc
     return MatrixSeries(F, one), A0

@@ -1031,7 +1031,10 @@ class Poly:
 
 def binom_l(k: int, one) -> Poly:
     """binom(L, k) = (1/k!) prod_{r=0}^{k-1} (L - r) as a polynomial in L, the product's
-    integer coefficients by the Stirling recurrence s(r + 1, m) = s(r, m - 1) - r s(r, m)."""
+    integer coefficients by the Stirling recurrence s(r + 1, m) = s(r, m - 1) - r s(r, m).
+    An int unit is read as a Fraction, so the 1/k! stays exact."""
+    if isinstance(one, int):
+        one = Fraction(one)
     s = [1]
     for r in range(k):
         s = [u - r * v for u, v in zip([0, *s], [*s, 0])]

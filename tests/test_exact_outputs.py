@@ -63,6 +63,17 @@ def test_gauge_terms_on_both_sides():
     assert digest(repr(osol.gauge.terms)) == ODE_GAUGE
 
 
+def test_deep_gauge_terms_on_both_sides():
+    """The q-side gauge of pn_j_system(2) through Q^16, and the ODE-side
+    gauge of the q -> 1 limit of pn_j_system(3) through Q^10."""
+    qsol = frobenius_solution(pn_j_system(2), 16)
+    osol = ode_frobenius_solution(check_confluent(pn_j_system(3), 0.8).limit_system, 10)
+    assert digest(repr(qsol.gauge.terms)) == (
+        "bbf589c1000e8455b6ae8d75b174c944cb88f634dd5ded537931dc8806732f80")
+    assert digest(repr(osol.gauge.terms)) == (
+        "48eff688ea459751616149d2c68f03a198985d674796c0aa7ff0b09e894b3999")
+
+
 EXACT_DOC = {"n": 2, "q": "q", "entries": [
     {"i": 0, "j": 0, "entry": "1 + (q-1)*(3*Q)/(3 + 4*q + 5*q^2)"},
     {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(2 + q))"},

@@ -349,37 +349,127 @@ def _fraction_scalar(draw):
     return F(draw(small_ints), draw(st.integers(min_value=1, max_value=3)))
 
 
+@st.composite
+def scalar_plus_permuted_triangular(draw, scalar):
+    """(lam, Nil, R): Nil = P T P^-1 with T strictly upper triangular and P a
+    random permutation, so Nil's nonzero pattern is acyclic, n <= 4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    perm = draw(st.permutations(range(n)))
+    nil = [[scalar(None)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            nil[perm[a]][perm[b]] = scalar(draw)
+    lam = scalar(draw)
+    if lam == 0 * lam:
+        lam = lam + 1
+    R_ = [[scalar(draw) for _ in range(n)] for _ in range(n)]
+    return lam, nil, R_
+
+
 def _sylvester_lhs(c, s, nil, X):
     XN, NX = mat_mul(X, nil), mat_mul(nil, X)
     return [[c * x + s * a - b for x, a, b in zip(rx, ra, rb)]
             for rx, ra, rb in zip(X, XN, NX)]
 
 
+def _pattern_is_acyclic(nil):
+    # the boolean pattern matrix is nilpotent exactly when its graph has no cycle
+    n = len(nil)
+    P = [[x != 0 * x for x in row] for row in nil]
+    power = P
+    for _ in range(n):
+        power = [[any(power[i][k] and P[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return not any(any(row) for row in power)
+
+
+def _strictly_upper(M, order):
+    return all(M[order[a]][order[b]] == 0 * M[0][0]
+               for a in range(len(M)) for b in range(a + 1))
+
+
+def _check_sylvester(part, nil, c, s, R_, one):
+    eye = mat_eye(len(nil), one)
+    X = solve_sylvester(c, s, part, [(R_, eye)])
+    assert X == solve_sylvester(c, s, ConstantPart(part.lam, nil, False), [(R_, eye)])
+    assert _sylvester_lhs(c, s, nil, X) == R_
+    # two pairs sum to the same right-hand side
+    half = mat_scale(R_, one / 2)
+    assert solve_sylvester(c, s, part, [(half, eye), (eye, half)]) == X
+
+
 class TestSylvesterSolver:
     @given(scalar_plus_nilpotent(_q_scalar), st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
-    def test_neumann_matches_gauss_jordan_q_side(self, data, m):
+    def test_unimodular_conjugate_matches_gauss_jordan_q_side(self, data, m):
         lam, nil, R_ = data
         n = len(nil)
         part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, ONE), lam), nil), ONE)
         assert part.nilpotent and part.lam == lam and part.N == nil
         qm = Q_SYM**m
         c, s = lam * (qm - 1), qm
-        X = solve_sylvester(c, s, part, R_)
-        assert X == solve_sylvester(c, s, ConstantPart(lam, nil, False), R_)
+        X = solve_sylvester(c, s, part, [(R_, mat_eye(n, ONE))])
+        assert X == solve_sylvester(c, s, ConstantPart(lam, nil, False), [(R_, mat_eye(n, ONE))])
         assert _sylvester_lhs(c, s, nil, X) == R_
 
     @given(scalar_plus_nilpotent(_fraction_scalar), st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)
-    def test_neumann_matches_gauss_jordan_ode_side(self, data, m):
+    def test_unimodular_conjugate_matches_gauss_jordan_ode_side(self, data, m):
         mu, nil, R_ = data
         n = len(nil)
         part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
         assert part.nilpotent and part.lam == mu and part.N == nil
         c, s = F(m), F(1)
-        X = solve_sylvester(c, s, part, R_)
-        assert X == solve_sylvester(c, s, ConstantPart(F(0), nil, False), R_)
+        X = solve_sylvester(c, s, part, [(R_, mat_eye(n, F(1)))])
+        assert X == solve_sylvester(c, s, ConstantPart(F(0), nil, False), [(R_, mat_eye(n, F(1)))])
         assert _sylvester_lhs(c, s, nil, X) == R_
+
+    @given(scalar_plus_permuted_triangular(_q_scalar), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_permuted_triangular_matches_gauss_jordan_q_side(self, data, m):
+        lam, nil, R_ = data
+        n = len(nil)
+        part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, ONE), lam), nil), ONE)
+        assert part.nilpotent and part.lam == lam and part.N == nil
+        assert part.order is not None and part.basis is None
+        qm = Q_SYM**m
+        _check_sylvester(part, nil, lam * (qm - 1), qm, R_, ONE)
+
+    @given(scalar_plus_permuted_triangular(_fraction_scalar), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_permuted_triangular_matches_gauss_jordan_ode_side(self, data, m):
+        mu, nil, R_ = data
+        n = len(nil)
+        part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
+        assert part.nilpotent and part.lam == mu and part.N == nil
+        assert part.order is not None and part.basis is None
+        _check_sylvester(part, nil, F(m), F(1), R_, F(1))
+
+    @given(st.one_of(scalar_plus_nilpotent(_fraction_scalar),
+                     scalar_plus_permuted_triangular(_fraction_scalar)))
+    @settings(max_examples=30, deadline=None)
+    def test_order_is_a_permutation_exactly_when_the_pattern_is_acyclic(self, data):
+        mu, nil, _ = data
+        n = len(nil)
+        part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
+        assert (part.order is not None) == _pattern_is_acyclic(nil)
+        if part.order is not None:
+            assert sorted(part.order) == list(range(n)) and part.basis is None
+            assert _strictly_upper(nil, part.order)
+        else:
+            U, Uinv, T = part.basis
+            assert mat_mul(Uinv, U) == mat_eye(n, F(1))
+            assert mat_mul(mat_mul(Uinv, nil), U) == T
+            assert _strictly_upper(T, range(n))
+
+    def test_cyclic_pattern_is_conjugated(self):
+        # N = (q-1)[[1, 1], [-1, -1]]: every entry nonzero, N^2 = 0
+        q1 = Q_SYM - 1
+        nil = [[q1, q1], [-q1, -q1]]
+        part = ConstantPart.of(mat_add(mat_eye(2, ONE), nil), ONE)
+        assert part.nilpotent and part.order is None and part.basis is not None
+        R_ = [[ONE, Q_SYM], [2 * ONE, R.zero()]]
+        _check_sylvester(part, nil, Q_SYM**3 - 1, Q_SYM**3, R_, ONE)
 
     def test_several_eigenvalues_are_not_split(self):
         part = ConstantPart.of([[ONE, ONE], [R.zero(), 2 * ONE]], ONE)
@@ -389,7 +479,7 @@ class TestSylvesterSolver:
     def test_zero_c_with_nilpotent_part_is_singular(self):
         part = ConstantPart.of([[ONE, ONE], [R.zero(), ONE]], ONE)
         with pytest.raises(SingularMatrixError):
-            solve_sylvester(R.zero(), ONE, part, [[ONE, ONE], [ONE, ONE]])
+            solve_sylvester(R.zero(), ONE, part, [([[ONE, ONE], [ONE, ONE]], mat_eye(2, ONE))])
 
     def test_unsupported_exact_jordan_is_decided_before_solving(self, monkeypatch):
         def refuse(*args):

@@ -559,6 +559,19 @@ class TestBinomialPower:
         assert bp.coeffs[2] == binom_l(2, F(1))
         assert bp.coeffs[2] == Poly([F(0), F(-1, 2), F(1, 2)], F(1))
 
+    def test_int_unit_stays_exact(self):
+        b = binom_l(3, 1)
+        assert b.coeffs == (F(0), F(1, 3), F(-1, 2), F(1, 6))
+        assert all(type(c) is F for c in b.coeffs)
+        bp = nil_binomial_power(3, 1)
+        assert all(type(c) is F for lp in bp.coeffs for c in lp.coeffs)
+        assert bp == nil_binomial_power(3, F(1))
+
+    def test_float_unit_stays_float(self):
+        b = binom_l(3, 1.0)
+        assert all(type(c) is float for c in b.coeffs)
+        assert b.coeffs == (0.0, 1 / 3, -0.5, 1 / 6)
+
 
 # ---------------------------------------------------------------- series
 
