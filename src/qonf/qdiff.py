@@ -238,7 +238,7 @@ class ConstantPart:
             for i in range(1, n):
                 trace = trace + M0[i][i]
             lam = trace / (n * one)
-            N = mat_sub(M0, mat_scale(mat_eye(n, one), lam))
+            N = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M0)]
             order = _triangular_order(N)
             if order is not None:
                 return cls(lam, N, True, order=order)
@@ -382,14 +382,20 @@ def _back_substitute(c, s, N, order, pairs):
 
 
 def _series_at_0(sys: QDifferenceSystem, D: int):
-    """A as a matrix series through Q^D, and A(0) checked invertible."""
+    """A as a matrix series through Q^D, and A(0) split by
+    :meth:`ConstantPart.of` and checked invertible: lam I + N with N
+    nilpotent is invertible exactly when lam != 0, and any other A(0) is
+    inverted to find out."""
     Aser = ratfunc_matrix_series([list(r) for r in sys.A], D)
-    A0 = Aser.terms[0]
+    part = ConstantPart.of(Aser.terms[0], Aser.one)
     try:
-        mat_inv(A0)
+        if not part.nilpotent:
+            mat_inv(Aser.terms[0])
+        elif scalar_is_zero(part.lam):
+            raise SingularMatrixError("lam = 0")
     except SingularMatrixError as exc:
         raise DomainError("A(0) is not invertible") from exc
-    return Aser, A0
+    return Aser, part
 
 
 def _q_coeffs(part: ConstantPart, q):
@@ -461,8 +467,7 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
     """
     n = sys.n
     one = sys.A[0][0].one
-    Aser, A0 = _series_at_0(sys, D)
-    part = ConstantPart.of(A0, one)
+    Aser, part = _series_at_0(sys, D)
     coeffs = _q_coeffs(part, sys.q)
     nonzero = set(Aser.nonzero_degrees())
     F = [mat_eye(n, one)]
@@ -477,7 +482,7 @@ def normalize_to_constant(sys: QDifferenceSystem, D: int):
                                                   for k in range(m) if m - k in nonzero]))
         except SingularMatrixError as exc:
             raise ResonanceError(f"resonant exponent at degree {m}", degree=m) from exc
-    return MatrixSeries(F, one), A0
+    return MatrixSeries(F, one), Aser.terms[0]
 
 
 def gauge_residual_series(sys: QDifferenceSystem, F: MatrixSeries, A0) -> MatrixSeries:
@@ -613,9 +618,8 @@ def frobenius_solution(sys: QDifferenceSystem, D: int) -> FundamentalSolutionAt0
     right-hand side free of q-powers), and G(0) = I makes it unique.
     :func:`gauge_residual` checks G with no inverse either.
     """
-    Aser, A0 = _series_at_0(sys, D)
-    one = Aser.one
-    part = ConstantPart.of(A0, one)
+    Aser, part = _series_at_0(sys, D)
+    A0, one = Aser.terms[0], Aser.one
     unipotent = part.nilpotent and part.lam == one_like(one)  # never for numeric q
     if sys.is_exact and not unipotent and sys.n > 1:
         raise UnsupportedJordanError(

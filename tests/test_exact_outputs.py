@@ -14,10 +14,11 @@ import hashlib
 import pytest
 
 from qonf.cli import main
-from qonf.confluence import check_confluent, ode_frobenius_solution, pn_j_system
+from qonf.confluence import builtin_system, check_confluent, ode_frobenius_solution, pn_j_system
 from qonf.gw import confluence_compare, pn_operator
 from qonf.polyq import parse_bivariate
 from qonf.qdiff import (
+    QDifferenceSystem,
     ScalarQOperator,
     frobenius_log_solutions,
     frobenius_solution,
@@ -74,6 +75,40 @@ def test_deep_gauge_terms_on_both_sides():
         "48eff688ea459751616149d2c68f03a198985d674796c0aa7ff0b09e894b3999")
 
 
+# seed-11 system #1 of the user-systems benchmark workload
+RANK1_DOC = {"n": 1, "q": "q", "entries": [{"i": 0, "j": 0, "entry": (
+    "1 + 2*(q-1) + (q-1)*(3*Q)/((5 + 3*q^1 + 4*q^2) + (3 + 4*q^1)*Q)")}]}
+# seed-11 system #4 of the same workload: row 1 has the Q-denominator
+RANK2_DOC = {"n": 2, "q": "q", "entries": [
+    {"i": 0, "j": 0, "entry": "1 + (q-1)*(3*Q)/(6 + 3*q^1 + 4*q^2)"},
+    {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(6 + 3*q^1))"},
+    {"i": 1, "j": 0, "entry": "(q-1)*Q*(5 + 4*q^1)/((6 + 3*q^1 + 4*q^2) + Q)"},
+    {"i": 1, "j": 1, "entry": "1"},
+]}
+
+
+def test_gauge_terms_with_q_denominators():
+    """Gauges of systems with a pole in Q: irregular-limit through Q^24, the
+    rank-1 document through Q^30, and the ODE-side gauges of the q -> 1
+    limits of 1 + (q-1) Q/(Q-2)^2 through Q^30 and of the rank-2 document
+    through Q^12."""
+    irregular = frobenius_solution(builtin_system("irregular-limit"), 24)
+    assert digest(repr(irregular.gauge.terms)) == (
+        "5b9a70e63a9f5a39f281205830842eb840a16f455400f4166de321c7c2a1cf95")
+    rank1 = frobenius_solution(system_from_json(RANK1_DOC), 30)
+    assert digest(repr(rank1.gauge.terms)) == (
+        "8ca8f7d4e205cabc52a04706fa677e503628bed829e58620196ce243c60d42ba")
+    double_pole = QDifferenceSystem(((parse_bivariate("1 + (q-1)*Q/(Q-2)^2"),),),
+                                    RationalFunctionQ.q())
+    osol = ode_frobenius_solution(check_confluent(double_pole, 0.8).limit_system, 30)
+    assert digest(repr(osol.gauge.terms)) == (
+        "9b868e7f987cdd9a5c83d7f576d520ebe36488099649e2d4c372ca23d1a0184f")
+    osol = ode_frobenius_solution(
+        check_confluent(system_from_json(RANK2_DOC), 0.8).limit_system, 12)
+    assert digest(repr(osol.gauge.terms)) == (
+        "0933fab91f54f2f92cfee83c2a251cd4e03c52a650001af80f9c35ea9e72d21b")
+
+
 EXACT_DOC = {"n": 2, "q": "q", "entries": [
     {"i": 0, "j": 0, "entry": "1 + (q-1)*(3*Q)/(3 + 4*q + 5*q^2)"},
     {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(2 + q))"},
@@ -103,6 +138,16 @@ def test_numeric_gauge_terms():
     sol = frobenius_solution(system_from_json(NUMERIC_DOC), 40)
     assert digest(repr(sol.gauge.terms)) == (
         "bc87c07c38fe5510ba3c27d6ae04ecb03aba2903f768e5021d5e2e8b13bd98f6")
+
+
+def test_numeric_rank1_log_near_one():
+    """A numeric 1 x 1 A(0) within the unipotent tolerance of 1 but not 1:
+    the terminating log series of a 1 x 1 matrix has no terms, so the
+    solution is unipotent with log exactly zero."""
+    sol = frobenius_solution(system_from_json({"n": 1, "q": [0.5, 0.1], "entries": [
+        {"i": 0, "j": 0, "entry": "1000000000001/1000000000000 + Q/(3 + Q)"}]}), 6)
+    assert sol.kind == "unipotent"
+    assert repr(sol.nilpotent_log) == "[[0j]]"
 
 
 def test_comparison_rows():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from qonf.confluence import ODESystem, builtin_system, ode_frobenius_solution
 from qonf.polyq import (
     MatrixSeries,
+    NotAnalyticError,
     Poly,
     RatFunc,
     mat_add,
@@ -24,7 +25,14 @@ from qonf.polyq import (
     parse_bivariate,
     ratfunc_matrix_series,
 )
-from qonf.qdiff import QDifferenceSystem, frobenius_solution, gauge_residual
+from qonf.qdiff import (
+    QDifferenceSystem,
+    ResonanceError,
+    frobenius_solution,
+    gauge_residual,
+    system_from_json,
+)
+from qonf.qspecial import DomainError
 from qonf.rings import QonfError, RationalFunctionQ as R
 
 CONTRACT = settings(max_examples=100, deadline=5000, derandomize=True, database=None)
@@ -138,3 +146,110 @@ def test_ode_frobenius_solution_solves_or_raises(ode, D):
         return
     assert P.terms[0] == mat_eye(ode.n, F(1))
     assert ode_residual(ode, P).is_zero()
+
+
+# ---------------------------------------------------------------- rows with Q-denominators
+
+
+# nonzero at Q = 0, and q-dependent
+DEN_HEADS = ["1", "2", "-3", "q", "1 + q", "1/(2 + q)", "-q^2", "(3 + 4*q)/5"]
+DEN_TAIL = ["0", "0", "1", "-1", "q", "2*q + 1", "1/q", "-q^2/(1 + q)"]
+
+
+@st.composite
+def rational_q_systems(draw):
+    """A = I + (q - 1) B, each row over its own denominator of Q-degree <= 2
+    with q-dependent coefficients (or none), B(0) strictly lower triangular
+    when n > 1, so A(0) is unipotent and every draw has a gauge."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for i in range(n):
+        den = "1"
+        if draw(st.booleans()):
+            e0, e1, e2 = draw(st.sampled_from(DEN_HEADS)), *(draw(st.sampled_from(DEN_TAIL))
+                                                             for _ in range(2))
+            den = f"({e0}) + ({e1})*Q + ({e2})*Q^2"
+        row = []
+        for j in range(n):
+            c0, c1, c2 = (draw(st.sampled_from(Q_POOL[:-1])) for _ in range(3))
+            if n > 1 and j >= i:
+                c0 = "0"
+            # an entry keeps the row's denominator, or has none of its own
+            own = den if draw(st.booleans()) else "1"
+            row.append(parse_bivariate(
+                f"{int(i == j)} + (q-1)*(({c0}) + ({c1})*Q + ({c2})*Q^2)/({own})"))
+        rows.append(tuple(row))
+    return QDifferenceSystem(tuple(rows), R.q())
+
+
+@CONTRACT
+@given(sys=rational_q_systems(), D=st.integers(1, 6))
+def test_frobenius_solution_with_row_denominators(sys, D):
+    G = frobenius_solution(sys, D).gauge
+    assert G.terms[0] == mat_eye(sys.n, R.one())
+    assert q_residual(sys, G).is_zero()
+
+
+F_DEN_HEADS = [F(1), F(2), F(-1, 3), F(5, 2)]
+F_DEN_TAIL = [F(0), F(0), F(1), F(-1), F(3, 4), F(-2)]
+
+
+@st.composite
+def rational_ode_systems(draw):
+    """B(Q) over Fractions, each row over its own denominator of Q-degree
+    <= 2 (or none), B(0) a multiple of I plus a strictly lower triangular
+    part."""
+    n = draw(st.integers(1, 3))
+    mu = draw(st.sampled_from(F_POOL))
+    rows = []
+    for i in range(n):
+        den = [F(1)]
+        if draw(st.booleans()):
+            den = [draw(st.sampled_from(F_DEN_HEADS))] + [draw(st.sampled_from(F_DEN_TAIL))
+                                                          for _ in range(2)]
+        row = []
+        for j in range(n):
+            coeffs = [draw(st.sampled_from(F_POOL)) for _ in range(3)]
+            own = den if draw(st.booleans()) else [F(1)]
+            if j >= i:  # B(0)_ij = coeffs[0] / own[0]
+                coeffs[0] = mu * own[0] if i == j else F(0)
+            row.append(RatFunc(Poly(coeffs, F(1)), Poly(own, F(1))))
+        rows.append(tuple(row))
+    return ODESystem(tuple(rows))
+
+
+@CONTRACT
+@given(ode=rational_ode_systems(), D=st.integers(1, 6))
+def test_ode_frobenius_solution_with_row_denominators(ode, D):
+    P = ode_frobenius_solution(ode, D).gauge
+    assert P.terms[0] == mat_eye(ode.n, F(1))
+    assert ode_residual(ode, P).is_zero()
+
+
+@pytest.mark.parametrize("D", [0, 3, 12])
+def test_pole_at_zero_in_a_rational_row_raises(D):
+    sys = QDifferenceSystem(((parse_bivariate("1 + (q-1)*(2 + Q)/(Q*(1 + q*Q))"),),), R.q())
+    with pytest.raises(NotAnalyticError, match="not analytic at 0"):
+        frobenius_solution(sys, D)
+    ode = ODESystem(((RatFunc(Poly([F(1)], F(1)), Poly([F(0), F(1), F(1)], F(1))),),))
+    with pytest.raises(NotAnalyticError, match="not analytic at 0"):
+        ode_frobenius_solution(ode, D)
+
+
+@pytest.mark.parametrize("D", [4, 12])
+def test_singular_a0_in_a_rational_row_raises(D):
+    sys = QDifferenceSystem(((parse_bivariate("1 + (q-1)*(1/(1-q) + Q/(2 + q*Q))"),),), R.q())
+    with pytest.raises(DomainError, match="A\\(0\\) is not invertible"):
+        frobenius_solution(sys, D)
+
+
+def test_resonance_in_rational_rows_names_the_degree():
+    """Eigenvalues 1 and q of A(0) at numeric q: the degree-1 solve is singular."""
+    sys = system_from_json({"n": 2, "q": 0.5, "entries": [
+        {"i": 0, "j": 0, "entry": "1 + Q/(2 + Q)"},
+        {"i": 0, "j": 1, "entry": "Q/(3 + q*Q)"},
+        {"i": 1, "j": 1, "entry": "q + Q^2/(1 - Q)"},
+    ]})
+    with pytest.raises(ResonanceError, match="resonant exponent at degree 1") as err:
+        frobenius_solution(sys, 4)
+    assert err.value.degree == 1
