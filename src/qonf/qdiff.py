@@ -207,28 +207,20 @@ class ConstantPart:
     """The constant matrix M0 of a system, split once as lam I + N.
 
     ``nilpotent`` holds when the scalars are exact and N = M0 - lam I is
-    nilpotent, with lam = trace(M0)/n the single eigenvalue.  Every
-    Sylvester solve of the system is then a back-substitution over a
-    triangular form of N, found here once:
+    nilpotent, with lam = trace(M0)/n the single eigenvalue.  ``order`` is
+    then an index order in which N is strictly upper triangular, a
+    topological order of N's nonzero pattern (the graph l -> j for
+    N[l][j] != 0), when that pattern has no cycle, which is so for every
+    builtin system; a cyclic pattern is nilpotent with ``order`` None.
 
-    - ``order`` is an index order in which N is strictly upper triangular,
-      a topological order of N's nonzero pattern (the graph l -> j for
-      N[l][j] != 0).  It exists exactly when that pattern has no cycle,
-      which is so for every builtin system;
-    - otherwise ``basis`` is (U, U^-1, T) with T = U^-1 N U strictly upper
-      triangular and U exact (:func:`_triangularizing_basis`), and each
-      solve is conjugated by U.
-
-    Otherwise (floating scalars, or several eigenvalues) lam = 0, N = M0,
-    and the solves go through Gauss-Jordan.  A 1 x 1 exact M0 is always
-    nilpotent with N = 0.
+    Otherwise (floating scalars, or several eigenvalues) lam = 0, N = M0.
+    A 1 x 1 exact M0 is always nilpotent with N = 0.
     """
 
     lam: object
     N: list
     nilpotent: bool
     order: tuple | None = None
-    basis: tuple | None = None
 
     @classmethod
     def of(cls, M0, one) -> "ConstantPart":
@@ -246,9 +238,7 @@ class ConstantPart:
             for _ in range(n - 1):
                 power = mat_mul(power, N)
             if mat_is_zero(power):
-                U = _triangularizing_basis(N, one)
-                Uinv = mat_inv(U)
-                return cls(lam, N, True, basis=(U, Uinv, mat_mul(mat_mul(Uinv, N), U)))
+                return cls(lam, N, True)
         return cls(zero_like(one), M0, False)
 
 
@@ -266,49 +256,6 @@ def _triangular_order(N):
     return tuple(order)
 
 
-def _kernel_vector(B):
-    """A nonzero v with B v = 0 for a nilpotent B: a unit vector at a zero
-    column, or else a nonzero column of the last nonzero power of B."""
-    m = len(B)
-    one = one_like(B[0][0])
-    for j in range(m):
-        if all(scalar_is_zero(B[i][j]) for i in range(m)):
-            return [one if i == j else zero_like(one) for i in range(m)]
-    power = B
-    while not mat_is_zero(nxt := mat_mul(B, power)):
-        power = nxt
-    j = next(j for j in range(m) if any(not scalar_is_zero(row[j]) for row in power))
-    return [row[j] for row in power]
-
-
-def _triangularizing_basis(N, one):
-    """An exact U with U^-1 N U strictly upper triangular, for a nilpotent N.
-
-    Step t takes a kernel vector v of the trailing block M[t:, t:] of the
-    matrix M conjugated so far, and makes it basis vector t: column t of
-    the step's change of basis P is v (in rows t..n-1), and when the first
-    nonzero coordinate of v is in row t + r > t, column t + r takes the unit
-    vector e_t that v displaced, so P stays invertible.  M becomes
-    P^-1 M P, whose column t vanishes from row t down, and the trailing
-    block from t + 1 on stays nilpotent (it is the map N induces on the
-    quotient by the first t + 1 basis vectors).
-    """
-    n = len(N)
-    zero = zero_like(one)
-    U, M = mat_eye(n, one), N
-    for t in range(n - 1):
-        v = _kernel_vector([row[t:] for row in M[t:]])
-        r = next(k for k, x in enumerate(v) if not scalar_is_zero(x))
-        P = mat_eye(n, one)
-        for k, x in enumerate(v):
-            P[t + k][t] = x
-        if r:
-            P[t + r][t + r], P[t][t + r] = zero, one
-        M = mat_mul(mat_mul(mat_inv(P), M), P)
-        U = mat_mul(U, P)
-    return U
-
-
 def solve_sylvester(c, s, part: ConstantPart, pairs):
     """The matrix X with c X + s X N - N X = R, for N = ``part.N`` and
     R = sum_k A_k B_k over the matrix pairs (A_k, B_k), as in :func:`mat_dot`.
@@ -317,8 +264,8 @@ def solve_sylvester(c, s, part: ConstantPart, pairs):
     q^m X A0 - A0 X has c = lam (q^m - 1), s = q^m, and the ODE side's
     m X + X B0 - B0 X has c = m, s = 1 (lam cancels there).
 
-    For a nilpotent N the solve is the triangular back-substitution of
-    Bartels and Stewart (*Comm. ACM* 15, 1972).  In ``part.order``, N is
+    When N has an ``order``, the solve is the triangular back-substitution
+    of Bartels and Stewart (*Comm. ACM* 15, 1972).  In that order, N is
     strictly upper triangular, so entry (i, j) of the equation reads
 
         c X_ij = R_ij - sum_{l before j} X_il (s N_lj) + sum_{l after i} N_il X_lj,
@@ -328,14 +275,13 @@ def solve_sylvester(c, s, part: ConstantPart, pairs):
     is then one :func:`rfq_dot` over R's pairs and the nonzero N terms,
     divided by c: one reduction, not one per ``+``.  The canonical pair is
     unique, so the entry equals any other exact evaluation of the same
-    sum.  When N's pattern has a cycle, the solve runs on
-    T = U^-1 N U (``part.basis``) with the pairs (U^-1 A_k, B_k U), and
-    X = U Y U^-1.  Any other N goes through Gauss-Jordan on the vectorized
-    n^2 x n^2 system, with R formed by :func:`mat_dot`.  A singular
-    operator raises :class:`SingularMatrixError`.
+    sum.  Any other N (floating, several eigenvalues, or a cyclic nilpotent
+    pattern) goes through Gauss-Jordan on the vectorized n^2 x n^2 system,
+    with R formed by :func:`mat_dot`.  A singular operator raises
+    :class:`SingularMatrixError`.
     """
-    n = len(part.N)
-    if not part.nilpotent:
+    n, N = len(part.N), part.N
+    if part.order is None:
         R = mat_dot(pairs, n, one_like(c))
         zero = zero_like(R[0][0])
         big = [[zero] * (n * n) for _ in range(n * n)]
@@ -344,24 +290,12 @@ def solve_sylvester(c, s, part: ConstantPart, pairs):
                 row = i * n + j
                 big[row][row] = big[row][row] + c
                 for k in range(n):
-                    big[row][i * n + k] = big[row][i * n + k] + s * part.N[k][j]
-                    big[row][k * n + j] = big[row][k * n + j] - part.N[i][k]
+                    big[row][i * n + k] = big[row][i * n + k] + s * N[k][j]
+                    big[row][k * n + j] = big[row][k * n + j] - N[i][k]
         sol = lin_solve(big, [[x for row in R for x in row]])[0]
         return [sol[i * n:(i + 1) * n] for i in range(n)]
     if scalar_is_zero(c):
         raise SingularMatrixError("c = 0 with a nilpotent N")
-    if part.basis is None:
-        return _back_substitute(c, s, part.N, part.order, pairs)
-    U, Uinv, T = part.basis
-    Y = _back_substitute(c, s, T, range(n),
-                         [(mat_mul(Uinv, A), mat_mul(B, U)) for A, B in pairs])
-    return mat_mul(mat_mul(U, Y), Uinv)
-
-
-def _back_substitute(c, s, N, order, pairs):
-    """:func:`solve_sylvester` for an N strictly upper triangular in ``order``."""
-    n = len(N)
-    zero = zero_like(c)
     into = [[] for _ in range(n)]  # into[j]: (l, -s N_lj), l before j
     out_of = [[] for _ in range(n)]  # out_of[i]: (l, N_il), l after i
     for l, row in enumerate(N):
@@ -370,9 +304,9 @@ def _back_substitute(c, s, N, order, pairs):
                 into[j].append((l, -(s * v)))
                 out_of[l].append((j, v))
     cols = [list(zip(*B)) for _, B in pairs]
-    X = [[zero] * n for _ in range(n)]
-    for j in order:
-        for i in reversed(order):
+    X = [[zero_like(c)] * n for _ in range(n)]
+    for j in part.order:
+        for i in reversed(part.order):
             terms = [t for (A, _), cB in zip(pairs, cols) for t in zip(A[i], cB[j])]
             terms += [(X[i][l], w) for l, w in into[j]]
             terms += [(v, X[l][j]) for l, v in out_of[i]]
@@ -723,9 +657,16 @@ def solve_scalar_series(op: ScalarQOperator, D: int) -> LogSeries:
     It is the eps-recursion of :func:`frobenius_log_solutions` over
     R[eps]/(eps): f_d = -(sum_(i>=1) P_i(q^(d-i)) f_(d-i)) / P_0(q^d).
     Raises :class:`ResonanceError` naming the degree if the indicial factor
-    P_0(q^d) vanishes at some 1 <= d <= D.
+    P_0(q^d) vanishes at some 1 <= d <= D, and naming degree 0 if it does not
+    vanish at d = 0: the Q^0 equation P_0(1) f_0 = sum_k a_k(0) f_0 = 0 then
+    has no solution with f_0 = 1.
     """
-    return _eps_solutions(op, _operator_series(op, D), D, 1)[0]
+    ser = _operator_series(op, D)
+    (solution,) = _eps_solutions(op, ser, D, 1)
+    if not scalar_is_zero(sum((ak[0] for ak in ser[1:]), ser[0][0])):
+        raise ResonanceError("nonzero indicial factor at degree 0: no Taylor solution has f_0 = 1",
+                             degree=0)
+    return solution
 
 
 def _indicial_is_maximal_unipotent(op_series, one, order) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from qonf import qdiff
 from qonf.confluence import (
@@ -141,6 +141,25 @@ class TestLimitEntry:
             assert limit_entry_q_to_1(f).is_zero
         else:
             assert limit_entry_q_to_1(f) == RatFunc(Poly(num1, F(1)), Poly(den1, F(1)))
+
+    # coefficients in Q(q) regular at q = 1, the last three vanishing there
+    _q = R.q()
+    regular = [R.one(), -2 * R.one(), _q, 1 / (1 + _q), (_q + 2) / 3,
+               R.zero(), _q - 1, (_q**2 - 1) / (2 + _q)]
+
+    @given(st.lists(st.sampled_from(regular), min_size=1, max_size=3),
+           st.lists(st.sampled_from(regular), max_size=2), st.sampled_from(regular[:5]))
+    @settings(max_examples=60, deadline=None)
+    def test_limit_of_each_coefficient(self, num, den, lead):
+        # the leading denominator coefficient is a unit at q = 1, so the
+        # coefficient-wise limit of the denominator is nonzero
+        f = RatFunc(Poly(num, R.one()), Poly(den + [lead], R.one()))
+        try:  # the reduction of f may divide by a factor vanishing at q = 1
+            want = RatFunc(Poly([limit_q_to_1(c) for c in f.num.coeffs], F(1)),
+                           Poly([limit_q_to_1(c) for c in f.den.coeffs], F(1)))
+        except LimitUndefinedError:
+            assume(False)
+        assert limit_entry_q_to_1(f) == want
 
     def test_divergent(self):
         with pytest.raises(LimitUndefinedError):

@@ -184,3 +184,28 @@ def test_taylor_solutions(texts, want):
     and 2, and of one of order 3 with Q-dependent rational coefficients."""
     op = ScalarQOperator(tuple(parse_bivariate(t) for t in texts), RationalFunctionQ.q())
     assert digest(repr(solve_scalar_series(op, 8).coeffs)) == want
+
+
+# A = I + (q-1) B with B = ((1+Q, 1+Q/(2+q)), (-1, -(1-2Q))): B(0) is
+# nilpotent with a cyclic pattern, so no index order makes it triangular
+CYCLIC_DOC = {"n": 2, "q": "q", "entries": [
+    {"i": 0, "j": 0, "entry": "1 + (q-1)*(1 + Q)"},
+    {"i": 0, "j": 1, "entry": "(q-1)*(1 + Q/(2 + q))"},
+    {"i": 1, "j": 0, "entry": "-(q-1)"},
+    {"i": 1, "j": 1, "entry": "1 - (q-1)*(1 - 2*Q)"},
+]}
+
+
+@pytest.mark.parametrize("D, q_want, ode_want", [
+    (10, "165e072f762bcc71e585992a9ea41864b032e4f6a64409945c1ead70cf97a9a5",
+     "d5e6ad0ece57b3692077422c3c78a0c897cc93bef7d4c37d5bb4c831a48769c3"),
+    (16, "0b3b08cc3b7badd5cf0c4765fffd065c6d447c4519395d7ade949d650e589d80",
+     "eeef29d748664dad29eaec5d863072f1ad7193475705880100e08ad0f40733d2"),
+])
+def test_gauge_terms_of_a_cyclic_pattern(D, q_want, ode_want):
+    """The q-side gauge of the cyclic document and the ODE-side gauge of its
+    q -> 1 limit, through Q^D."""
+    sys = system_from_json(CYCLIC_DOC)
+    assert digest(repr(frobenius_solution(sys, D).gauge.terms)) == q_want
+    osol = ode_frobenius_solution(check_confluent(sys, 0.8).limit_system, D, q0=0.8)
+    assert digest(repr(osol.gauge.terms)) == ode_want

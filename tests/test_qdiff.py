@@ -48,7 +48,7 @@ from qonf.qdiff import (
     system_from_json,
 )
 from qonf.qspecial import PoleProximityError, q_character, q_log, qpoch_finite
-from qonf.rings import Poly, RationalFunctionQ as R, apply_operator, sigma_weight
+from qonf.rings import Poly, QonfError, RationalFunctionQ as R, apply_operator, sigma_weight
 
 
 Q_SYM = R.q()
@@ -431,7 +431,7 @@ class TestSylvesterSolver:
         n = len(nil)
         part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, ONE), lam), nil), ONE)
         assert part.nilpotent and part.lam == lam and part.N == nil
-        assert part.order is not None and part.basis is None
+        assert part.order is not None
         qm = Q_SYM**m
         _check_sylvester(part, nil, lam * (qm - 1), qm, R_, ONE)
 
@@ -442,7 +442,7 @@ class TestSylvesterSolver:
         n = len(nil)
         part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
         assert part.nilpotent and part.lam == mu and part.N == nil
-        assert part.order is not None and part.basis is None
+        assert part.order is not None
         _check_sylvester(part, nil, F(m), F(1), R_, F(1))
 
     @given(st.one_of(scalar_plus_nilpotent(_fraction_scalar),
@@ -454,20 +454,15 @@ class TestSylvesterSolver:
         part = ConstantPart.of(mat_add(mat_scale(mat_eye(n, F(1)), mu), nil), F(1))
         assert (part.order is not None) == _pattern_is_acyclic(nil)
         if part.order is not None:
-            assert sorted(part.order) == list(range(n)) and part.basis is None
+            assert sorted(part.order) == list(range(n))
             assert _strictly_upper(nil, part.order)
-        else:
-            U, Uinv, T = part.basis
-            assert mat_mul(Uinv, U) == mat_eye(n, F(1))
-            assert mat_mul(mat_mul(Uinv, nil), U) == T
-            assert _strictly_upper(T, range(n))
 
-    def test_cyclic_pattern_is_conjugated(self):
+    def test_cyclic_pattern_is_solved_by_gauss_jordan(self):
         # N = (q-1)[[1, 1], [-1, -1]]: every entry nonzero, N^2 = 0
         q1 = Q_SYM - 1
         nil = [[q1, q1], [-q1, -q1]]
         part = ConstantPart.of(mat_add(mat_eye(2, ONE), nil), ONE)
-        assert part.nilpotent and part.order is None and part.basis is not None
+        assert part.nilpotent and part.order is None
         R_ = [[ONE, Q_SYM], [2 * ONE, R.zero()]]
         _check_sylvester(part, nil, Q_SYM**3 - 1, Q_SYM**3, R_, ONE)
 
@@ -550,6 +545,37 @@ class TestScalarSeries:
         with pytest.raises(ResonanceError) as err:
             solve_scalar_series(op, 3)
         assert err.value.degree == 1
+
+    def test_nonvanishing_indicial_factor_at_degree_0(self):
+        # f(qQ) = 2 f(Q) has no solution with f_0 = 1: 2 - 1 != 0 at Q^0
+        op = ScalarQOperator((rf("2"), rf("-1")), Q_SYM)
+        with pytest.raises(ResonanceError) as err:
+            solve_scalar_series(op, 4)
+        assert err.value.degree == 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_solves_or_raises(self, data):
+        # a_k(Q) = (c_k0 + c_k1 Q + c_k2 Q^2)/den_k; a "balanced" draw shifts
+        # a_0 by a constant so that sum_k a_k(0) = 0 and f_0 = 1 can solve Q^0
+        n = data.draw(st.integers(min_value=0, max_value=3), label="order")
+        D = data.draw(st.integers(min_value=0, max_value=5), label="D")
+        pool = st.sampled_from(["0", "1", "-2", "q", "1 - q^2", "1/(1 + q)", "q/3"])
+        dens = st.sampled_from(["1", "1", "2 + q", "1 + q*Q"])
+        coeffs = [rf(f"(({data.draw(pool)}) + ({data.draw(pool)})*Q + ({data.draw(pool)})*Q^2)"
+                     f"/({data.draw(dens)})") for _ in range(n + 1)]
+        if data.draw(st.booleans(), label="balanced"):
+            coeffs[0] = coeffs[0] - sum(a.series(0)[0] for a in coeffs[1:]) - coeffs[0].series(0)[0]
+        if coeffs[-1].is_zero:
+            return
+        op = ScalarQOperator(tuple(coeffs), Q_SYM)
+        try:
+            taylor = solve_scalar_series(op, D)
+        except QonfError:
+            return
+        assert taylor.coefficient(0, 0, 0) == ONE
+        ser = qdiff._operator_series(op, D)
+        assert apply_operator(ser, sigma_weight, op.q, taylor).is_zero_through(D)
 
 
 class TestLogSolutions:
@@ -637,9 +663,14 @@ class TestLogSolutions:
             coeffs.append(rf(f"({c})*({(-1) ** k * math.comb(n, k)}) + ({b1})*Q + ({b2})*Q^2"))
         op = ScalarQOperator(tuple(coeffs), Q_SYM)
         sols = frobenius_log_solutions(op, D)
+        assert len(sols) == n
+        if n == 0:  # a_0(0) = c != 0, so no Taylor solution has f_0 = 1
+            with pytest.raises(ResonanceError) as err:
+                solve_scalar_series(op, D)
+            assert err.value.degree == 0
+            return
         taylor = solve_scalar_series(op, D)
         ser = qdiff._operator_series(op, D)
-        assert len(sols) == n
         for m, s in enumerate(sols):
             assert apply_operator(ser, sigma_weight, op.q, s).is_zero_through(D)
             assert s.coeffs[0].coeffs[0] == Poly([R.zero()] * m + [ONE], ONE)
