@@ -44,8 +44,12 @@ from .rings import (
     Poly,
     RationalFunctionQ,
     _divide_q_minus_one,
+    _ipoly_add,
+    _sign_normal,
     apply_operator,
+    ipoly_gcd,
     ipoly_mul,
+    ipoly_quo,
     nil_binomial_power,
     nil_mul,
     one_like,
@@ -53,7 +57,6 @@ from .rings import (
     sigma_weight,
     theta_weight,
     twisted_sigma_weight,
-    zero_like,
 )
 
 R = RationalFunctionQ
@@ -248,49 +251,71 @@ def _inverse_power(N: int, a, b) -> NilpotentElement:
                                 for k in range(N + 1)])
 
 
-def _q_inverse_power(N: int, r: int) -> NilpotentElement:
-    """:func:`_inverse_power` of a = 1 - q^r, b = q^r, written as canonical pairs.
-
-    Its eps^k term is (-1)^(k+m) C(N+k, k) q^(rk) / (q^r - 1)^m with
-    m = N+1+k.  The pair is already reduced: q^r - 1 has no root at 0,
-    content 1 and leading coefficient 1.
-    """
-    coeffs = []
-    for k in range(N + 1):
-        m = N + 1 + k
-        den = [0] * (r * m + 1)
-        for j in range(m + 1):
-            den[r * j] = (-1) ** j * math.comb(m, j)
-        num = [(-1) ** (k + m) * math.comb(N + k, k)] + [0] * (r * k)
-        coeffs.append(R._make(num, den))
-    return NilpotentElement(N, coeffs)
-
-
-def _inverse_product_powers(N: int, D: int, inverse_factor, one) -> tuple:
-    """Rows d = 0..D of the eps-coefficients of prod_(r=1..d) (a_r + b_r eps)^-(N+1)
-    in the truncated ring, with ``inverse_factor(r)`` the factor
-    (a_r + b_r eps)^-(N+1) and ``one`` its unit.
-
-    The product is kept running: one :func:`nil_mul` by the factor per
-    degree.  It is a product in the truncated ring and shares nothing with
-    the elementary-symmetric sum of :func:`jk_closed_formula`, so it stays an
-    independent oracle for that formula.
-    """
-    zero = zero_like(one)
-    rows = [tuple([one] + [zero] * N)]
-    prod = NilpotentElement.from_scalar(N, one)
-    for d in range(1, D + 1):
-        prod = nil_mul(prod, inverse_factor(d))
-        rows.append(prod.coeffs)
-    return tuple(rows)
-
-
 def jk_series(N: int, D: int) -> JFunctionK:
-    """Oracle form: prod_(r=1..d) ((1-q^r) + q^r eps)^-(N+1) in the truncated ring."""
+    """Oracle form: prod_(r=1..d) ((1-q^r) + q^r eps)^-(N+1) in the truncated ring,
+    kept running over Z[q] and written on its exact denominator.
+
+    With L_d = lcm(1-q, ..., 1-q^d) = prod_(k<=d) Phi_k and
+    y_r = L_d q^r/(1-q^r) in Z[q], the eps^i coefficient at Q^d is
+    H_(d,i) / V_(d,i), where H_(d,i) = [eps^i] prod_(r<=d) (1 + y_r eps)^-(N+1)
+    is an integer polynomial and V_(d,i) = (q;q)_d^(N+1) L_d^i.  Degree d
+    scales H_(d-1,j) by (L_d/L_(d-1))^j = Phi_d^j and multiplies by
+    (1 + y_d eps)^-(N+1).  This running product shares nothing with the
+    elementary-symmetric sum of :func:`jk_closed_formula`, so it stays an
+    independent oracle for that formula.
+
+    V is already the reduced denominator, so no gcd is taken.  Its
+    irreducible factors are the Phi_k, k <= d.  At a primitive k-th root of
+    unity zeta, y_r(zeta) = 0 unless k | r, since Phi_k divides L_d once and
+    1 - q^r only when k | r.  And y_(ks)(zeta) = C/s for one C != 0: the
+    cofactor (q^(ks) - 1)/Phi_k(q) takes the value s (q^k - 1)/Phi_k(q) at
+    zeta, so C is a quotient of products of values Phi_j(zeta), j != k,
+    none of them zero.  Hence
+
+      H_(d,i)(zeta) = C^i [eps^i] prod_(s<=d/k) (1 + eps/s)^-(N+1),
+
+    which is (-1)^i times a sum of positive terms, so no Phi_k divides
+    H_(d,i).  V is primitive (Gauss's lemma), so no integer content cancels
+    either, and the pair only needs lc(V) > 0.
+    """
     if N < 0 or D < 0:
         raise ValueError("need N >= 0 and D >= 0")
-    return JFunctionK(N, D, _inverse_product_powers(
-        N, D, lambda r: _q_inverse_power(N, r), R.one()))
+    w = [(-1) ** k * math.comb(N + k, k) for k in range(N + 1)]  # (1 + y eps)^-(N+1)
+    h = [[1]] + [[]] * N  # H_(d,i)
+    phi = [None]  # phi[k] = Phi_k
+    ell, poch = [1], [1]  # L_d, and prod_(r<=d) (q^r - 1)^(N+1) = +-(q;q)_d^(N+1)
+    rows = [(R.one(),) + (R.zero(),) * N]
+    for d in range(1, D + 1):
+        qd = [1] + [0] * (d - 1) + [-1]  # q^d - 1
+        p = qd
+        for k in range(1, d):
+            if d % k == 0:
+                p = ipoly_quo(p, phi[k])
+        phi.append(p)
+        ell = ipoly_mul(ell, p)
+        y = [-c for c in ipoly_quo(ell, qd)] + [0] * d
+        qd_power = [0] * (d * (N + 1) + 1)  # (q^d - 1)^(N+1)
+        for j in range(N + 2):
+            qd_power[d * j] = (-1) ** j * math.comb(N + 1, j)
+        poch = ipoly_mul(poch, qd_power)
+        scaled, pw = [h[0]], [1]
+        for j in range(1, N + 1):
+            pw = ipoly_mul(pw, p)
+            scaled.append(ipoly_mul(h[j], pw))
+        # H_(d,i) = sum_j w_(i-j) y^(i-j) scaled_j, by Horner's rule in y
+        h = []
+        for i in range(N + 1):
+            acc = [w[i] * c for c in scaled[0]]
+            for j in range(1, i + 1):
+                acc = _ipoly_add(ipoly_mul(acc, y), [w[i - j] * c for c in scaled[j]])
+            h.append(acc)
+        sign = (-1) ** (d * (N + 1))  # the sign of lc((q;q)_d^(N+1))
+        den, row = poch, []
+        for i in range(N + 1):
+            row.append(R._make([sign * c for c in h[i]], den))
+            den = ipoly_mul(den, ell)
+        rows.append(tuple(row))
+    return JFunctionK(N, D, tuple(rows))
 
 
 def _compositions(total: int, weighted: int, parts: int):
@@ -315,33 +340,51 @@ def jk_closed_formula(N: int, D: int) -> JFunctionK:
 
     with e_l(d) the l-th elementary symmetric polynomial of the values
     q^m/(1-q^m) for 1 <= m <= d (the inner sums start at m = 1: the m = 0
-    term would divide by 1 - q^0).
+    term would divide by 1 - q^0).  Each weight is an integer, C(N+k, k)
+    times a multinomial coefficient.  The sum is taken over Z[q] on
+    E_l(d) = L_d^l e_l(d), with L_d = lcm(q - 1, ..., q^d - 1): every term
+    has sum l j_l = i, so the sum is L_d^i times the one above, and
+    (q;q)_d^(N+1) L_d^i is its reduced denominator (the lemma of
+    :func:`jk_series`).
     """
-    one = R.one()
-    # elementary symmetric table e[l][d]; e[0][d] = 1, and e[l][d] = 0 for l > d
-    e = [[one if l == 0 else R.zero() for _ in range(D + 1)] for l in range(N + 1)]
-    for d in range(1, D + 1):
-        x = R.q_power(d) / R.one_minus_q_pow(d)
-        for l in range(min(N, d), 0, -1):
-            e[l][d] = e[l][d - 1] + x * e[l - 1][d - 1]
-    # the multinomial weight of each multi-index j, for each eps-degree i
-    weights = [[(js, Fraction((-1) ** k * math.factorial(N + k),
-                              math.factorial(N) * math.prod(map(math.factorial, js))))
+    weights = [[(js, (-1) ** k * math.comb(N + k, k) * math.factorial(k)
+                 // math.prod(map(math.factorial, js)))
                 for k in range(N + 1) for js in _compositions(k, i, N)]
                for i in range(N + 1)]
+    E = [[1]] + [[]] * N  # E[l] = E_l(d); E_l(d) = 0 for l > d
+    ell, poch = [1], [1]  # L_d and (q;q)_d^(N+1)
     rows = []
     for d in range(D + 1):
-        prefac = 1 / qpoch_exact(d) ** (N + 1)
-        row = []
+        if d:
+            qd = [1] + [0] * (d - 1) + [-1]  # q^d - 1
+            _, part, g = ipoly_gcd(ell, qd)  # L_d = L_(d-1) g
+            y = [-c for c in part] + [0] * d  # L_d q^d/(1-q^d) = -q^d L_(d-1)/gcd
+            # E_l(d) = g^(l-1) (g E_l(d-1) + y E_(l-1)(d-1))
+            g_pow = [[1]]
+            for _ in range(min(N, d) - 1):
+                g_pow.append(ipoly_mul(g_pow[-1], g))
+            for l in range(min(N, d), 0, -1):
+                E[l] = ipoly_mul(g_pow[l - 1], _ipoly_add(ipoly_mul(g, E[l]),
+                                                          ipoly_mul(y, E[l - 1])))
+            ell = ipoly_mul(ell, g)
+            for _ in range(N + 1):
+                poch = ipoly_mul(poch, [-1] + [0] * (d - 1) + [1])
+        # E_pow[l][j] = E_l(d)^j, for l j <= N
+        E_pow = [None] + [[[1]] for _ in range(N)]
+        for l in range(1, N + 1):
+            for _ in range(N // l):
+                E_pow[l].append(ipoly_mul(E_pow[l][-1], E[l]))
+        den, row = poch, []
         for by_js in weights:
-            pairs = []
+            num = []
             for js, w in by_js:
-                monomial = one
+                term = [w]
                 for l, j in enumerate(js, start=1):
                     if j:
-                        monomial = monomial * e[l][d] ** j
-                pairs.append((monomial, w))
-            row.append(prefac * rfq_dot(pairs))
+                        term = ipoly_mul(term, E_pow[l][j])
+                num = _ipoly_add(num, term)
+            row.append(R._make(*_sign_normal(num, den)) if num else R.zero())
+            den = ipoly_mul(den, ell)
         rows.append(tuple(row))
     return JFunctionK(N, D, tuple(rows))
 
@@ -406,8 +449,12 @@ class JFunctionCoh:
 def jcoh_series(N: int, D: int) -> JFunctionCoh:
     """Expand 1/prod (H + rz)^(N+1) by nilpotency of H (via hhat = H/z)."""
     one = Fraction(1)
-    return JFunctionCoh(N, D, _inverse_product_powers(
-        N, D, lambda r: _inverse_power(N, Fraction(r), one), one))
+    prod = NilpotentElement.from_scalar(N, one)
+    rows = [prod.coeffs]
+    for r in range(1, D + 1):
+        prod = nil_mul(prod, _inverse_power(N, Fraction(r), one))
+        rows.append(prod.coeffs)
+    return JFunctionCoh(N, D, tuple(rows))
 
 
 def jcoh_modified(N: int, D: int) -> LogSeries:

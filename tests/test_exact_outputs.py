@@ -15,7 +15,7 @@ import pytest
 
 from qonf.cli import main
 from qonf.confluence import builtin_system, check_confluent, ode_frobenius_solution, pn_j_system
-from qonf.gw import confluence_compare, pn_operator
+from qonf.gw import confluence_compare, jk_closed_formula, jk_series, pn_operator
 from qonf.polyq import parse_bivariate
 from qonf.qdiff import (
     QDifferenceSystem,
@@ -157,6 +157,19 @@ def test_comparison_rows():
     assert rep.all_equal and len(rep.rows) == 195
     assert digest(repr(rep.rows)) == (
         "93c4c500b323260a3264ff7d7f4470cecaf46d208b1059f1035b1a9317339196")
+
+
+@pytest.mark.parametrize("build, N, D, want", [
+    (jk_series, 4, 16, "1f051cd5a5268d3e39c00ba42f72191f95adfc86891780ed568253d4574cd457"),
+    (jk_series, 12, 6, "1f219b23974e9f0753d328f2693870321700195cb3c6fedd53c4df1fcc19c6bf"),
+    (jk_closed_formula, 4, 12,
+     "a90bdfe22e247864b65f770f4ef798d9ee2426b41b3cc412278e2958b61211af"),
+])
+def test_j_function_integer_pairs(build, N, D, want):
+    """The canonical integer pair of every coefficient Q^d eps^i of the
+    q-deformed J-function, from the oracle and from the closed formula."""
+    pairs = [[c.integer_pair() for c in row] for row in build(N, D).coeffs]
+    assert digest(repr(pairs)) == want
 
 
 @pytest.mark.parametrize("N, want", [

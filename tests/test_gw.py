@@ -13,7 +13,6 @@ from qonf.gw import (
     JFunctionK,
     _inverse_power,
     _lift,
-    _q_inverse_power,
     _times_one_minus_q_power,
     confluence_compare,
     equivariant_confluence_compare,
@@ -123,6 +122,25 @@ class TestJkSeries:
                 clear = qpoch_exact(d) ** (N + 1 + i)
                 assert len((clear * jk.coefficient(d, i)).den) == 1
 
+    @pytest.mark.parametrize("N, D", [(N, 8) for N in range(7)] + [(12, 5), (20, 3)])
+    def test_pairs_sit_on_their_exact_denominator(self, N, D):
+        # the canonical denominator of c_(d,i) is +-(q;q)_d^(N+1) L_d^i, with
+        # L_d = lcm(q - 1, ..., q^d - 1), for the oracle and the closed formula
+        # alike, and each pair is the one the long way with gcds gives
+        want = reference_inverse_product_powers(
+            N, D, lambda r: (R.one_minus_q_pow(r), R.q_power(r)), R.one())
+        built = [jk_series(N, D).coeffs, jk_closed_formula(N, D).coeffs]
+        lcm = R.one()
+        for d in range(D + 1):
+            if d:  # lcm(L, q^d - 1) = L times the reduced denominator of L / (q^d - 1)
+                lcm = lcm * R(list((lcm / (R.q_power(d) - 1)).integer_pair()[1]))
+            for i in range(N + 1):
+                V = (qpoch_exact(d) ** (N + 1) * lcm ** i).integer_pair()[0]
+                for coeffs in built:
+                    got = coeffs[d][i].integer_pair()
+                    assert got == want[d][i].integer_pair()
+                    assert got[1] in (V, tuple(-c for c in V))
+
 
 def linear(N, a, b):
     """a + b eps in the truncated ring of order N."""
@@ -196,8 +214,11 @@ class TestCanonicalFactors:
     @pytest.mark.parametrize("N", range(5))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_oracle_factor(self, N, r):
+        # the oracle's step at degree r, row r over row r - 1, is the factor
+        # ((1 - q^r) + q^r eps)^-(N+1)
+        rows = jk_series(N, r).coeffs
+        got = nil_mul(nil_inv(NilpotentElement(N, rows[r - 1])), NilpotentElement(N, rows[r]))
         a, b = R.one_minus_q_pow(r), R.q_power(r)
-        got = _q_inverse_power(N, r)
         for want in (_inverse_power(N, a, b), the_long_way(a, b, N)):
             assert got == want and repr(got) == repr(want)
             assert [c.integer_pair() for c in got.coeffs] == [
